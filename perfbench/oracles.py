@@ -294,7 +294,6 @@ class CensusOracle:
 
     def check(self, name: str, payload: dict, spec: dict) -> list[str]:
         errors = []
-        kind, _, rest = name.partition("-")
         if name == "classify":
             cps = payload["checkpoints"]
             want = classifier_bad_counts(payload["eps"], cps)
