@@ -547,6 +547,32 @@ class ArithEngine:
                         return m
         raise ValueError(f"unknown domain {domain!r}")
 
+    def domain_values(self, domain: Domain, count: int) -> np.ndarray:
+        """Domain inputs for index = 1, ..., count as an int64 array.
+
+        Naturals are an `arange` and primes one sieve; only the order-map
+        domains and restricted domains take a pointwise pass.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        kind = domain.kind
+        if kind is DomainKind.NATURALS:
+            return np.arange(1, count + 1, dtype=np.int64)
+        if kind is DomainKind.PRIMES:
+            self._ensure_prime_count(count)
+            return self._primes[:count].copy()
+        if kind is DomainKind.ODD_ORDERS:
+            vals = [self.mult_order(2, 2 * i - 1) for i in range(1, count + 1)]
+        elif kind is DomainKind.PRIME_ORDERS:
+            self._ensure_prime_count(count + 1)
+            vals = [self.mult_order(2, p) for p in self._primes[1 : count + 1].tolist()]
+        elif kind is DomainKind.RESTRICTED:
+            members = (m for m in itertools.count(1) if domain.member(m))
+            vals = list(itertools.islice(members, count))
+        else:
+            raise ValueError(f"unknown domain {domain!r}")
+        return np.array(vals, dtype=np.int64)
+
     def domain_stream(self, domain: Domain, start_index: int = 1) -> Iterator[int]:
         """Domain inputs for index = start_index, start_index + 1, ..."""
         kind = domain.kind
@@ -662,20 +688,41 @@ class ArithEngine:
             if limit >= 1:
                 out[1] = 1
             return out
-        # divisor-valued families: pointwise via factorization
+        if tag is BaseTag.GSTAR:
+            # multiply in p once for every power q = p^e of p dividing n
+            out = np.ones(limit + 1, dtype=np.int64)
+            out[0] = 0
+            for p in fn.primes:
+                q = p
+                while q <= limit:
+                    out[q::q] *= p
+                    q *= p
+            return out
+        # radical and two-squares: pointwise via factorization
         out = np.zeros(limit + 1, dtype=np.int64)
         for n in range(1, limit + 1):
             out[n] = eval_base(fn, self.factorize(n))
         return out
 
     def chain_values(self, chain: tuple[BaseFn, ...], args: np.ndarray) -> np.ndarray:
-        """Evaluate a composition chain over an array of inputs."""
+        """Evaluate a composition chain over an array of inputs.
+
+        A step looks its inputs up in the bulk `value_table` when that
+        table has no more entries than there are inputs; sparser inputs
+        (primes, order values, the values of an earlier step) are
+        evaluated pointwise, once per distinct value.
+        """
         vals = np.asarray(args, dtype=np.int64)
         for fn in reversed(chain):
             if len(vals) == 0:
                 break
-            table = self.value_table(fn, int(vals.max()))
-            vals = table[vals]
+            top = int(vals.max())
+            if top <= len(vals):
+                vals = self.value_table(fn, top)[vals]
+            else:
+                uniq, inverse = np.unique(vals, return_inverse=True)
+                out = [eval_base(fn, self.factorize(v)) for v in uniq.tolist()]
+                vals = np.array(out, dtype=np.int64)[inverse]
         return vals
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import words as words_mod
 from .arith import ArithEngine, CompositionSpec
-from .errors import DegenerateInputError, InvalidDigitError, ShapeMismatchError
-from .words import MSF, DigitOrder, digits_of
+from .errors import CapacityError, DegenerateInputError, InvalidDigitError, ShapeMismatchError
+from .words import MSF, DigitOrder
 
 # dense count tables are used while g^k stays at or below this
 DENSE_LIMIT = 1 << 24
@@ -249,27 +249,6 @@ class FrequencyReport:
         }
 
 
-def _materialize(engine, spec, num_digits, g, order):
-    out = np.empty(num_digits, dtype=np.uint8 if g <= 256 else np.int64)
-    lengths = []
-    values = []
-    filled = 0
-    index = 0
-    for value in engine.value_stream(spec):
-        index += 1
-        digs = digits_of(value, g, order)
-        values.append(value)
-        room = num_digits - filled
-        if len(digs) >= room:
-            out[filled:] = digs[:room]
-            lengths.append(room)
-            return out, np.asarray(lengths, dtype=np.int64), values, index, room, len(digs)
-        out[filled : filled + len(digs)] = digs
-        lengths.append(len(digs))
-        filled += len(digs)
-    raise RuntimeError("value stream ended early")  # pragma: no cover
-
-
 def _count_ranges(total: int):
     return [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
 
@@ -296,12 +275,15 @@ def count_stream(
         raise ValueError("word length k must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    digits, lengths, values, final_index, consumed, final_len = _materialize(
-        engine, spec, num_digits, g, order
-    )
-    flush = consumed == final_len
-    windows = max(0, num_digits - k + 1)
     size = g**k
+    if size > 1 << 63:
+        raise CapacityError(
+            f"g**k = {size} window codes do not fit int64 (g={g}, k={k})"
+        )
+    res = words_mod.truncate(engine, spec, num_digits, g, order)
+    digits, lengths, final_index = res.digits, res.lengths, res.final_index
+    flush = res.flush
+    windows = max(0, num_digits - k + 1)
     dense = size <= dense_limit
     word_id = np.repeat(np.arange(1, final_index + 1, dtype=np.int32), lengths)
     powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -407,7 +389,7 @@ def count_stream(
         complete_words = final_index if flush else final_index - 1
         verdicts: dict[int, bool] = {}
         bad_count = 0
-        for v in values[:complete_words]:
+        for v in res.values[:complete_words].tolist():
             ok = verdicts.get(v)
             if ok is None:
                 ok = words_mod.is_eps_k_normal(v, eps, k, g, order)
@@ -422,7 +404,7 @@ def count_stream(
         order=order.value,
         num_digits=num_digits,
         final_index=final_index,
-        consumed_of_final=consumed,
+        consumed_of_final=res.consumed_of_final,
         flush=flush,
         window_count=windows,
         counts=counts_d,

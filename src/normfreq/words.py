@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,17 +260,54 @@ class TruncationResult:
 
     `final_index` is the least n whose word completes the N digits;
     `consumed_of_final` says how many of that word's digits are inside.
+    `values` holds f(1), ..., f(final_index) and `lengths` how many
+    digits of each word lie inside the prefix (so they sum to N).
     """
 
     digits: np.ndarray
     final_index: int
     consumed_of_final: int
     final_length: int
+    lengths: np.ndarray
+    values: np.ndarray
 
     @property
     def flush(self) -> bool:
         """True when the cut lands exactly on a word boundary."""
         return self.consumed_of_final == self.final_length
+
+
+def _digit_lengths(values: np.ndarray, g: int) -> np.ndarray:
+    """Base-g digit counts of a nonempty int64 array of values >= 1."""
+    top = int(values.max())
+    powers = []
+    q = g
+    while q <= top:
+        powers.append(q)
+        q *= g
+    return np.searchsorted(np.array(powers, dtype=np.int64), values, side="right") + 1
+
+
+def _expand_digits(
+    values: np.ndarray, lengths: np.ndarray, g: int, order: DigitOrder
+) -> np.ndarray:
+    """Concatenated base-g words of `values`, whose digit counts are `lengths`.
+
+    One floor-div/mod pass per digit position, from the most significant
+    down; every power used is at most the largest value, so nothing wraps.
+    """
+    ends = np.cumsum(lengths)
+    out = np.empty(int(ends[-1]), dtype=np.uint8 if g <= 256 else np.int64)
+    rest = values
+    for j in range(int(lengths.max()) - 1, -1, -1):  # digit j has weight g^j
+        digit, rest = np.divmod(rest, g**j)
+        live = np.flatnonzero(lengths > j)
+        if order is MSF:
+            pos = ends[live] - 1 - j
+        else:
+            pos = ends[live] - lengths[live] + j
+        out[pos] = digit[live]
+    return out
 
 
 def truncate(
@@ -279,22 +317,39 @@ def truncate(
     g: int = 10,
     order: DigitOrder = MSF,
 ) -> TruncationResult:
-    """Materialize the first `num_digits` digits of the stream."""
+    """Materialize the first `num_digits` digits of the stream.
+
+    Domain values and chain values are whole arrays.  The value count
+    starts at N/64 and is re-estimated from the digits per value seen in
+    the newest half of each attempt until the words cover N digits; N
+    values always do, since every word has at least one digit.
+    """
     if num_digits < 1:
         raise ValueError("need at least one digit")
-    out = np.empty(num_digits, dtype=np.uint8 if g <= 256 else np.int64)
-    filled = 0
-    index = 0
-    for value in engine.value_stream(spec):
-        index += 1
-        digs = digits_of(value, g, order)
-        room = num_digits - filled
-        if len(digs) >= room:
-            out[filled:] = digs[:room]
-            return TruncationResult(out, index, room, len(digs))
-        out[filled : filled + len(digs)] = digs
-        filled += len(digs)
-    raise RuntimeError("value stream ended early")  # pragma: no cover
+    if g < 2:
+        raise ValueError("base must be >= 2")
+    count = min(num_digits, max(16, num_digits // 64))
+    while True:
+        values = engine.chain_values(spec.chain, engine.domain_values(spec.domain, count))
+        lengths = _digit_lengths(values, g)
+        ends = np.cumsum(lengths)
+        have = int(ends[-1])
+        if have >= num_digits:
+            break
+        per_value = float(lengths[count // 2 :].mean())
+        count = min(num_digits, count + math.ceil((num_digits - have) / per_value))
+    final = int(np.searchsorted(ends, num_digits))  # the first word to reach N
+    overhang = int(ends[final]) - num_digits
+    del ends
+    # copies, so the arrays of an over-long attempt are freed
+    values = values[: final + 1].copy()
+    lengths = lengths[: final + 1].copy()
+    final_length = int(lengths[final])
+    digits = _expand_digits(values, lengths, g, order)[:num_digits]
+    lengths[final] -= overhang
+    return TruncationResult(
+        digits, final + 1, final_length - overhang, final_length, lengths, values
+    )
 
 
 # ---------------------------------------------------------------------------

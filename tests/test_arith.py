@@ -435,6 +435,50 @@ def test_value_table_matches_eval_base(engine, fn):
         assert int(tab[n]) == arith.eval_base(fn, engine.factorize(n))
 
 
+@given(
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 1009]), min_size=1),
+    st.integers(min_value=1, max_value=3000),
+)
+@settings(max_examples=60, deadline=None)
+def test_gstar_table_matches_eval_base(primes, limit):
+    eng = arith.ArithEngine()
+    fn = arith.gstar(primes)
+    tab = eng.value_table(fn, limit)
+    assert len(tab) == limit + 1 and tab[0] == 0
+    assert tab[1:].tolist() == [
+        arith.eval_base(fn, eng.factorize(n)) for n in range(1, limit + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [(arith.PHI,), (arith.SIGMA,), (arith.RADICAL,), (arith.TWO_SQUARES,),
+     (arith.gstar([2, 3]),), (arith.PHI, arith.SIGMA), (arith.SIGMA, arith.SIGMA)],
+    ids=lambda chain: ".".join(fn.describe() for fn in chain),
+)
+def test_chain_values_on_primes_matches_eval(chain):
+    # primes are sparse (max > count), so every step is evaluated per distinct value
+    eng = arith.ArithEngine()
+    args = eng.domain_values(arith.PRIMES, 400)
+    got = eng.chain_values(chain, np.concatenate([args, args[::-1]]))
+    spec = arith.CompositionSpec(chain, arith.PRIMES)
+    want = [eng.eval_composition(spec, i) for i in range(1, 401)]
+    assert got.tolist() == want + want[::-1]
+
+
+@pytest.mark.parametrize(
+    "domain", [arith.NATURALS, arith.PRIMES, arith.ODD_ORDERS, arith.PRIME_ORDERS,
+               arith.restricted(lambda m: m % 3 == 0, "multiples-of-3")],
+    ids=lambda d: d.describe(),
+)
+def test_domain_values_match_domain_stream(engine, domain):
+    got = engine.domain_values(domain, 300)
+    stream = engine.domain_stream(domain)
+    assert got.dtype == np.int64
+    assert got.tolist() == [next(stream) for _ in range(300)]
+    assert engine.domain_values(domain, 0).tolist() == []
+
+
 def test_chain_values_matches_eval(engine):
     chain = (arith.PHI, arith.SIGMA, arith.LAMBDA)
     args = np.arange(1, 300, dtype=np.int64)

@@ -7,8 +7,10 @@ wired up.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,12 @@ def test_sieve_capacity_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_count_wide_window_codes_exit_code(capsys):
+    code, _, err = run(capsys, "count", "--f", "id", "--digits", "200", "--k", "20")
+    assert code == 3
+    assert "int64" in err
+
+
 def test_cache_hit_and_miss_censuses_agree(tmp_path, capsys):
     """Warm-started and cold engines must produce identical reports."""
     cache = tmp_path / "spf.cache"
@@ -465,9 +473,12 @@ def test_help_exits_0(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or from src/
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "normfreq.cli", "stream", "--f", "id", "--digits", "17"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout == "12345678910111213\n"

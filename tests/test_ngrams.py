@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from normfreq import arith, ngrams, words
 from normfreq.errors import (
+    CapacityError,
     DegenerateInputError,
     InvalidDigitError,
     ShapeMismatchError,
@@ -314,6 +315,23 @@ def test_count_stream_report_json_stable(engine):
     for key in ("N", "n", "g", "k", "order", "freqs", "max_dev", "boundary", "tail", "bad_count"):
         assert key in d
     assert d["N"] == 600 and d["g"] == 10 and d["k"] == 2
+
+
+def test_count_stream_rejects_codes_beyond_int64(engine):
+    # 10^20 window codes would wrap int64 and misreport the words
+    with pytest.raises(CapacityError):
+        ngrams.count_stream(engine, arith.CompositionSpec(), 200, g=10, k=20)
+
+
+def test_count_stream_long_words_match_literal_windows(engine):
+    # 10^18 codes still fit int64; the sparse path must report the real windows
+    text = "".join(str(m) for m in range(1, 200))[:200]
+    want = {}
+    for i in range(len(text) - 18 + 1):
+        want[text[i : i + 18]] = want.get(text[i : i + 18], 0) + 1
+    rep = ngrams.count_stream(engine, arith.CompositionSpec(), 200, g=10, k=18)
+    assert rep.window_count == 183
+    assert rep.counts == want
 
 
 def test_count_stream_validates(engine):

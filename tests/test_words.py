@@ -256,6 +256,77 @@ def test_stream_agrees_with_truncate(engine, order):
     assert stream.take(300) == res.digits.tolist()
 
 
+DIFF_CHAINS = [
+    (), (arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.SUM_PROPER,),
+    (arith.RADICAL,), (arith.TWO_SQUARES,), (arith.gstar([2, 3]),),
+    (arith.PHI, arith.SIGMA), (arith.SIGMA, arith.SIGMA),
+]
+DIFF_DOMAINS = [arith.NATURALS, arith.PRIMES, arith.ODD_ORDERS, arith.PRIME_ORDERS]
+
+
+def lazy_words(engine, spec, count, g, order):
+    """The first `count` values and their words, from the pointwise stream."""
+    values = list(itertools.islice(engine.value_stream(spec), count))
+    return values, [words.digits_of(v, g, order) for v in values]
+
+
+def lazy_truncation(values, word_list, num_digits):
+    """(digits, lengths, values, final_index, consumed, final_length) by concatenation."""
+    digits, lengths = [], []
+    for i, w in enumerate(word_list):
+        room = num_digits - len(digits)
+        if len(w) >= room:
+            return digits + list(w[:room]), lengths + [room], values[: i + 1], i + 1, room, len(w)
+        digits.extend(w)
+        lengths.append(len(w))
+    raise AssertionError("oracle needs more words")
+
+
+def array_truncation(res):
+    return (res.digits.tolist(), res.lengths.tolist(), res.values.tolist(),
+            res.final_index, res.consumed_of_final, res.final_length)
+
+
+@pytest.mark.parametrize("domain", DIFF_DOMAINS, ids=lambda d: d.describe())
+@pytest.mark.parametrize(
+    "chain", DIFF_CHAINS, ids=lambda c: ".".join(fn.describe() for fn in c) or "id"
+)
+def test_truncate_matches_lazy_stream(chain, domain):
+    """The array path against value_stream + digits_of, at flush and mid-word cuts."""
+    eng = arith.ArithEngine()
+    spec = arith.CompositionSpec(chain, domain)
+    for g in (2, 3, 10, 16, 300):
+        for order in (MSF, LSF):
+            values, word_list = lazy_words(eng, spec, 400, g, order)
+            ends = list(itertools.accumulate(len(w) for w in word_list))
+            cuts = {1, ends[0], ends[29], ends[-1]}
+            # inside a word of two or more digits (s and gstar on primes have none)
+            long_word = next((i for i in range(30, 400) if len(word_list[i]) > 1), None)
+            if long_word is not None:
+                cuts |= {ends[long_word] - 1, ends[long_word - 1] + 1}
+            for num in sorted(cuts):
+                res = words.truncate(eng, spec, num, g, order)
+                want = lazy_truncation(values, word_list, num)
+                assert array_truncation(res) == want, (g, order, num)
+                assert res.flush == (num in ends)
+
+
+@given(
+    st.sampled_from(DIFF_CHAINS),
+    st.sampled_from(DIFF_DOMAINS),
+    st.integers(min_value=2, max_value=400),
+    st.sampled_from([MSF, LSF]),
+    st.integers(min_value=1, max_value=3000),
+)
+@settings(max_examples=60, deadline=None)
+def test_truncate_matches_lazy_stream_random(chain, domain, g, order, num):
+    eng = arith.ArithEngine()
+    spec = arith.CompositionSpec(chain, domain)
+    res = words.truncate(eng, spec, num, g, order)
+    values, word_list = lazy_words(eng, spec, res.final_index, g, order)
+    assert array_truncation(res) == lazy_truncation(values, word_list, num)
+
+
 def test_stream_cursor_resume(engine):
     spec = arith.CompositionSpec((arith.PHI,), arith.PRIMES)
     whole = words.DigitStream(engine, spec).take(187)
