@@ -550,28 +550,17 @@ class ArithEngine:
     def domain_values(self, domain: Domain, count: int) -> np.ndarray:
         """Domain inputs for index = 1, ..., count as an int64 array.
 
-        Naturals are an `arange` and primes one sieve; only the order-map
-        domains and restricted domains take a pointwise pass.
+        Naturals are an `arange` and primes one sieve; the other domains
+        are read off `domain_stream`.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        kind = domain.kind
-        if kind is DomainKind.NATURALS:
+        if domain.kind is DomainKind.NATURALS:
             return np.arange(1, count + 1, dtype=np.int64)
-        if kind is DomainKind.PRIMES:
+        if domain.kind is DomainKind.PRIMES:
             self._ensure_prime_count(count)
             return self._primes[:count].copy()
-        if kind is DomainKind.ODD_ORDERS:
-            vals = [self.mult_order(2, 2 * i - 1) for i in range(1, count + 1)]
-        elif kind is DomainKind.PRIME_ORDERS:
-            self._ensure_prime_count(count + 1)
-            vals = [self.mult_order(2, p) for p in self._primes[1 : count + 1].tolist()]
-        elif kind is DomainKind.RESTRICTED:
-            members = (m for m in itertools.count(1) if domain.member(m))
-            vals = list(itertools.islice(members, count))
-        else:
-            raise ValueError(f"unknown domain {domain!r}")
-        return np.array(vals, dtype=np.int64)
+        return np.fromiter(itertools.islice(self.domain_stream(domain), count), np.int64, count)
 
     def domain_stream(self, domain: Domain, start_index: int = 1) -> Iterator[int]:
         """Domain inputs for index = start_index, start_index + 1, ..."""
@@ -707,22 +696,28 @@ class ArithEngine:
     def chain_values(self, chain: tuple[BaseFn, ...], args: np.ndarray) -> np.ndarray:
         """Evaluate a composition chain over an array of inputs.
 
-        A step looks its inputs up in the bulk `value_table` when that
-        table has no more entries than there are inputs; sparser inputs
-        (primes, order values, the values of an earlier step) are
-        evaluated pointwise, once per distinct value.
+        A step looks its inputs up in the bulk `value_table` when the
+        function is phi, or when the table has no more entries than there
+        are inputs; otherwise (primes, order values, the values of an
+        earlier step) it evaluates each distinct value pointwise.  The phi
+        table is a numpy sieve and stays cheaper than factorizing even over
+        the primes, while the sigma, s and lambda tables take a Python
+        iteration per entry and the rad and two-squares tables a
+        factorization.
         """
         vals = np.asarray(args, dtype=np.int64)
         for fn in reversed(chain):
             if len(vals) == 0:
                 break
             top = int(vals.max())
-            if top <= len(vals):
+            if fn.tag is BaseTag.PHI or top <= len(vals):
                 vals = self.value_table(fn, top)[vals]
             else:
                 uniq, inverse = np.unique(vals, return_inverse=True)
-                out = [eval_base(fn, self.factorize(v)) for v in uniq.tolist()]
-                vals = np.array(out, dtype=np.int64)[inverse]
+                # one sieve to the largest value, not one per doubling
+                self.ensure_spf(min(top, self.auto_extend_cap))
+                out = (eval_base(fn, self.factorize(v)) for v in uniq.tolist())
+                vals = np.fromiter(out, np.int64, len(uniq))[inverse]
         return vals
 
 

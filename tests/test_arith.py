@@ -452,12 +452,13 @@ def test_gstar_table_matches_eval_base(primes, limit):
 
 @pytest.mark.parametrize(
     "chain",
-    [(arith.PHI,), (arith.SIGMA,), (arith.RADICAL,), (arith.TWO_SQUARES,),
+    [(arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.RADICAL,), (arith.TWO_SQUARES,),
      (arith.gstar([2, 3]),), (arith.PHI, arith.SIGMA), (arith.SIGMA, arith.SIGMA)],
     ids=lambda chain: ".".join(fn.describe() for fn in chain),
 )
 def test_chain_values_on_primes_matches_eval(chain):
-    # primes are sparse (max > count), so every step is evaluated per distinct value
+    # primes are sparse (max > count): phi reads its table, every other step
+    # is evaluated per distinct value
     eng = arith.ArithEngine()
     args = eng.domain_values(arith.PRIMES, 400)
     got = eng.chain_values(chain, np.concatenate([args, args[::-1]]))
