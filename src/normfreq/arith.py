@@ -2,7 +2,7 @@
 
 Everything here is exact integer arithmetic.  Pointwise evaluation goes
 through `Factorization`; bulk evaluation over a range [1, limit] goes
-through numpy value tables backed by a smallest-prime-factor sieve.
+through numpy value tables built by one prime-power sieve.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +24,8 @@ EULER_GAMMA = 0.5772156649015329
 
 SPF_CACHE_MAGIC = b"NFSV1"
 
-# Default ceiling for the SPF table, in bytes (4 bytes per entry).
+# Default ceiling for one SPF table (4 bytes per entry) or value table
+# (8 bytes per entry), in bytes.
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 # factorize() grows the sieve on demand up to this many entries; anything
@@ -219,6 +220,38 @@ def eval_base(fn: BaseFn, fac: Factorization) -> int:
     raise ValueError(f"unknown base function {fn!r}")
 
 
+class _TableRow(NamedTuple):
+    """A base function as the table kernel sees it: f(p^e) for e >= 1, and
+    whether the prime-power parts of n combine by lcm instead of product."""
+
+    at: Callable[[int, int], int]
+    lcm: bool = False
+
+
+# s is sigma minus n and has no row of its own; gstar's row is applied to
+# its own primes only.
+_TABLE_ROWS = {
+    BaseTag.PHI: _TableRow(lambda p, e: p ** (e - 1) * (p - 1)),
+    BaseTag.SIGMA: _TableRow(lambda p, e: (p ** (e + 1) - 1) // (p - 1)),
+    BaseTag.LAMBDA: _TableRow(_lambda_prime_power, lcm=True),
+    BaseTag.RADICAL: _TableRow(lambda p, e: p),
+    BaseTag.TWO_SQUARES: _TableRow(lambda p, e: p ** (e - e % 2) if p % 4 == 3 else p**e),
+    BaseTag.GSTAR: _TableRow(lambda p, e: p**e),
+}
+
+
+def _prime_powers(primes, limit: int) -> Iterator[tuple[int, int, int]]:
+    """(p, e, p^e) for every power p^e <= limit of each given prime."""
+    # one Python int at a time: a list of every prime would leave its
+    # memory fragmented after the table is built
+    for p in map(int, primes):
+        q, e = p, 1
+        while q <= limit:
+            yield p, e, q
+            q *= p
+            e += 1
+
+
 class DomainKind(enum.Enum):
     NATURALS = "naturals"
     PRIMES = "primes"
@@ -286,7 +319,7 @@ def spf_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndar
     """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    _check_spf_budget(limit, memory_budget)
+    _check_budget("SPF table", limit, 4, memory_budget)
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -299,11 +332,11 @@ def spf_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndar
     return spf
 
 
-def _check_spf_budget(limit: int, memory_budget: int) -> None:
-    need = 4 * (limit + 1)
+def _check_budget(what: str, limit: int, entry_bytes: int, memory_budget: int) -> None:
+    need = entry_bytes * (limit + 1)
     if need > memory_budget:
         raise CapacityError(
-            f"SPF table for limit {limit} needs {need} bytes, budget is {memory_budget}"
+            f"{what} for limit {limit} needs {need} bytes, budget is {memory_budget}"
         )
 
 
@@ -328,7 +361,7 @@ def load_spf_cache(path, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarr
         (limit,) = struct.unpack("<Q", raw)
         if limit < 2:
             raise CacheFormatError(f"invalid limit {limit} in {path}")
-        _check_spf_budget(limit, memory_budget)
+        _check_budget("SPF table", limit, 4, memory_budget)
         payload = fh.read()
     if len(payload) != 4 * (limit - 1):
         raise CacheFormatError(
@@ -408,7 +441,7 @@ class ArithEngine:
         self._spf_limit = 1
         self._primes = np.empty(0, dtype=np.int64)
         self._prime_limit = 1
-        self._tables: dict[str, np.ndarray] = {}
+        self._tables: dict[BaseFn, np.ndarray] = {}
         if spf_limit >= 2:
             self.ensure_spf(spf_limit)
 
@@ -601,123 +634,76 @@ class ArithEngine:
 
     # -- bulk value tables ---------------------------------------------------
 
-    def _spf_for_tables(self, limit: int) -> np.ndarray:
-        self.ensure_spf(limit)
-        return self._spf
+    def value_table(self, fn: BaseFn, limit: int) -> np.ndarray:
+        """fn(n) for 0 <= n <= limit (index 0 holds 0).
 
-    def _cached_table(self, key: str, limit: int, build) -> np.ndarray:
-        tab = self._tables.get(key)
+        The table is cached per function and rebuilt only for a larger
+        limit.  Raises CapacityError when it would not fit the byte budget.
+        """
+        tab = self._tables.get(fn)
         if tab is None or len(tab) <= limit:
-            tab = build(limit)
+            _check_budget(f"{fn.describe()} table", limit, 8, self.memory_budget)
+            if fn.tag is BaseTag.SUM_PROPER_DIVISORS:
+                tab = self._prime_power_table(SIGMA, limit)
+                tab -= np.arange(limit + 1, dtype=np.int64)
+                if limit >= 1:
+                    tab[1] = 1
+            else:
+                tab = self._prime_power_table(fn, limit)
             with self._lock:
-                cur = self._tables.get(key)
+                cur = self._tables.get(fn)
                 if cur is None or len(cur) < len(tab):
-                    self._tables[key] = tab
+                    self._tables[fn] = tab
                 else:
                     tab = cur
-        return tab
+        return tab[: limit + 1]
 
-    def phi_table(self, limit: int) -> np.ndarray:
-        """phi(n) for 0 <= n <= limit (index 0 unused)."""
-        return self._cached_table("phi", limit, self._build_phi_table)
-
-    def _build_phi_table(self, limit: int) -> np.ndarray:
-        out = np.arange(limit + 1, dtype=np.int64)
-        for p in self.primes_upto(limit):
-            seg = out[p::p]
-            seg -= seg // p
-        out[0] = 0
-        return out
-
-    def sigma_table(self, limit: int) -> np.ndarray:
-        """sigma(n) for 0 <= n <= limit, by the divisor-slice sieve."""
-        return self._cached_table("sigma", limit, self._build_sigma_table)
-
-    @staticmethod
-    def _build_sigma_table(limit: int) -> np.ndarray:
-        out = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            out[d::d] += d
-        return out
-
-    def lambda_table(self, limit: int) -> np.ndarray:
-        """Carmichael lambda(n) for 0 <= n <= limit."""
-        return self._cached_table("lambda", limit, self._build_lambda_table)
-
-    def _build_lambda_table(self, limit: int) -> np.ndarray:
-        spf = self._spf_for_tables(limit)
+    def _prime_power_table(self, fn: BaseFn, limit: int) -> np.ndarray:
+        # Every n starts at 1; for each prime power q = p^e the multiples
+        # of q move from f(p^(e-1)) to f(p^e).  A product row divides the
+        # old part out exactly, and lambda's lcm needs no division because
+        # lambda(p^(e-1)) divides lambda(p^e).
+        at, lcm = _TABLE_ROWS[fn.tag]
+        if fn.tag is BaseTag.GSTAR:
+            primes = fn.primes
+        else:
+            primes = self.primes_upto(limit)
         out = np.ones(limit + 1, dtype=np.int64)
         out[0] = 0
-        lcm = math.lcm
-        lpp = _lambda_prime_power
-        for n in range(2, limit + 1):
-            p = int(spf[n])
-            m = n // p
-            e = 1
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                out[n] = lpp(p, e)
+        for p, e, q in _prime_powers(primes, limit):
+            prev = 1 if e == 1 else cur
+            cur = at(p, e)
+            if cur == prev:
+                continue
+            seg = out[q::q]
+            if lcm:
+                np.lcm(seg, cur, out=seg)
             else:
-                out[n] = lcm(int(out[m]), lpp(p, e))
+                if prev != 1:
+                    seg //= prev
+                seg *= cur
         return out
 
-    def value_table(self, fn: BaseFn, limit: int) -> np.ndarray:
-        """Bulk table of fn(n) for n <= limit."""
-        tag = fn.tag
-        if tag is BaseTag.PHI:
-            return self.phi_table(limit)[: limit + 1]
-        if tag is BaseTag.SIGMA:
-            return self.sigma_table(limit)[: limit + 1]
-        if tag is BaseTag.LAMBDA:
-            return self.lambda_table(limit)[: limit + 1]
-        if tag is BaseTag.SUM_PROPER_DIVISORS:
-            out = self.sigma_table(limit)[: limit + 1] - np.arange(limit + 1, dtype=np.int64)
-            if limit >= 1:
-                out[1] = 1
-            return out
-        if tag is BaseTag.GSTAR:
-            # multiply in p once for every power q = p^e of p dividing n
-            out = np.ones(limit + 1, dtype=np.int64)
-            out[0] = 0
-            for p in fn.primes:
-                q = p
-                while q <= limit:
-                    out[q::q] *= p
-                    q *= p
-            return out
-        # radical and two-squares: pointwise via factorization
-        out = np.zeros(limit + 1, dtype=np.int64)
-        for n in range(1, limit + 1):
-            out[n] = eval_base(fn, self.factorize(n))
+    def big_omega_table(self, limit: int) -> np.ndarray:
+        """Omega(n), the prime factors of n counted with multiplicity, for
+        0 <= n <= limit as uint8.  Raises CapacityError over the budget."""
+        _check_budget("Omega table", limit, 1, self.memory_budget)
+        out = np.zeros(limit + 1, dtype=np.uint8)
+        for _, _, q in _prime_powers(self.primes_upto(limit), limit):
+            out[q::q] += 1
         return out
 
     def chain_values(self, chain: tuple[BaseFn, ...], args: np.ndarray) -> np.ndarray:
         """Evaluate a composition chain over an array of inputs.
 
-        A step looks its inputs up in the bulk `value_table` when the
-        function is phi, or when the table has no more entries than there
-        are inputs; otherwise (primes, order values, the values of an
-        earlier step) it evaluates each distinct value pointwise.  The phi
-        table is a numpy sieve and stays cheaper than factorizing even over
-        the primes, while the sigma, s and lambda tables take a Python
-        iteration per entry and the rad and two-squares tables a
-        factorization.
+        Each step, innermost first, looks its inputs up in the
+        `value_table` sized to the step's largest input.
         """
         vals = np.asarray(args, dtype=np.int64)
         for fn in reversed(chain):
             if len(vals) == 0:
                 break
-            top = int(vals.max())
-            if fn.tag is BaseTag.PHI or top <= len(vals):
-                vals = self.value_table(fn, top)[vals]
-            else:
-                uniq, inverse = np.unique(vals, return_inverse=True)
-                # one sieve to the largest value, not one per doubling
-                self.ensure_spf(min(top, self.auto_extend_cap))
-                out = (eval_base(fn, self.factorize(v)) for v in uniq.tolist())
-                vals = np.fromiter(out, np.int64, len(uniq))[inverse]
+            vals = self.value_table(fn, int(vals.max()))[vals]
         return vals
 
 

@@ -65,7 +65,7 @@ from .experiments import (
     small_value_census,
     thin_preimage_census,
 )
-from .words import LSF, MSF, DigitOrder, save_digits, truncate
+from .words import LSF, MSF, DigitOrder, save_digits, truncate, word_text
 
 CACHE_FILENAME = "spf.cache"
 
@@ -284,13 +284,6 @@ def _emit(report, path: Optional[str]) -> None:
         sys.stdout.write(reports.canonical_json(report))
 
 
-def _digits_text(digits: np.ndarray, g: int) -> str:
-    values = digits.tolist()
-    if g <= 10:
-        return "".join(map(str, values))
-    return ".".join(map(str, values))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def _cmd_stream(args, opts: _OptionSet) -> int:
     spec = parse_chain(rc.f, _domain(rc.domain))
     order = _order(rc.order)
     result = truncate(_engine(rc.cache), spec, rc.digits, rc.base, order)
-    print(_digits_text(result.digits, rc.base))
+    print(word_text(result.digits.tolist(), rc.base))
     if got["dump"]:
         save_digits(got["dump"], result.digits, rc.base, order)
     return 0

@@ -17,6 +17,9 @@ import numpy as np
 
 from .arith import (
     EULER_GAMMA,
+    LAMBDA,
+    PHI,
+    SIGMA,
     ArithEngine,
     BaseFn,
     BaseTag,
@@ -27,7 +30,7 @@ from .arith import (
     restricted,
 )
 from .reports import census_csv, density_csv
-from .words import MSF, DigitOrder, digits_of, truncate
+from .words import MSF, DigitOrder, digits_of, truncate, word_text
 
 DETERMINISM_NOTE = "deterministic: exact integer censuses, no randomness"
 
@@ -176,7 +179,7 @@ def small_lambda_census(
     """
     cps = _validate_checkpoints(checkpoints)
     limit = cps[-1]
-    lam = engine.lambda_table(limit)
+    lam = engine.value_table(LAMBDA, limit)
 
     def indicator(lo, hi):
         seg = lam[lo : hi + 1]
@@ -248,16 +251,11 @@ def omega_tail_census(
     cps = _validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
-    engine.ensure_spf(int(tab[1 : limit + 1].max()))
+    omega = engine.big_omega_table(int(tab.max()))
     threshold = big_k * big_k
 
     def indicator(lo, hi):
-        seg = tab[lo : hi + 1]
-        return np.fromiter(
-            (big_omega(engine.factorize(int(v))) > threshold for v in seg),
-            dtype=bool,
-            count=len(seg),
-        )
+        return omega[tab[lo : hi + 1]] > threshold
 
     counts = _blockwise_census(limit, cps, indicator, threads)
     rows = []
@@ -579,7 +577,7 @@ def non_normality_demo(
         k=k,
         g=g,
         num_digits=num_digits,
-        block=_join_block(block_digits, g),
+        block=word_text(block_digits, g),
         block_len=len(block_digits),
         final_index=n,
         period_modulus=modulus,
@@ -587,12 +585,6 @@ def non_normality_demo(
         observed=observed,
         normal_ceiling=num_digits * float(g) ** (-len(block_digits)),
     )
-
-
-def _join_block(digits: Sequence[int], g: int) -> str:
-    if g <= 10:
-        return "".join(str(d) for d in digits)
-    return ".".join(str(d) for d in digits)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +627,8 @@ def extremal_ratio_report(engine: ArithEngine, x: int) -> ExtremalRatioReport:
     """Scan 2 <= m <= x for the totient and divisor-sum extremes."""
     if x < 10:
         raise ValueError("x must be >= 10")
-    phi = engine.phi_table(x)
-    sigma = engine.sigma_table(x)
+    phi = engine.value_table(PHI, x)
+    sigma = engine.value_table(SIGMA, x)
     m = np.arange(2, x + 1, dtype=np.float64)
     ll = np.maximum(1.0, np.log(np.log(m)))
     phi_ratio = phi[2 : x + 1] / (m / ll)

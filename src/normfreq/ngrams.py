@@ -18,7 +18,7 @@ import numpy as np
 from . import words as words_mod
 from .arith import ArithEngine, CompositionSpec
 from .errors import CapacityError, DegenerateInputError, InvalidDigitError, ShapeMismatchError
-from .words import MSF, DigitOrder
+from .words import MSF, DigitOrder, word_text
 
 # dense count tables are used while g^k stays at or below this
 DENSE_LIMIT = 1 << 24
@@ -32,12 +32,6 @@ def _decode_code(code: int, g: int, length: int) -> tuple[int, ...]:
         code, d = divmod(code, g)
         out.append(d)
     return tuple(reversed(out))
-
-
-def _word_text(digits: Sequence[int], g: int) -> str:
-    if g <= 10:
-        return "".join(str(d) for d in digits)
-    return ".".join(str(d) for d in digits)
 
 
 class KGramCounter:
@@ -331,7 +325,7 @@ def count_stream(
 
         def to_counts(table):
             return {
-                _word_text(_decode_code(int(code), g, k), g): int(table[code])
+                word_text(_decode_code(int(code), g, k), g): int(table[code])
                 for code in np.flatnonzero(table)
             }
 
@@ -363,7 +357,7 @@ def count_stream(
 
         def to_counts_sparse(m):
             return {
-                _word_text(_decode_code(code, g, k), g): c
+                word_text(_decode_code(code, g, k), g): c
                 for code, c in sorted(m.items())
                 if c
             }

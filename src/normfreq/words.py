@@ -73,9 +73,12 @@ class Word:
         return len(self.digits)
 
     def text(self) -> str:
-        if self.g <= 10:
-            return "".join(str(d) for d in self.digits)
-        return ".".join(str(d) for d in self.digits)
+        return word_text(self.digits, self.g)
+
+
+def word_text(digits: Sequence[int], g: int) -> str:
+    """A digit word as text: plain digits for g <= 10, dot-joined above."""
+    return ("" if g <= 10 else ".").join(map(str, digits))
 
 
 def digit_length(n: int, g: int = 10) -> int:

@@ -166,8 +166,8 @@ def test_04_lambda_is_unit_group_exponent(engine):
         for n in range(301, 5001)
         if not certifies_exponent(n, engine.eval_base_value(LAMBDA, n))
     ]
-    lam = engine.lambda_table(10**5)
-    phi = engine.phi_table(10**5)
+    lam = engine.value_table(LAMBDA, 10**5)
+    phi = engine.value_table(PHI, 10**5)
     divides = bool(np.all(phi[1:] % lam[1:] == 0))
     elapsed = time.perf_counter() - t0
     ok = not direct_bad and not cert_bad and divides and elapsed < 60.0

@@ -405,49 +405,57 @@ def test_value_stream_start_index(engine):
 # ---------------------------------------------------------------------------
 
 
-def test_phi_table_matches_pointwise(engine):
-    tab = engine.phi_table(1500)
-    for n in range(1, 1501):
-        assert int(tab[n]) == arith.phi(engine.factorize(n))
-
-
-def test_sigma_table_matches_pointwise(engine):
-    tab = engine.sigma_table(1500)
-    for n in range(1, 1501):
-        assert int(tab[n]) == arith.sigma(engine.factorize(n))
-
-
-def test_lambda_table_matches_pointwise(engine):
-    tab = engine.lambda_table(1500)
-    for n in range(1, 1501):
-        assert int(tab[n]) == arith.lam(engine.factorize(n))
+BASE_FNS = [arith.PHI, arith.SIGMA, arith.LAMBDA, arith.SUM_PROPER, arith.RADICAL,
+            arith.TWO_SQUARES]
 
 
 @pytest.mark.parametrize(
-    "fn",
-    [arith.PHI, arith.SIGMA, arith.LAMBDA, arith.SUM_PROPER, arith.RADICAL,
-     arith.TWO_SQUARES, arith.gstar([2, 5])],
-    ids=lambda fn: fn.describe(),
+    "fn", BASE_FNS + [arith.gstar([2, 5])], ids=lambda fn: fn.describe()
 )
 def test_value_table_matches_eval_base(engine, fn):
-    tab = engine.value_table(fn, 400)
-    for n in range(1, 401):
+    tab = engine.value_table(fn, 1500)
+    for n in range(1, 1501):
         assert int(tab[n]) == arith.eval_base(fn, engine.factorize(n))
 
 
 @given(
-    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 1009]), min_size=1),
-    st.integers(min_value=1, max_value=3000),
+    st.one_of(
+        st.sampled_from(BASE_FNS),
+        st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 1009]), min_size=1).map(arith.gstar),
+    ),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=3000),
 )
 @settings(max_examples=60, deadline=None)
-def test_gstar_table_matches_eval_base(primes, limit):
+def test_value_table_matches_eval_base_random(fn, first, limit):
+    # the first table is cached; the second is a slice of it or a rebuild
     eng = arith.ArithEngine()
-    fn = arith.gstar(primes)
+    eng.value_table(fn, first)
     tab = eng.value_table(fn, limit)
     assert len(tab) == limit + 1 and tab[0] == 0
     assert tab[1:].tolist() == [
         arith.eval_base(fn, eng.factorize(n)) for n in range(1, limit + 1)
     ]
+
+
+def test_value_table_memory_budget():
+    eng = arith.ArithEngine(memory_budget=8 * 1001)
+    assert eng.value_table(arith.SIGMA, 1000)[1000] == 2340
+    with pytest.raises(CapacityError):
+        eng.value_table(arith.SIGMA, 1001)
+    # a chain sizes each table by its largest input
+    with pytest.raises(CapacityError):
+        eng.chain_values((arith.PHI,), np.array([2, 1009]))
+    assert eng.big_omega_table(8000)[7776] == 10
+    with pytest.raises(CapacityError):
+        eng.big_omega_table(8008)
+
+
+def test_big_omega_table_matches_pointwise(engine):
+    tab = engine.big_omega_table(3000)
+    assert tab[0] == 0
+    for n in range(1, 3001):
+        assert int(tab[n]) == sum(e for _, e in oracle_factor(n))
 
 
 @pytest.mark.parametrize(
@@ -457,8 +465,7 @@ def test_gstar_table_matches_eval_base(primes, limit):
     ids=lambda chain: ".".join(fn.describe() for fn in chain),
 )
 def test_chain_values_on_primes_matches_eval(chain):
-    # primes are sparse (max > count): phi reads its table, every other step
-    # is evaluated per distinct value
+    # primes are sparse (max > count); every step still reads its table
     eng = arith.ArithEngine()
     args = eng.domain_values(arith.PRIMES, 400)
     got = eng.chain_values(chain, np.concatenate([args, args[::-1]]))

@@ -7,6 +7,10 @@ scans and guard against regressions.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,3 +501,26 @@ def test_density_domain_roundtrip(engine):
     dom = experiments.density_domain(lambda m: m % 7 == 0, "multiples-of-7")
     stream = engine.domain_stream(dom)
     assert [next(stream) for _ in range(3)] == [7, 14, 21]
+
+
+# ---------------------------------------------------------------------------
+# census battery script
+# ---------------------------------------------------------------------------
+
+
+def test_census_battery_files_match_across_threads(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    # the child imports the same package as this process, installed or from src/
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_census_battery.py"),
+             "--limit", "3000", "--threads", str(threads), "--out", str(out)],
+            check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(runs[0]) == 36
+    assert runs[0] == runs[1]

@@ -62,7 +62,7 @@ def oracle_census(word_digits, num_digits, k):
 
 
 def as_text(d, g):
-    return {ngrams._word_text(w, g): c for w, c in d.items()}
+    return {words.word_text(w, g): c for w, c in d.items()}
 
 
 def chunked_count(digits, g, k, cuts):
