@@ -418,6 +418,24 @@ def test_value_table_matches_eval_base(engine, fn):
         assert int(tab[n]) == arith.eval_base(fn, engine.factorize(n))
 
 
+def test_phi_table_matches_pointwise(engine):
+    tab = engine.value_table(arith.PHI, 1500)
+    for n in range(1, 1501):
+        assert int(tab[n]) == arith.phi(engine.factorize(n))
+
+
+def test_sigma_table_matches_pointwise(engine):
+    tab = engine.value_table(arith.SIGMA, 1500)
+    for n in range(1, 1501):
+        assert int(tab[n]) == arith.sigma(engine.factorize(n))
+
+
+def test_lambda_table_matches_pointwise(engine):
+    tab = engine.value_table(arith.LAMBDA, 1500)
+    for n in range(1, 1501):
+        assert int(tab[n]) == arith.lam(engine.factorize(n))
+
+
 @given(
     st.one_of(
         st.sampled_from(BASE_FNS),
