@@ -35,7 +35,7 @@ def main() -> int:
     if args.max < MIN_DECADE:
         parser.error(f"--max must be >= {MIN_DECADE}")
 
-    engine = ArithEngine(spf_limit=10**5)
+    engine = ArithEngine()
     spec = parse_chain(args.f)
     decades = [10**e for e in range(MIN_DECADE, args.max + 1)]
 

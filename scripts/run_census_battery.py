@@ -35,7 +35,7 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
-    engine = ArithEngine(spf_limit=args.limit)
+    engine = ArithEngine()
     checkpoints = default_checkpoints(args.limit)
     args.out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -31,53 +31,42 @@ from .arith import (
     gstar,
     is_prime,
     lam,
-    load_spf_cache,
     phi,
     radical,
     restricted,
-    save_spf_cache,
     sigma,
     small_omega,
     spf_table,
     sum_proper_divisors,
 )
-from .cli import RunConfig, main, parse_chain
+from .cli import main, parse_chain
 from .errors import (
     CacheFormatError,
     CapacityError,
     DegenerateInputError,
-    InvalidDigitError,
     NormfreqError,
     NotCoprimeError,
-    ShapeMismatchError,
     UnknownFunctionError,
 )
 from .ngrams import (
     FrequencyReport,
-    KGramCounter,
     classify_checkpoints,
     classify_range,
     count_stream,
     fit_meager_exponent,
-    merge,
 )
 from .reports import canonical_json, read_report, to_csv, write_report
 from .words import (
     LSF,
     MSF,
-    Alphabet,
     DigitOrder,
     DigitStream,
-    Word,
     digit_length,
     digits_of,
     is_eps_k_normal,
     load_digits,
-    occurrences,
     save_digits,
-    to_word,
     truncate,
-    word_value,
 )
 
 __version__ = "0.1.0"

@@ -10,19 +10,16 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CacheFormatError, CapacityError, NotCoprimeError
+from .errors import CapacityError, NotCoprimeError
 
 # Euler-Mascheroni constant, stored (never derived analytically here).
 EULER_GAMMA = 0.5772156649015329
-
-SPF_CACHE_MAGIC = b"NFSV1"
 
 # Default ceiling for one SPF table (4 bytes per entry) or value table
 # (8 bytes per entry), in bytes.
@@ -306,7 +303,7 @@ class CompositionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Smallest-prime-factor sieve and cache file
+# Smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
 
 
@@ -338,38 +335,6 @@ def _check_budget(what: str, limit: int, entry_bytes: int, memory_budget: int) -
         raise CapacityError(
             f"{what} for limit {limit} needs {need} bytes, budget is {memory_budget}"
         )
-
-
-def save_spf_cache(path, spf: np.ndarray) -> None:
-    """Write an SPF table: magic, little-endian u64 limit, u32 entries for 2..limit."""
-    limit = len(spf) - 1
-    with open(path, "wb") as fh:
-        fh.write(SPF_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", limit))
-        fh.write(np.ascontiguousarray(spf[2:], dtype="<u4").tobytes())
-
-
-def load_spf_cache(path, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
-    """Read an SPF cache, validating magic and limit against the payload size."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SPF_CACHE_MAGIC))
-        if magic != SPF_CACHE_MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r} in {path}")
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise CacheFormatError(f"truncated header in {path}")
-        (limit,) = struct.unpack("<Q", raw)
-        if limit < 2:
-            raise CacheFormatError(f"invalid limit {limit} in {path}")
-        _check_budget("SPF table", limit, 4, memory_budget)
-        payload = fh.read()
-    if len(payload) != 4 * (limit - 1):
-        raise CacheFormatError(
-            f"expected {4 * (limit - 1)} payload bytes for limit {limit}, got {len(payload)}"
-        )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    spf[2:] = np.frombuffer(payload, dtype="<u4")
-    return spf
 
 
 def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
@@ -458,14 +423,6 @@ class ArithEngine:
             spf = spf_table(limit, self.memory_budget)
             self._spf = spf
             self._spf_limit = limit
-
-    def attach_spf(self, spf: np.ndarray) -> None:
-        """Adopt a preloaded SPF table (e.g. from a cache file) if larger."""
-        with self._lock:
-            limit = len(spf) - 1
-            if limit > self._spf_limit:
-                self._spf = spf
-                self._spf_limit = limit
 
     def factorize(self, n: int) -> Factorization:
         """Prime-exponent decomposition; total for all n >= 1."""

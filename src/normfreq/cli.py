@@ -2,7 +2,6 @@
 
 Subcommands:
 
-    sieve       precompute and store a smallest-prime-factor table
     stream      print the leading digits of a concatenated value stream
     count       exact k-gram census of a stream prefix (JSON report)
     classify    count n <= limit failing the strict block-frequency test
@@ -12,8 +11,7 @@ Subcommands:
 Options may also come from a ``--config FILE`` of plain ``key=value``
 lines whose keys are long flag names; explicit flags win on conflict,
 and keys that do not belong to the active subcommand are ignored so one
-file can drive a whole pipeline.  ``NF_CACHE_DIR`` names a directory
-holding the default sieve cache.
+file can drive a whole pipeline.
 
 Exit codes: 0 success, 2 usage error, 3 capacity/overflow.
 """
@@ -22,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -46,9 +42,6 @@ from .arith import (
     CompositionSpec,
     Domain,
     gstar,
-    load_spf_cache,
-    save_spf_cache,
-    spf_table,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
 from .experiments import (
@@ -66,8 +59,6 @@ from .experiments import (
     thin_preimage_census,
 )
 from .words import LSF, MSF, DigitOrder, save_digits, truncate, word_text
-
-CACHE_FILENAME = "spf.cache"
 
 _FN_TOKENS = {
     "phi": PHI,
@@ -157,55 +148,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The flags shared by stream/count/classify runs, as one record.
-
-    `format` emits key=value lines (omitting unset fields) and `parse`
-    reads them back, so format -> parse -> format is the identity.
-    Lines whose keys belong to other subcommands are ignored by `parse`.
-    """
-
-    f: str = "id"
-    domain: str = "naturals"
-    base: int = 10
-    k: int = 1
-    order: str = "msf"
-    digits: Optional[int] = None
-    limit: Optional[int] = None
-    eps: Optional[float] = None
-    report: Optional[str] = None
-    cache: Optional[str] = None
-
-    def format(self) -> str:
-        lines = []
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if value is not None:
-                lines.append(f"{fld.name}={value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        pairs = parse_config_text(text)
-        converters: dict[str, Callable] = {
-            "f": str,
-            "domain": str,
-            "base": int,
-            "k": int,
-            "order": str,
-            "digits": int,
-            "limit": int,
-            "eps": float,
-            "report": str,
-            "cache": str,
-        }
-        kwargs = {
-            name: convert(pairs[name]) for name, convert in converters.items() if name in pairs
-        }
-        return cls(**kwargs)
-
-
 class _OptionSet:
     """Declares a subcommand's value options once, for both argv and config.
 
@@ -258,25 +200,6 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-# ---------------------------------------------------------------------------
-# engine + cache plumbing
-# ---------------------------------------------------------------------------
-
-
-def default_cache_path() -> Optional[Path]:
-    root = os.environ.get("NF_CACHE_DIR")
-    return Path(root) / CACHE_FILENAME if root else None
-
-
-def _engine(cache: Optional[str]) -> ArithEngine:
-    """Fresh engine, warm-started from the sieve cache when one exists."""
-    engine = ArithEngine()
-    path = Path(cache) if cache else default_cache_path()
-    if path is not None and path.exists():
-        engine.attach_spf(load_spf_cache(path))
-    return engine
-
-
 def _emit(report, path: Optional[str]) -> None:
     if path:
         reports.write_report(report, path)
@@ -289,74 +212,52 @@ def _emit(report, path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sieve(args, opts: _OptionSet) -> int:
-    got = opts.resolve(args)
-    path = Path(got["cache"]) if got["cache"] else default_cache_path()
-    if path is None:
-        raise ValueError("no cache destination: pass --cache or set NF_CACHE_DIR")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_spf_cache(path, spf_table(got["limit"]))
-    print(f"spf cache written: {path} (limit {got['limit']})")
-    return 0
-
-
 def _cmd_stream(args, opts: _OptionSet) -> int:
     got = opts.resolve(args)
-    rc = RunConfig(
-        f=got["f"], domain=got["domain"], base=got["base"], order=got["order"],
-        digits=got["digits"], cache=got["cache"],
-    )
-    spec = parse_chain(rc.f, _domain(rc.domain))
-    order = _order(rc.order)
-    result = truncate(_engine(rc.cache), spec, rc.digits, rc.base, order)
-    print(word_text(result.digits.tolist(), rc.base))
+    spec = parse_chain(got["f"], _domain(got["domain"]))
+    order = _order(got["order"])
+    result = truncate(ArithEngine(), spec, got["digits"], got["base"], order)
+    print(word_text(result.digits.tolist(), got["base"]))
     if got["dump"]:
-        save_digits(got["dump"], result.digits, rc.base, order)
+        save_digits(got["dump"], result.digits, got["base"], order)
     return 0
 
 
 def _cmd_count(args, opts: _OptionSet) -> int:
     got = opts.resolve(args)
-    rc = RunConfig(
-        f=got["f"], domain=got["domain"], base=got["base"], k=got["k"], order=got["order"],
-        digits=got["digits"], eps=got["eps"], report=got["report"], cache=got["cache"],
-    )
-    spec = parse_chain(rc.f, _domain(rc.domain))
+    spec = parse_chain(got["f"], _domain(got["domain"]))
     report = ngrams.count_stream(
-        _engine(rc.cache),
+        ArithEngine(),
         spec,
-        rc.digits,
-        g=rc.base,
-        k=rc.k,
-        order=_order(rc.order),
-        eps=rc.eps,
+        got["digits"],
+        g=got["base"],
+        k=got["k"],
+        order=_order(got["order"]),
+        eps=got["eps"],
         threads=got["threads"],
     )
-    _emit(report, rc.report)
+    _emit(report, got["report"])
     return 0
 
 
 def _cmd_classify(args, opts: _OptionSet) -> int:
     got = opts.resolve(args)
-    rc = RunConfig(
-        base=got["base"], k=got["k"], order=got["order"], limit=got["limit"],
-        eps=got["eps"], report=got["report"],
-    )
-    order = _order(rc.order)
-    bad = ngrams.classify_range(rc.eps, rc.k, rc.base, rc.limit, order=order, threads=got["threads"])
+    order = _order(got["order"])
+    eps, k, g, limit = got["eps"], got["k"], got["base"], got["limit"]
+    bad = ngrams.classify_range(eps, k, g, limit, order=order, threads=got["threads"])
     payload = {
         "kind": "classification-report",
         "schema": 1,
-        "eps": rc.eps,
-        "k": rc.k,
-        "g": rc.base,
+        "eps": eps,
+        "k": k,
+        "g": g,
         "order": order.value,
-        "limit": rc.limit,
+        "limit": limit,
         "bad_count": bad,
-        "bad_fraction": bad / rc.limit,
+        "bad_fraction": bad / limit,
         "note": DETERMINISM_NOTE,
     }
-    _emit(payload, rc.report)
+    _emit(payload, got["report"])
     return 0
 
 
@@ -373,7 +274,7 @@ def _single_fn(chain_text: str):
 
 def _cmd_exp_fps(args, opts) -> int:
     got = opts.resolve(args)
-    report = small_lambda_census(_engine(got["cache"]), _checkpoints(got), threads=got["threads"])
+    report = small_lambda_census(ArithEngine(), _checkpoints(got), threads=got["threads"])
     _emit(report, got["report"])
     return 0
 
@@ -381,7 +282,7 @@ def _cmd_exp_fps(args, opts) -> int:
 def _cmd_exp_divisor(args, opts) -> int:
     got = opts.resolve(args)
     report = divisor_preimage_census(
-        _engine(got["cache"]), _single_fn(got["f"]), got["d"], _checkpoints(got),
+        ArithEngine(), _single_fn(got["f"]), got["d"], _checkpoints(got),
         threads=got["threads"],
     )
     _emit(report, got["report"])
@@ -391,7 +292,7 @@ def _cmd_exp_divisor(args, opts) -> int:
 def _cmd_exp_omega_tail(args, opts) -> int:
     got = opts.resolve(args)
     report = omega_tail_census(
-        _engine(got["cache"]), _single_fn(got["f"]), got["big_k"], _checkpoints(got),
+        ArithEngine(), _single_fn(got["f"]), got["big_k"], _checkpoints(got),
         threads=got["threads"],
     )
     _emit(report, got["report"])
@@ -401,7 +302,7 @@ def _cmd_exp_omega_tail(args, opts) -> int:
 def _cmd_exp_small_value(args, opts) -> int:
     got = opts.resolve(args)
     report = small_value_census(
-        _engine(got["cache"]), parse_chain(got["f"]), _checkpoints(got),
+        ArithEngine(), parse_chain(got["f"]), _checkpoints(got),
         theta=got["theta"], threads=got["threads"],
     )
     _emit(report, got["report"])
@@ -417,7 +318,7 @@ def _cmd_exp_thin_preimage(args, opts) -> int:
             f"unknown thin set {got['set']!r} (choose from {', '.join(THIN_SETS)})"
         ) from None
     report = thin_preimage_census(
-        _engine(got["cache"]), _single_fn(got["f"]), thin, _checkpoints(got),
+        ArithEngine(), _single_fn(got["f"]), thin, _checkpoints(got),
         threads=got["threads"],
     )
     _emit(report, got["report"])
@@ -426,7 +327,7 @@ def _cmd_exp_thin_preimage(args, opts) -> int:
 
 def _cmd_exp_growth(args, opts) -> int:
     got = opts.resolve(args)
-    report = growth_hypothesis_check(_engine(got["cache"]), parse_chain(got["f"]), got["limit"])
+    report = growth_hypothesis_check(ArithEngine(), parse_chain(got["f"]), got["limit"])
     _emit(report, got["report"])
     return 0
 
@@ -434,7 +335,7 @@ def _cmd_exp_growth(args, opts) -> int:
 def _cmd_exp_non_normal(args, opts) -> int:
     got = opts.resolve(args)
     report = non_normality_demo(
-        _engine(got["cache"]),
+        ArithEngine(),
         got["primes"],
         got["k"],
         g=got["base"],
@@ -448,7 +349,7 @@ def _cmd_exp_non_normal(args, opts) -> int:
 
 def _cmd_exp_extremal(args, opts) -> int:
     got = opts.resolve(args)
-    report = extremal_ratio_report(_engine(got["cache"]), got["limit"])
+    report = extremal_ratio_report(ArithEngine(), got["limit"])
     _emit(report, got["report"])
     return 0
 
@@ -508,7 +409,6 @@ def _add_stream_options(opts: _OptionSet, *, census: bool) -> None:
     if census:
         opts.add("k", convert=int, default=1, help="word length")
     opts.add("digits", convert=int, required=True, help="number of stream digits N")
-    opts.add("cache", help="sieve cache file (default: $NF_CACHE_DIR/spf.cache)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -526,12 +426,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         opts = _OptionSet(sub)
         registry[key] = (handler, opts)
         return opts
-
-    # --- sieve ---
-    opts = declare(commands, "sieve", _cmd_sieve,
-                   "precompute and store the prime-factor sieve")
-    opts.add("limit", convert=int, required=True, help="largest n the table covers")
-    opts.add("cache", help="destination file (default: $NF_CACHE_DIR/spf.cache)")
 
     # --- stream ---
     opts = declare(commands, "stream", _cmd_stream,
@@ -567,7 +461,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         opts.add("checkpoints", convert=_parse_checkpoints,
                  help="comma-separated checkpoints (default: powers of 10 up to limit)")
         opts.add("threads", convert=int, default=1, help="worker threads (any value, same output)")
-        opts.add("cache", help="sieve cache file (default: $NF_CACHE_DIR/spf.cache)")
         opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "fps"), _cmd_exp_fps,
@@ -604,7 +497,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    "average and pointwise growth ratios of log f(m) against log m")
     opts.add("f", default="id", help="function chain, outermost first")
     opts.add("limit", convert=int, required=True, help="largest m scanned")
-    opts.add("cache", help="sieve cache file (default: $NF_CACHE_DIR/spf.cache)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "non-normal"), _cmd_exp_non_normal,
@@ -616,13 +508,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     opts.add("digits", convert=int, default=10**5, help="stream digits scanned N")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
     opts.add("threads", convert=int, default=1, help="worker threads (any value, same output)")
-    opts.add("cache", help="sieve cache file (default: $NF_CACHE_DIR/spf.cache)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "extremal"), _cmd_exp_extremal,
                    "extremes of phi(m) loglog m / m and sigma(m) / (m loglog m)")
     opts.add("limit", convert=int, required=True, help="largest m scanned")
-    opts.add("cache", help="sieve cache file (default: $NF_CACHE_DIR/spf.cache)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "domain-density"), _cmd_exp_domain_density,

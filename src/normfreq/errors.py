@@ -9,14 +9,6 @@ class NotCoprimeError(NormfreqError):
     """Multiplicative order requested for a base not coprime to the modulus."""
 
 
-class InvalidDigitError(NormfreqError):
-    """A digit outside the alphabet {0, ..., g-1} was fed to a counter."""
-
-
-class ShapeMismatchError(NormfreqError):
-    """Two counters with different (g, k) cannot be merged."""
-
-
 class DegenerateInputError(NormfreqError):
     """A fit was requested on data that cannot support one."""
 
@@ -30,4 +22,4 @@ class UnknownFunctionError(NormfreqError):
 
 
 class CacheFormatError(NormfreqError):
-    """A cache file failed magic/limit validation."""
+    """A digit dump failed header or payload validation."""

@@ -29,6 +29,7 @@ from .arith import (
     gstar,
     restricted,
 )
+from .ngrams import validate_checkpoints
 from .reports import census_csv, density_csv
 from .words import MSF, DigitOrder, digits_of, truncate, word_text
 
@@ -116,13 +117,6 @@ class CensusReport:
         return census_csv(self.to_dict())
 
 
-def _validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
-    cps = [int(c) for c in checkpoints]
-    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
-    return cps
-
-
 def _blockwise_census(
     limit: int,
     cps: list[int],
@@ -177,7 +171,7 @@ def small_lambda_census(
     The comparison is exact (lambda(n)^2 < n); the reference bound is
     x / exp((log x)^(1/3)).
     """
-    cps = _validate_checkpoints(checkpoints)
+    cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     lam = engine.value_table(LAMBDA, limit)
 
@@ -210,7 +204,7 @@ def divisor_preimage_census(
     _require_table_fn(a)
     if d < 1:
         raise ValueError("divisor d must be >= 1")
-    cps = _validate_checkpoints(checkpoints)
+    cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
     ell = big_omega(engine.factorize(d))
@@ -248,7 +242,7 @@ def omega_tail_census(
     _require_table_fn(a)
     if big_k < 1:
         raise ValueError("K must be >= 1")
-    cps = _validate_checkpoints(checkpoints)
+    cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
     omega = engine.big_omega_table(int(tab.max()))
@@ -287,7 +281,7 @@ def small_value_census(
         raise ValueError("small-value census runs over the naturals")
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
-    cps = _validate_checkpoints(checkpoints)
+    cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     vals = engine.chain_values(spec.chain, np.arange(1, limit + 1, dtype=np.int64))
     power = 2**spec.depth
@@ -363,42 +357,33 @@ def thin_preimage_census(
     e2 has Omega(a(n)) > (log x)^(theta/3), e3 is the rest.
     """
     _require_table_fn(a)
-    cps = _validate_checkpoints(checkpoints)
+    cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
+    # one membership test per value; Python ints, as the member predicate expects
+    mask = np.fromiter(map(thin_set.member, tab[1:].tolist()), dtype=bool, count=limit)
 
     def indicator(lo, hi):
-        seg = tab[lo : hi + 1]
-        return np.fromiter(
-            (thin_set.member(int(v)) for v in seg), dtype=bool, count=len(seg)
-        )
+        return mask[lo - 1 : hi]
 
     counts = _blockwise_census(limit, cps, indicator, threads)
-    member_ns = [n for n in range(1, limit + 1) if thin_set.member(int(tab[n]))]
-    omega_memo: dict[int, int] = {}
-
-    def omega_of(v: int) -> int:
-        if v not in omega_memo:
-            omega_memo[v] = big_omega(engine.factorize(v))
-        return omega_memo[v]
+    member_ns = np.flatnonzero(mask) + 1
+    member_vals = tab[member_ns]
+    omega = engine.big_omega_table(int(member_vals.max(initial=1)))[member_vals]
 
     rows = []
     for x in cps:
-        cut = x ** (1.0 / 3.0)
-        om_cut = floored_log(x) ** (thin_set.theta / 3.0)
-        e1 = e2 = e3 = 0
-        for n in member_ns:
-            if n > x:
-                break
-            v = int(tab[n])
-            if v <= cut:
-                e1 += 1
-            elif omega_of(v) > om_cut:
-                e2 += 1
-            else:
-                e3 += 1
+        # v <= x^(1/3) and Omega > (log x)^(theta/3) compare integers with
+        # floats, so both sides reduce exactly to their integer floors
+        cut = math.floor(x ** (1.0 / 3.0))
+        om_cut = math.floor(floored_log(x) ** (thin_set.theta / 3.0))
+        upto = int(np.searchsorted(member_ns, x, side="right"))
+        small = member_vals[:upto] <= cut
+        e1 = int(small.sum())
+        e2 = int((~small & (omega[:upto] > om_cut)).sum())
+        e3 = upto - e1 - e2
         total = counts[x]
-        assert e1 + e2 + e3 == total
+        assert upto == total
         bound = x / math.exp(floored_log(x) ** thin_set.theta)
         rows.append(
             CensusRow(
@@ -697,7 +682,7 @@ def restricted_domain_check(
     threads: int = 1,
 ) -> DensityReport:
     """Verify the density floor for a membership predicate."""
-    cps = _validate_checkpoints(checkpoints)
+    cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
 
     def indicator(lo, hi):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import words as words_mod
 from .arith import ArithEngine, CompositionSpec
-from .errors import CapacityError, DegenerateInputError, InvalidDigitError, ShapeMismatchError
+from .errors import CapacityError, DegenerateInputError
 from .words import MSF, DigitOrder, word_text
 
 # dense count tables are used while g^k stays at or below this
@@ -32,156 +32,6 @@ def _decode_code(code: int, g: int, length: int) -> tuple[int, ...]:
         code, d = divmod(code, g)
         out.append(d)
     return tuple(reversed(out))
-
-
-class KGramCounter:
-    """Streaming overlapping k-gram tally over base-g digits.
-
-    Dense numpy table while g^k <= dense_limit, sparse dict beyond.
-    `carry` exposes the trailing k-1 digits so a continuation chunk can
-    be counted independently and merged.
-    """
-
-    def __init__(self, g: int, k: int, dense_limit: int = DENSE_LIMIT):
-        if g < 2:
-            raise ValueError("base must be >= 2")
-        if k < 1:
-            raise ValueError("word length k must be >= 1")
-        self.g = g
-        self.k = k
-        self.size = g**k
-        self.dense = self.size <= dense_limit
-        self._table = np.zeros(self.size, dtype=np.int64) if self.dense else {}
-        self._hist_mod = g ** (k - 1)
-        self._code = 0
-        self._hist = 0  # digits currently buffered, capped at k-1
-        self._fed = 0
-
-    @property
-    def fed(self) -> int:
-        return self._fed
-
-    def total(self) -> int:
-        """Number of windows counted so far."""
-        return max(0, self._fed - self.k + 1)
-
-    def feed(self, d: int) -> None:
-        if not 0 <= d < self.g:
-            raise InvalidDigitError(f"digit {d} outside 0..{self.g - 1}")
-        if self._hist < self.k - 1:
-            self._code = self._code * self.g + d
-            self._hist += 1
-        else:
-            full = self._code * self.g + d
-            self._bump(full)
-            self._code = full % self._hist_mod
-        self._fed += 1
-
-    def _bump(self, code: int) -> None:
-        if self.dense:
-            self._table[code] += 1
-        else:
-            self._table[code] = self._table.get(code, 0) + 1
-
-    def feed_many(self, digits) -> None:
-        """Feed a digit sequence; vectorized when the table is dense."""
-        arr = np.asarray(digits, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("expected a flat digit sequence")
-        if len(arr) == 0:
-            return
-        if len(arr) and (int(arr.min()) < 0 or int(arr.max()) >= self.g):
-            raise InvalidDigitError(f"digit outside 0..{self.g - 1}")
-        if not self.dense or len(arr) < 4 * self.k:
-            for d in arr.tolist():
-                self.feed(int(d))
-            return
-        prior = _decode_code(self._code, self.g, self._hist)
-        ext = np.concatenate([np.asarray(prior, dtype=np.int64), arr])
-        if len(ext) >= self.k:
-            powers = self.g ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
-            for start in range(0, len(ext) - self.k + 1, _CHUNK):
-                stop = min(start + _CHUNK, len(ext) - self.k + 1)
-                win = np.lib.stride_tricks.sliding_window_view(ext, self.k)[start:stop]
-                codes = win @ powers
-                self._table += np.bincount(codes, minlength=self.size)
-            kept = ext[len(ext) - min(len(ext), self.k - 1) :]
-        else:
-            kept = ext
-        self._hist = len(kept)
-        self._code = 0
-        for d in kept.tolist():
-            self._code = self._code * self.g + int(d)
-        self._fed += len(arr)
-
-    def carry(self) -> tuple[int, ...]:
-        """Trailing digits (up to k-1) to prepend to a continuation chunk."""
-        return _decode_code(self._code, self.g, self._hist)
-
-    def count(self, w) -> int:
-        digits = w.digits if isinstance(w, words_mod.Word) else tuple(w)
-        if len(digits) != self.k:
-            raise ShapeMismatchError(f"word length {len(digits)} != k={self.k}")
-        code = 0
-        for d in digits:
-            if not 0 <= d < self.g:
-                raise InvalidDigitError(f"digit {d} outside 0..{self.g - 1}")
-            code = code * self.g + d
-        if self.dense:
-            return int(self._table[code])
-        return self._table.get(code, 0)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(word, count) pairs with nonzero count, lexicographic."""
-        if self.dense:
-            for code in np.flatnonzero(self._table):
-                yield _decode_code(int(code), self.g, self.k), int(self._table[code])
-        else:
-            for code in sorted(self._table):
-                yield _decode_code(code, self.g, self.k), self._table[code]
-
-    def as_array(self) -> np.ndarray:
-        """Full count table indexed by word code (dense layout)."""
-        if self.dense:
-            return self._table.copy()
-        out = np.zeros(self.size, dtype=np.int64)
-        for code, c in self._table.items():
-            out[code] = c
-        return out
-
-    def copy(self) -> "KGramCounter":
-        out = KGramCounter(self.g, self.k, dense_limit=self.size if self.dense else 0)
-        out._table = self._table.copy()
-        out._code, out._hist, out._fed = self._code, self._hist, self._fed
-        return out
-
-
-def merge(left: KGramCounter, right: KGramCounter) -> KGramCounter:
-    """Combine chunk tallies.
-
-    Precondition: `right` was fed the continuation digits with
-    left.carry() prepended, so window counts add without loss.
-    """
-    if left.g != right.g or left.k != right.k:
-        raise ShapeMismatchError(
-            f"cannot merge ({left.g}, {left.k}) with ({right.g}, {right.k})"
-        )
-    out = left.copy()
-    if out.dense and right.dense:
-        out._table += right._table
-    else:
-        for w, c in right.items():
-            code = 0
-            for d in w:
-                code = code * out.g + d
-            if out.dense:
-                out._table[code] += c
-            else:
-                out._table[code] = out._table.get(code, 0) + c
-    overlap = min(left.k - 1, left._fed)
-    out._fed = left._fed + right._fed - overlap
-    out._code, out._hist = right._code, right._hist
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +268,14 @@ def count_stream(
 # ---------------------------------------------------------------------------
 
 
+def validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
+    """Checkpoints as a list of ints; they must be strictly increasing and >= 1."""
+    cps = [int(c) for c in checkpoints]
+    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    return cps
+
+
 def classify_range(
     eps: float,
     k: int,
@@ -439,9 +297,7 @@ def classify_checkpoints(
     threads: int = 1,
 ) -> list[int]:
     """Cumulative bad counts at each checkpoint (one pass to max)."""
-    cps = list(checkpoints)
-    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    cps = validate_checkpoints(checkpoints)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     limit = cps[-1]

@@ -9,7 +9,6 @@ least-significant-first.  Streams concatenate the words of f(1), f(2),
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import ArithEngine, CompositionSpec
-from .errors import CacheFormatError, InvalidDigitError
+from .errors import CacheFormatError
 
 DIGIT_DUMP_MAGIC = b"NFDG"
 
@@ -35,45 +34,6 @@ LSF = DigitOrder.LEAST_SIGNIFICANT_FIRST
 
 _ORDER_FLAG = {MSF: 0, LSF: 1}
 _FLAG_ORDER = {0: MSF, 1: LSF}
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Digit alphabet {0, ..., g-1}."""
-
-    g: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.g}")
-
-    def words(self, k: int) -> Iterator[tuple[int, ...]]:
-        """All g^k digit words of length k, lexicographic."""
-        return itertools.product(range(self.g), repeat=k)
-
-    def word_count(self, k: int) -> int:
-        return self.g**k
-
-
-@dataclass(frozen=True)
-class Word:
-    """A digit word over {0, ..., g-1}."""
-
-    digits: tuple[int, ...]
-    g: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.g}")
-        for d in self.digits:
-            if not 0 <= d < self.g:
-                raise InvalidDigitError(f"digit {d} outside 0..{self.g - 1}")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def text(self) -> str:
-        return word_text(self.digits, self.g)
 
 
 def word_text(digits: Sequence[int], g: int) -> str:
@@ -111,31 +71,6 @@ def digits_of(n: int, g: int = 10, order: DigitOrder = MSF) -> tuple[int, ...]:
             rev.append(d)
         msf = tuple(reversed(rev))
     return msf if order is MSF else msf[::-1]
-
-
-def to_word(n: int, g: int = 10, order: DigitOrder = MSF) -> Word:
-    return Word(digits_of(n, g, order), g)
-
-
-def word_value(digits: Sequence[int], g: int = 10, order: DigitOrder = MSF) -> int:
-    """Integer encoded by a digit word (inverse of digits_of on valid words)."""
-    seq = digits if order is MSF else tuple(reversed(digits))
-    out = 0
-    for d in seq:
-        if not 0 <= d < g:
-            raise InvalidDigitError(f"digit {d} outside 0..{g - 1}")
-        out = out * g + d
-    return out
-
-
-def occurrences(digits: Sequence[int], w: Sequence[int]) -> int:
-    """Overlapping count of the word w inside the digit sequence."""
-    k = len(w)
-    m = len(digits)
-    if k == 0 or k > m:
-        return 0
-    w = tuple(w)
-    return sum(1 for i in range(m - k + 1) if tuple(digits[i : i + k]) == w)
 
 
 @lru_cache(maxsize=65536)

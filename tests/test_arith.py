@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normfreq import arith
-from normfreq.errors import CacheFormatError, CapacityError, NotCoprimeError
+from normfreq.errors import CapacityError, NotCoprimeError
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def test_chain_values_matches_eval(engine):
 
 
 # ---------------------------------------------------------------------------
-# sieve and cache file
+# SPF sieve
 # ---------------------------------------------------------------------------
 
 
@@ -531,45 +531,3 @@ def test_spf_table_budget():
         arith.spf_table(10**6, memory_budget=1024)
     with pytest.raises(ValueError):
         arith.spf_table(1)
-
-
-def test_spf_cache_roundtrip(tmp_path):
-    spf = arith.spf_table(4096)
-    path = tmp_path / "spf.bin"
-    arith.save_spf_cache(path, spf)
-    back = arith.load_spf_cache(path)
-    assert np.array_equal(spf, back)
-
-
-def test_spf_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXXX" + b"\x00" * 32)
-    with pytest.raises(CacheFormatError):
-        arith.load_spf_cache(path)
-
-
-def test_spf_cache_rejects_truncation(tmp_path):
-    spf = arith.spf_table(512)
-    path = tmp_path / "spf.bin"
-    arith.save_spf_cache(path, spf)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(CacheFormatError):
-        arith.load_spf_cache(path)
-
-
-def test_spf_cache_respects_budget(tmp_path):
-    import struct
-
-    path = tmp_path / "huge.bin"
-    path.write_bytes(arith.SPF_CACHE_MAGIC + struct.pack("<Q", 10**9))
-    with pytest.raises(CapacityError):
-        arith.load_spf_cache(path, memory_budget=4096)
-
-
-def test_engine_attach_spf(tmp_path):
-    spf = arith.spf_table(2048)
-    eng = arith.ArithEngine()
-    eng.attach_spf(spf)
-    assert eng.spf_limit == 2048
-    assert eng.factorize(2047).factors == oracle_factor(2047)

@@ -8,6 +8,7 @@ wired up.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -217,45 +218,12 @@ def test_missing_config_file_is_usage_error(capsys):
     assert code == 2
 
 
-def test_runconfig_round_trip():
-    rc = cli.RunConfig(f="phi.sigma", domain="primes", base=16, k=3, order="lsf",
-                       digits=1234, eps=0.05, report="out.json")
-    text = rc.format()
-    assert cli.RunConfig.parse(text) == rc
-    assert cli.RunConfig.parse(text).format() == text
+# --- capacity ---
 
 
-def test_runconfig_defaults_round_trip():
-    rc = cli.RunConfig()
-    assert cli.RunConfig.parse(rc.format()) == rc
-
-
-def test_runconfig_parse_skips_foreign_keys():
-    rc = cli.RunConfig.parse("base=2\nset=squares\nthreads=8\n")
-    assert rc.base == 2
-
-
-# --- sieve cache and NF_CACHE_DIR ---
-
-
-def test_sieve_writes_default_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NF_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "sieve", "--limit", "5000")
-    assert code == 0
-    assert (tmp_path / "spf.cache").exists()
-    assert str(tmp_path / "spf.cache") in out
-
-
-def test_sieve_without_destination_is_usage_error(monkeypatch, capsys):
-    monkeypatch.delenv("NF_CACHE_DIR", raising=False)
-    code, _, err = run(capsys, "sieve", "--limit", "100")
-    assert code == 2
-    assert "cache" in err
-
-
-def test_sieve_capacity_exit_code(tmp_path, capsys):
-    code, _, err = run(capsys, "sieve", "--limit", str(10**12),
-                       "--cache", str(tmp_path / "huge.spf"))
+def test_census_over_table_budget_exit_code(capsys):
+    # the lambda table to 10^9 is refused by its budget check before any allocation
+    code, _, err = run(capsys, "experiment", "fps", "--limit", str(10**9))
     assert code == 3
     assert "budget" in err
 
@@ -264,27 +232,6 @@ def test_count_wide_window_codes_exit_code(capsys):
     code, _, err = run(capsys, "count", "--f", "id", "--digits", "200", "--k", "20")
     assert code == 3
     assert "int64" in err
-
-
-def test_cache_hit_and_miss_censuses_agree(tmp_path, capsys):
-    """Warm-started and cold engines must produce identical reports."""
-    cache = tmp_path / "spf.cache"
-    assert cli.main(["sieve", "--limit", "3000", "--cache", str(cache)]) == 0
-    capsys.readouterr()
-    hit, miss = tmp_path / "hit.json", tmp_path / "miss.json"
-    common = ["experiment", "fps", "--limit", "2000"]
-    assert cli.main(common + ["--cache", str(cache), "--report", str(hit)]) == 0
-    assert cli.main(common + ["--report", str(miss)]) == 0
-    assert hit.read_bytes() == miss.read_bytes()
-
-
-def test_count_uses_env_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NF_CACHE_DIR", str(tmp_path))
-    assert cli.main(["sieve", "--limit", "2000"]) == 0
-    capsys.readouterr()
-    code, out, _ = run(capsys, "count", "--f", "phi", "--k", "1", "--digits", "7")
-    assert code == 0
-    assert json.loads(out)["counts"] == {"1": 2, "2": 3, "4": 1, "6": 1}
 
 
 # --- experiments through the CLI ---
@@ -470,6 +417,13 @@ def test_bad_flag_value_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_help_lists_the_subcommands(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = re.findall(r"^ {4}(\w+)\s", out, flags=re.MULTILINE)
+    assert listed == ["stream", "count", "classify", "experiment", "report"]
 
 
 def test_module_entry_point():

@@ -296,6 +296,32 @@ def test_thin_preimage_empty_and_all(engine):
     assert rep.rows[0].verdict is False  # the full set is never thin
 
 
+@pytest.mark.parametrize("a, oracle", [(PHI, oracle_phi), (SIGMA, oracle_sigma)],
+                         ids=["phi", "sigma"])
+@pytest.mark.parametrize("thin", [experiments.ALL_NATURALS, experiments.PERFECT_SQUARES],
+                         ids=["all", "squares"])
+def test_thin_preimage_parts_match_pointwise(engine, a, oracle, thin):
+    # the proof's split, with the float cuts compared as the definition reads
+    cps = [8, 27, 64, 100, 1000, 3000]
+    rep = experiments.thin_preimage_census(engine, a, thin, cps)
+    for x, row in zip(cps, rep.rows):
+        cut = x ** (1.0 / 3.0)
+        om_cut = experiments.floored_log(x) ** (thin.theta / 3.0)
+        parts = {"e1": 0, "e2": 0, "e3": 0}
+        for n in range(1, x + 1):
+            v = oracle(n)
+            if not thin.member(v):
+                continue
+            if v <= cut:
+                parts["e1"] += 1
+            elif oracle_big_omega(v) > om_cut:
+                parts["e2"] += 1
+            else:
+                parts["e3"] += 1
+        assert row.parts == parts
+        assert row.count == sum(parts.values())
+
+
 def test_thin_preimage_threads_equal(engine, monkeypatch):
     monkeypatch.setattr(experiments, "_BLOCK", 123)
     a = experiments.thin_preimage_census(engine, PHI, experiments.POWERS_OF_TWO, [2000])

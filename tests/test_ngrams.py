@@ -1,4 +1,4 @@
-"""k-gram counter and stream census tests.
+"""Stream census and range classifier tests.
 
 The census oracle classifies every window by brute force: build the
 prefix digit by digit, tag each position with its word index, and put
@@ -6,19 +6,12 @@ each window into the complete/boundary/tail bucket by definition.
 """
 
 import json
-import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from normfreq import arith, ngrams, words
-from normfreq.errors import (
-    CapacityError,
-    DegenerateInputError,
-    InvalidDigitError,
-    ShapeMismatchError,
-)
+from normfreq.errors import CapacityError, DegenerateInputError
 from normfreq.words import LSF, MSF
 
 
@@ -63,139 +56,6 @@ def oracle_census(word_digits, num_digits, k):
 
 def as_text(d, g):
     return {words.word_text(w, g): c for w, c in d.items()}
-
-
-def chunked_count(digits, g, k, cuts):
-    """Count in pieces, seeding each continuation with the carry."""
-    parts = []
-    prev = 0
-    for cut in list(cuts) + [len(digits)]:
-        parts.append(digits[prev:cut])
-        prev = cut
-    total = ngrams.KGramCounter(g, k)
-    total.feed_many(parts[0])
-    for part in parts[1:]:
-        nxt = ngrams.KGramCounter(g, k)
-        nxt.feed_many(list(total.carry()) + part)
-        total = ngrams.merge(total, nxt)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# KGramCounter
-# ---------------------------------------------------------------------------
-
-
-def test_counter_basic_counts():
-    c = ngrams.KGramCounter(10, 2)
-    for d in (1, 2, 1, 2, 1):
-        c.feed(d)
-    assert c.count((1, 2)) == 2
-    assert c.count((2, 1)) == 2
-    assert c.count((9, 9)) == 0
-    assert c.total() == 4 and c.fed == 5
-    assert c.carry() == (1,)
-
-
-def test_counter_validates():
-    c = ngrams.KGramCounter(2, 2)
-    with pytest.raises(InvalidDigitError):
-        c.feed(2)
-    with pytest.raises(InvalidDigitError):
-        c.feed_many([0, 1, 5])
-    with pytest.raises(ShapeMismatchError):
-        c.count((0, 1, 0))
-    with pytest.raises(ValueError):
-        ngrams.KGramCounter(1, 1)
-    with pytest.raises(ValueError):
-        ngrams.KGramCounter(2, 0)
-
-
-def test_counter_items_sorted():
-    c = ngrams.KGramCounter(3, 2)
-    c.feed_many([2, 1, 0, 2, 1])
-    got = list(c.items())
-    assert got == sorted(got)
-    assert sum(n for _, n in got) == c.total() == 4
-
-
-def test_counter_sparse_matches_dense():
-    digs = [random.Random(7).randrange(5) for _ in range(400)]
-    dense = ngrams.KGramCounter(5, 3)
-    sparse = ngrams.KGramCounter(5, 3, dense_limit=0)
-    dense.feed_many(digs)
-    sparse.feed_many(digs)
-    assert dense.dense and not sparse.dense
-    assert list(dense.items()) == list(sparse.items())
-    assert np.array_equal(dense.as_array(), sparse.as_array())
-    assert dense.carry() == sparse.carry()
-
-
-@given(
-    st.lists(st.integers(0, 2), min_size=0, max_size=120),
-    st.integers(1, 4),
-    st.integers(1, 5),
-)
-@settings(max_examples=150, deadline=None)
-def test_feed_many_matches_feed(digits, k, pieces):
-    one = ngrams.KGramCounter(3, k)
-    for d in digits:
-        one.feed(d)
-    batches = ngrams.KGramCounter(3, k)
-    rng = random.Random(pieces * 1000 + len(digits))
-    cuts = sorted(rng.randrange(len(digits) + 1) for _ in range(pieces - 1))
-    prev = 0
-    for cut in cuts + [len(digits)]:
-        batches.feed_many(digits[prev:cut])
-        prev = cut
-    assert np.array_equal(one.as_array(), batches.as_array())
-    assert one.carry() == batches.carry()
-    assert one.fed == batches.fed
-
-
-@given(
-    st.lists(st.integers(0, 1), min_size=1, max_size=200),
-    st.integers(1, 3),
-    st.integers(0, 10**6),
-)
-@settings(max_examples=150, deadline=None)
-def test_merge_equals_single_pass(digits, k, seed):
-    whole = ngrams.KGramCounter(2, k)
-    whole.feed_many(digits)
-    rng = random.Random(seed)
-    cuts = sorted(rng.randrange(len(digits) + 1) for _ in range(rng.randrange(4)))
-    merged = chunked_count(digits, 2, k, cuts)
-    assert np.array_equal(whole.as_array(), merged.as_array())
-    assert merged.fed == whole.fed
-    assert merged.total() == whole.total()
-    assert merged.carry() == whole.carry()
-
-
-def test_merge_rejects_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        ngrams.merge(ngrams.KGramCounter(2, 2), ngrams.KGramCounter(3, 2))
-    with pytest.raises(ShapeMismatchError):
-        ngrams.merge(ngrams.KGramCounter(2, 2), ngrams.KGramCounter(2, 3))
-
-
-def test_merge_dense_with_sparse():
-    digs = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
-    whole = ngrams.KGramCounter(2, 2)
-    whole.feed_many(digs)
-    left = ngrams.KGramCounter(2, 2)
-    left.feed_many(digs[:6])
-    right = ngrams.KGramCounter(2, 2, dense_limit=0)
-    right.feed_many(list(left.carry()) + digs[6:])
-    merged = ngrams.merge(left, right)
-    assert np.array_equal(merged.as_array(), whole.as_array())
-
-
-def test_counter_copy_is_independent():
-    a = ngrams.KGramCounter(2, 1)
-    a.feed_many([0, 1, 1])
-    b = a.copy()
-    b.feed(1)
-    assert a.count((1,)) == 2 and b.count((1,)) == 3
 
 
 # ---------------------------------------------------------------------------
