@@ -265,6 +265,30 @@ def omega_tail_census(
     )
 
 
+def _isqrt_array(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) of each m in 0 <= m < 2^62, exactly.
+
+    The float root is off by at most one (above 2^53 because m itself
+    rounds): in practice one too high, as at m = r^2 - 1 for large r.
+    One step each way, checked in integers, corrects it; (r + 1)^2
+    stays below 2^63."""
+    r = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    r -= r * r > m
+    r += (r + 1) * (r + 1) <= m
+    return r
+
+
+def _below_nested_root(values: np.ndarray, ns: np.ndarray, depth: int) -> np.ndarray:
+    """values < ns^(1/2^depth), elementwise, for values and ns >= 1.
+
+    For integers v >= 0 and m >= 0, v^2 <= m exactly when v <= isqrt(m),
+    so v^(2^j) < n is v <= isqrt^j(n - 1), j nested integer roots."""
+    root = ns - 1
+    for _ in range(depth):
+        root = _isqrt_array(root)
+    return values <= root
+
+
 def small_value_census(
     engine: ArithEngine,
     spec: CompositionSpec,
@@ -274,8 +298,8 @@ def small_value_census(
 ) -> CensusReport:
     """Count n <= x with f(n) < n^(1/2^j), j the chain depth.
 
-    The comparison f(n)^(2^j) < n runs in exact integers; thinness is
-    certified against x / exp((log x)^theta) for the caller's theta.
+    The comparison runs in exact integers (`_below_nested_root`); thinness
+    is certified against x / exp((log x)^theta) for the caller's theta.
     """
     if spec.domain.kind is not DomainKind.NATURALS:
         raise ValueError("small-value census runs over the naturals")
@@ -287,12 +311,8 @@ def small_value_census(
     power = 2**spec.depth
 
     def indicator(lo, hi):
-        seg = vals[lo - 1 : hi]
-        return np.fromiter(
-            (int(v) ** power < m for m, v in enumerate(seg.tolist(), lo)),
-            dtype=bool,
-            count=len(seg),
-        )
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        return _below_nested_root(vals[lo - 1 : hi], ns, spec.depth)
 
     counts = _blockwise_census(limit, cps, indicator, threads)
     rows = []

@@ -18,20 +18,12 @@ import numpy as np
 from . import words as words_mod
 from .arith import ArithEngine, CompositionSpec
 from .errors import CapacityError, DegenerateInputError
-from .words import MSF, DigitOrder, word_text
+from .words import MSF, DigitOrder, word_texts
 
 # dense count tables are used while g^k stays at or below this
 DENSE_LIMIT = 1 << 24
 
 _CHUNK = 1 << 20
-
-
-def _decode_code(code: int, g: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        code, d = divmod(code, g)
-        out.append(d)
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +57,8 @@ class FrequencyReport:
     def freqs(self) -> dict[str, float]:
         if self.window_count <= 0:
             return {}
-        return {w: c / self.window_count for w, c in self.counts.items()}
+        share = {c: c / self.window_count for c in set(self.counts.values())}
+        return dict(zip(self.counts, map(share.__getitem__, self.counts.values())))
 
     def to_dict(self) -> dict:
         return {
@@ -163,70 +156,39 @@ def count_stream(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(tally_chunk, ranges))
 
+    # both branches end in one sorted code array and three aligned tallies
     if dense:
-        complete = np.zeros(size, dtype=np.int64)
-        boundary = np.zeros(size, dtype=np.int64)
-        tail = np.zeros(size, dtype=np.int64)
-        for ch_complete, ch_boundary, ch_tail in results:
-            complete += ch_complete
-            boundary += ch_boundary
-            tail += ch_tail
-        total = complete + boundary + tail
-
-        def to_counts(table):
-            return {
-                word_text(_decode_code(int(code), g, k), g): int(table[code])
-                for code in np.flatnonzero(table)
-            }
-
-        center = 1.0 / size
-        if windows > 0:
-            max_dev = float(np.abs(total / windows - center).max())
-        else:
-            max_dev = 0.0
-        counts_d = to_counts(total)
-        complete_d = to_counts(complete)
-        boundary_d = to_counts(boundary)
-        tail_d = to_counts(tail)
-        boundary_total = int(boundary.sum())
-        tail_total = int(tail.sum())
+        tables = np.zeros((3, size), dtype=np.int64)
+        for chunk in results:
+            for table, part in zip(tables, chunk):
+                table += part
+        codes = np.flatnonzero(tables.sum(axis=0))
+        tables = tables[:, codes]
     else:
-        def fold(idx):
-            acc: dict[int, int] = {}
-            for res in results:
-                uniq, cnt = res[idx]
-                for code, c in zip(uniq.tolist(), cnt.tolist()):
-                    acc[code] = acc.get(code, 0) + c
-            return acc
+        pieces = [(i, uniq, cnt) for chunk in results for i, (uniq, cnt) in enumerate(chunk)]
+        codes, slot = np.unique(
+            np.concatenate([uniq for _, uniq, _ in pieces] or [np.empty(0, np.int64)]),
+            return_inverse=True,
+        )
+        tables = np.zeros((3, len(codes)), dtype=np.int64)
+        start = 0
+        for i, uniq, cnt in pieces:  # codes are unique within a piece
+            tables[i, slot[start : start + len(uniq)]] += cnt
+            start += len(uniq)
+    complete, boundary, tail = tables
+    total = tables.sum(axis=0)
+    labels = word_texts(codes, g, k)
 
-        complete_m, boundary_m, tail_m = fold(0), fold(1), fold(2)
-        total_m: dict[int, int] = dict(complete_m)
-        for src in (boundary_m, tail_m):
-            for code, c in src.items():
-                total_m[code] = total_m.get(code, 0) + c
+    def to_counts(table):
+        live = table > 0
+        return dict(zip(labels[live].tolist(), table[live].tolist()))
 
-        def to_counts_sparse(m):
-            return {
-                word_text(_decode_code(code, g, k), g): c
-                for code, c in sorted(m.items())
-                if c
-            }
-
+    max_dev = 0.0
+    if windows > 0:
         center = 1.0 / size
-        if windows > 0:
-            max_dev = max(
-                (abs(c / windows - center) for c in total_m.values()), default=0.0
-            )
-            if len(total_m) < size:
-                max_dev = max(max_dev, center)
-        else:
-            max_dev = 0.0
-        counts_d = to_counts_sparse(total_m)
-        complete_d = to_counts_sparse(complete_m)
-        boundary_d = to_counts_sparse(boundary_m)
-        tail_d = to_counts_sparse(tail_m)
-        boundary_total = sum(boundary_m.values())
-        tail_total = sum(tail_m.values())
+        max_dev = float(np.abs(total / windows - center).max())
+        if len(codes) < size:  # an absent word deviates by exactly center
+            max_dev = max(max_dev, center)
 
     bad_count = None
     if eps is not None:
@@ -251,12 +213,12 @@ def count_stream(
         consumed_of_final=res.consumed_of_final,
         flush=flush,
         window_count=windows,
-        counts=counts_d,
-        complete_counts=complete_d,
-        boundary_counts=boundary_d,
-        tail_counts=tail_d,
-        boundary_total=boundary_total,
-        tail_total=tail_total,
+        counts=to_counts(total),
+        complete_counts=to_counts(complete),
+        boundary_counts=to_counts(boundary),
+        tail_counts=to_counts(tail),
+        boundary_total=int(boundary.sum()),
+        tail_total=int(tail.sum()),
         max_dev=max_dev,
         eps=eps,
         bad_count=bad_count,

@@ -3,7 +3,8 @@
 Every report in this package serializes through `to_dict()` into a plain
 dict tagged with a "kind" key.  This module owns the byte layout: JSON is
 written with sorted keys, two-space indent, ASCII escapes and a trailing
-newline, so equal payloads produce equal files.  CSV is a lossy projection
+newline, so equal payloads produce equal files.  One writer,
+`canonical_json`, produces it.  CSV is a lossy projection
 of the JSON (headers per kind below); round-tripping through a JSON file
 and projecting gives the same bytes as projecting the live object.
 """
@@ -11,7 +12,9 @@ and projecting gives the same bytes as projecting the live object.
 from __future__ import annotations
 
 import json
+import math
 import os
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 CSV_KINDS = (
@@ -35,8 +38,111 @@ def _payload(report: Any) -> dict:
 
 
 def canonical_json(report: Any) -> str:
-    """Deterministic JSON text for a report object or payload dict."""
-    return json.dumps(_payload(report), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic JSON text for a report object or payload dict.
+
+    The bytes are those of `json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=True)` plus a newline.  Maps of str to int or to finite
+    float (the k-gram tallies and frequencies) are written line by line;
+    everything else follows json's own scalar rules.
+    """
+    out: list[str] = []
+    _write(_payload(report), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(value: Any) -> str | None:
+    """json's text for a str, None, bool, int or float; None otherwise."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json converts it to str, before quoting."""
+    if isinstance(key, str):
+        return key
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return text
+
+
+def _flat_map_lines(obj: dict, indent: str) -> list[str] | None:
+    """The item lines of a str -> int or str -> finite float map, or None
+    for any other dict.  Float text is made once per distinct value."""
+    if set(map(type, obj)) != {str}:
+        return None
+    value_types = set(map(type, obj.values()))
+    if value_types == {int}:
+        return [f"{indent}{_quote(key)}: {value}" for key, value in sorted(obj.items())]
+    if value_types == {float}:
+        distinct = set(obj.values())
+        # 0.0 and -0.0 are one set entry but two texts
+        if 0.0 in distinct or not all(map(math.isfinite, distinct)):
+            return None
+        text = {value: float.__repr__(value) for value in distinct}
+        return [f"{indent}{_quote(key)}: {text[value]}" for key, value in sorted(obj.items())]
+    return None
+
+
+def _write(obj: Any, newline: str, out: list[str]) -> None:
+    """Append the text of `obj` at the indentation that `newline` ends in."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+        return
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[")
+        sep = inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{")
+        lines = _flat_map_lines(obj, inner)
+        if lines is not None:
+            out.append(",".join(lines))
+        else:
+            sep = inner
+            for key, value in sorted(obj.items()):
+                out.append(sep + _quote(_key_text(key)) + ": ")
+                sep = "," + inner
+                _write(value, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def write_report(report: Any, path: str | os.PathLike) -> str:

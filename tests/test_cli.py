@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from normfreq import cli, ngrams, reports
-from normfreq.arith import LAMBDA, PHI, PRIMES, SIGMA, ArithEngine
+from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, ArithEngine
 from normfreq.errors import UnknownFunctionError
 from normfreq.experiments import small_lambda_census
 from normfreq.words import load_digits
@@ -123,6 +123,26 @@ def test_count_matches_library(capsys):
     spec = cli.parse_chain("lambda.phi", PRIMES)
     report = ngrams.count_stream(ArithEngine(), spec, 300, g=2, k=2)
     assert out == reports.canonical_json(report)
+
+
+@pytest.mark.parametrize(
+    "chain,domain,k,digits",
+    [
+        (chain, domain, 2, 10**4)
+        for chain in ("phi", "sigma", "lambda", "s", "rad", "two-squares", "gstar:2",
+                      "phi.sigma", "sigma.sigma")
+        for domain in ("naturals", "primes")
+    ]
+    + [("id", "primes", 6, 10**5)],
+)
+def test_count_report_bytes_match_json_dumps(tmp_path, chain, domain, k, digits):
+    path = tmp_path / "report.json"
+    assert cli.main(["count", "--f", chain, "--domain", domain, "--k", str(k),
+                     "--digits", str(digits), "--report", str(path)]) == 0
+    spec = cli.parse_chain(chain, {"naturals": NATURALS, "primes": PRIMES}[domain])
+    payload = ngrams.count_stream(ArithEngine(), spec, digits, k=k).to_dict()
+    want = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
 
 
 def test_count_report_file_equals_stdout(tmp_path, capsys):

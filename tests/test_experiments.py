@@ -247,6 +247,47 @@ def test_small_value_census_identity_chain(engine):
     assert rep.rows[0].count == 0  # n < n never holds
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_below_nested_root_matches_literal_comparison(depth):
+    ns = set(range(1, 300))
+    # above 2^53 the float root of n - 1 is inexact, so both integer
+    # corrections are needed
+    for r in (2, 3, 7, 10, 99, 1000, 3162, 46340, 10**6, 3 * 10**7, 2**30 + 12345, 2**31 - 1):
+        for m in (r**2, r**4):
+            ns.update({m - 1, m, m + 1})
+    ns = sorted(n for n in ns if n <= 2**62)
+    pairs = []
+    for n in ns:
+        root = n - 1
+        for _ in range(depth):
+            root = math.isqrt(root)
+        # the cut and its neighbours, and values beyond the input range
+        for v in {1, 2, root - 1, root, root + 1, root + 2, min(5 * n, 2**62), 10**13}:
+            if v >= 1:
+                pairs.append((v, n))
+    values = np.array([v for v, _ in pairs], dtype=np.int64)
+    points = np.array([n for _, n in pairs], dtype=np.int64)
+    got = experiments._below_nested_root(values, points, depth)
+    assert got.tolist() == [v ** 2**depth < n for v, n in pairs]
+
+
+@pytest.mark.parametrize(
+    "chain,f",
+    [
+        ((SIGMA,), oracle_sigma),
+        ((PHI, PHI, PHI), lambda n: oracle_phi(oracle_phi(oracle_phi(n)))),
+        ((PHI, SIGMA), lambda n: oracle_phi(oracle_sigma(n))),
+    ],
+)
+def test_small_value_census_matches_pointwise(engine, chain, f):
+    spec = CompositionSpec(chain)
+    cps = [10, 100, 1000, 3000]
+    rep = experiments.small_value_census(engine, spec, cps)
+    power = 2 ** len(chain)
+    flags = [f(n) ** power < n for n in range(1, 3001)]
+    assert [r.count for r in rep.rows] == [sum(flags[:x]) for x in cps]
+
+
 def test_small_value_census_validates(engine):
     with pytest.raises(ValueError):
         experiments.small_value_census(engine, CompositionSpec((PHI,), arith.PRIMES), [100])

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from normfreq import arith, ngrams, words
+from normfreq import arith, ngrams, reports, words
 from normfreq.errors import CapacityError, DegenerateInputError
 from normfreq.words import LSF, MSF
 
@@ -142,6 +142,38 @@ def test_count_stream_sparse_matches_dense(engine):
     dense = ngrams.count_stream(engine, spec, 800, g=10, k=2)
     sparse = ngrams.count_stream(engine, spec, 800, g=10, k=2, dense_limit=0)
     assert dense.to_dict() == sparse.to_dict()
+
+
+@pytest.mark.parametrize(
+    "g,k", [(g, k) for g in (2, 3, 10, 16, 300) for k in (1, 2, 3) if g**k <= 10**5]
+)
+@pytest.mark.parametrize("order", [MSF, LSF])
+@pytest.mark.parametrize("flush", [True, False])
+def test_count_stream_sparse_and_dense_reports_are_byte_identical(
+    engine, monkeypatch, g, k, order, flush
+):
+    # above g = 10 the dotted labels sort apart from the codes; small
+    # chunks make both branches merge several chunk tallies
+    monkeypatch.setattr(ngrams, "_CHUNK", 97)
+    spec = arith.CompositionSpec((arith.PHI,))
+    num = 600
+    while words.truncate(engine, spec, num, g, order).flush != flush:
+        num += 1
+    dense = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order, dense_limit=g**k)
+    sparse = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order, dense_limit=0)
+    assert dense.flush == sparse.flush == flush
+    assert reports.canonical_json(dense) == reports.canonical_json(sparse)
+
+
+@pytest.mark.parametrize("dense_limit", [ngrams.DENSE_LIMIT, 0])
+def test_count_stream_max_dev_counts_absent_words(engine, dense_limit):
+    # 1..200 are 200 one-digit words of base 300, each seen once: a present
+    # word deviates by 1/200 - 1/300, an absent one by 1/300
+    rep = ngrams.count_stream(
+        engine, arith.CompositionSpec(), 200, g=300, k=1, dense_limit=dense_limit
+    )
+    assert len(rep.counts) == 200
+    assert rep.max_dev == 1 / 300
 
 
 def test_count_stream_max_dev_recomputable(engine):

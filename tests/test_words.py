@@ -92,6 +92,32 @@ def test_word_value_round_trip(n, g):
     assert horner(reversed(words.digits_of(n, g, LSF))) == n
 
 
+@pytest.mark.parametrize("g", [2, 3, 10, 16, 300])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_word_texts_match_word_text(g, k):
+    size = g**k
+    if size <= 5000:
+        codes = np.arange(size, dtype=np.int64)
+    else:  # both ends, every leading digit, and a spread in between
+        codes = np.unique(
+            np.concatenate(
+                [
+                    np.arange(50),
+                    np.arange(size - 50, size),
+                    np.arange(g) * g ** (k - 1),
+                    np.linspace(0, size - 1, 3000).astype(np.int64),
+                ]
+            )
+        ).astype(np.int64)
+
+    def decode(code):
+        return [(code // g**j) % g for j in range(k - 1, -1, -1)]
+
+    got = words.word_texts(codes, g, k)
+    assert got.tolist() == [words.word_text(decode(c), g) for c in codes.tolist()]
+    assert words.word_texts(np.empty(0, dtype=np.int64), g, k).tolist() == []
+
+
 def test_digits_of_rejects_zero():
     with pytest.raises(ValueError):
         words.digits_of(0)
