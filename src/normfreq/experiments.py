@@ -29,13 +29,11 @@ from .arith import (
     gstar,
     restricted,
 )
-from .ngrams import validate_checkpoints
+from .ngrams import blockwise_census, validate_checkpoints
 from .reports import census_csv, density_csv
 from .words import MSF, DigitOrder, digits_of, truncate, word_text
 
 DETERMINISM_NOTE = "deterministic: exact integer censuses, no randomness"
-
-_BLOCK = 1 << 16
 
 
 def floored_log(x: float) -> float:
@@ -117,39 +115,6 @@ class CensusReport:
         return census_csv(self.to_dict())
 
 
-def _blockwise_census(
-    limit: int,
-    cps: list[int],
-    block_indicator: Callable[[int, int], np.ndarray],
-    threads: int,
-) -> dict[int, int]:
-    """Count flagged n at each checkpoint; blocks are fixed-size so the
-    result never depends on the thread count."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    blocks = [(lo, min(lo + _BLOCK - 1, limit)) for lo in range(1, limit + 1, _BLOCK)]
-
-    def work(bounds):
-        lo, hi = bounds
-        ind = np.asarray(block_indicator(lo, hi), dtype=bool)
-        edges = [(c, int(ind[: c - lo + 1].sum())) for c in cps if lo <= c <= hi]
-        return int(ind.sum()), edges
-
-    if threads == 1 or len(blocks) == 1:
-        results = [work(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, blocks))
-
-    out = {}
-    running = 0
-    for total, edges in results:
-        for c, partial in edges:
-            out[c] = running + partial
-        running += total
-    return out
-
-
 _TABLE_FNS = (BaseTag.PHI, BaseTag.SIGMA, BaseTag.LAMBDA)
 
 
@@ -179,7 +144,7 @@ def small_lambda_census(
         seg = lam[lo : hi + 1]
         return seg * seg < np.arange(lo, hi + 1, dtype=np.int64)
 
-    counts = _blockwise_census(limit, cps, indicator, threads)
+    counts = blockwise_census(limit, cps, indicator, threads)
     rows = []
     for x in cps:
         bound = x / math.exp(floored_log(x) ** (1.0 / 3.0))
@@ -212,7 +177,7 @@ def divisor_preimage_census(
     def indicator(lo, hi):
         return tab[lo : hi + 1] % d == 0
 
-    counts = _blockwise_census(limit, cps, indicator, threads)
+    counts = blockwise_census(limit, cps, indicator, threads)
     rows = []
     for x in cps:
         bound = (x / d) * (8.0 * ell * floored_log(x) ** 2) ** ell
@@ -251,7 +216,7 @@ def omega_tail_census(
     def indicator(lo, hi):
         return omega[tab[lo : hi + 1]] > threshold
 
-    counts = _blockwise_census(limit, cps, indicator, threads)
+    counts = blockwise_census(limit, cps, indicator, threads)
     rows = []
     for x in cps:
         scale = (big_k / 2.0**big_k) * x * floored_log(x) ** 3
@@ -314,7 +279,7 @@ def small_value_census(
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         return _below_nested_root(vals[lo - 1 : hi], ns, spec.depth)
 
-    counts = _blockwise_census(limit, cps, indicator, threads)
+    counts = blockwise_census(limit, cps, indicator, threads)
     rows = []
     for x in cps:
         bound = x / math.exp(floored_log(x) ** theta)
@@ -335,10 +300,13 @@ def small_value_census(
 
 @dataclass(frozen=True)
 class ThinSetSpec:
-    """A candidate thin set: membership test plus the theta to certify."""
+    """A candidate thin set: membership test plus the theta to certify.
+
+    `member` maps an int64 array of values to the bool mask of those in
+    the set."""
 
     theta: float
-    member: Callable[[int], bool]
+    member: Callable[[np.ndarray], np.ndarray]
     label: str
 
     def __post_init__(self):
@@ -346,18 +314,20 @@ class ThinSetSpec:
             raise ValueError("theta must lie in (0, 1]")
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
+def _is_power_of_two(v: np.ndarray) -> np.ndarray:
+    return (v >= 1) & (v & (v - 1) == 0)
 
 
-def _is_square(m: int) -> bool:
-    return m >= 1 and math.isqrt(m) ** 2 == m
+def _is_square(v: np.ndarray) -> np.ndarray:
+    """Exact for 0 <= v < 2^62, the range of `_isqrt_array`."""
+    r = _isqrt_array(v)
+    return (v >= 1) & (r * r == v)
 
 
 POWERS_OF_TWO = ThinSetSpec(0.5, _is_power_of_two, "powers-of-two")
 PERFECT_SQUARES = ThinSetSpec(0.5, _is_square, "squares")
-EMPTY_SET = ThinSetSpec(0.5, lambda m: False, "empty")
-ALL_NATURALS = ThinSetSpec(0.5, lambda m: True, "all")
+EMPTY_SET = ThinSetSpec(0.5, lambda v: np.zeros(np.shape(v), dtype=bool), "empty")
+ALL_NATURALS = ThinSetSpec(0.5, lambda v: np.ones(np.shape(v), dtype=bool), "all")
 
 THIN_SETS = {
     spec.label: spec for spec in (POWERS_OF_TWO, PERFECT_SQUARES, EMPTY_SET, ALL_NATURALS)
@@ -380,13 +350,12 @@ def thin_preimage_census(
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
-    # one membership test per value; Python ints, as the member predicate expects
-    mask = np.fromiter(map(thin_set.member, tab[1:].tolist()), dtype=bool, count=limit)
+    mask = np.asarray(thin_set.member(tab[1:]), dtype=bool)
 
     def indicator(lo, hi):
         return mask[lo - 1 : hi]
 
-    counts = _blockwise_census(limit, cps, indicator, threads)
+    counts = blockwise_census(limit, cps, indicator, threads)
     member_ns = np.flatnonzero(mask) + 1
     member_vals = tab[member_ns]
     omega = engine.big_omega_table(int(member_vals.max(initial=1)))[member_vals]
@@ -710,7 +679,7 @@ def restricted_domain_check(
             (member(n) for n in range(lo, hi + 1)), dtype=bool, count=hi - lo + 1
         )
 
-    counts = _blockwise_census(limit, cps, indicator, threads)
+    counts = blockwise_census(limit, cps, indicator, threads)
     rows = []
     for x in cps:
         floor = x / floored_log(x) ** exponent

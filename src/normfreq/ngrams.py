@@ -4,14 +4,15 @@ The window count over an N-digit prefix decomposes exactly, per word,
 into windows inside complete value-words, windows spanning a word
 boundary, and windows inside the final partial word.  All tallies are
 integers; chunked and threaded runs reproduce the single-pass result
-bit for bit.
+bit for bit.  Checkpoint censuses, the range classifier's and those of
+the census battery, run on fixed blocks of 1..limit the same way.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .words import MSF, DigitOrder, word_texts
 DENSE_LIMIT = 1 << 24
 
 _CHUNK = 1 << 20
+
+# integers per block of a checkpoint census
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +153,17 @@ def count_stream(
                 out.append((uniq, cnt))
         return out
 
-    ranges = _count_ranges(windows)
-    if threads == 1 or len(ranges) <= 1:
-        results = [tally_chunk(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(tally_chunk, ranges))
-
-    # both branches end in one sorted code array and three aligned tallies
-    if dense:
-        tables = np.zeros((3, size), dtype=np.int64)
-        for chunk in results:
-            for table, part in zip(tables, chunk):
-                table += part
-        codes = np.flatnonzero(tables.sum(axis=0))
-        tables = tables[:, codes]
-    else:
-        pieces = [(i, uniq, cnt) for chunk in results for i, (uniq, cnt) in enumerate(chunk)]
+    def merge(chunks):
+        """Sum the chunk tallies in chunk order (both map forms below yield
+        in order) into one sorted code array and three aligned tallies."""
+        if dense:
+            tables = np.zeros((3, size), dtype=np.int64)
+            for chunk in chunks:  # folded as it arrives
+                for table, part in zip(tables, chunk):
+                    table += part
+            codes = np.flatnonzero(tables.sum(axis=0))
+            return codes, tables[:, codes]
+        pieces = [(i, uniq, cnt) for chunk in chunks for i, (uniq, cnt) in enumerate(chunk)]
         codes, slot = np.unique(
             np.concatenate([uniq for _, uniq, _ in pieces] or [np.empty(0, np.int64)]),
             return_inverse=True,
@@ -175,6 +173,14 @@ def count_stream(
         for i, uniq, cnt in pieces:  # codes are unique within a piece
             tables[i, slot[start : start + len(uniq)]] += cnt
             start += len(uniq)
+        return codes, tables
+
+    ranges = _count_ranges(windows)
+    if threads == 1 or len(ranges) <= 1:
+        codes, tables = merge(map(tally_chunk, ranges))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            codes, tables = merge(pool.map(tally_chunk, ranges))
     complete, boundary, tail = tables
     total = tables.sum(axis=0)
     labels = word_texts(codes, g, k)
@@ -193,15 +199,8 @@ def count_stream(
     bad_count = None
     if eps is not None:
         complete_words = final_index if flush else final_index - 1
-        verdicts: dict[int, bool] = {}
-        bad_count = 0
-        for v in res.values[:complete_words].tolist():
-            ok = verdicts.get(v)
-            if ok is None:
-                ok = words_mod.is_eps_k_normal(v, eps, k, g, order)
-                verdicts[v] = ok
-            if not ok:
-                bad_count += 1
+        bad = words_mod.eps_k_bad_mask(res.values[:complete_words], eps, k, g)
+        bad_count = int(bad.sum())
 
     return FrequencyReport(
         spec=spec.describe(),
@@ -226,7 +225,7 @@ def count_stream(
 
 
 # ---------------------------------------------------------------------------
-# range classification and meager-growth fits
+# checkpoint censuses, range classification and meager-growth fits
 # ---------------------------------------------------------------------------
 
 
@@ -236,6 +235,39 @@ def validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing and >= 1")
     return cps
+
+
+def blockwise_census(
+    limit: int,
+    cps: list[int],
+    block_indicator: Callable[[int, int], np.ndarray],
+    threads: int,
+) -> dict[int, int]:
+    """Count flagged n at each checkpoint; blocks are fixed-size so the
+    result never depends on the thread count."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    blocks = [(lo, min(lo + _BLOCK - 1, limit)) for lo in range(1, limit + 1, _BLOCK)]
+
+    def work(bounds):
+        lo, hi = bounds
+        ind = np.asarray(block_indicator(lo, hi), dtype=bool)
+        edges = [(c, int(ind[: c - lo + 1].sum())) for c in cps if lo <= c <= hi]
+        return int(ind.sum()), edges
+
+    if threads == 1 or len(blocks) == 1:
+        results = [work(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, blocks))
+
+    out = {}
+    running = 0
+    for total, edges in results:
+        for c, partial in edges:
+            out[c] = running + partial
+        running += total
+    return out
 
 
 def classify_range(
@@ -258,41 +290,16 @@ def classify_checkpoints(
     order: DigitOrder = MSF,
     threads: int = 1,
 ) -> list[int]:
-    """Cumulative bad counts at each checkpoint (one pass to max)."""
+    """Cumulative bad counts at each checkpoint, one `eps_k_bad_mask` per
+    fixed block of 1..max.  The verdict does not depend on the digit
+    order, so `order` does not change the counts."""
     cps = validate_checkpoints(checkpoints)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    limit = cps[-1]
 
-    def count_block(bounds):
-        lo, hi = bounds
-        bad = 0
-        out = []
-        edges = [c for c in cps if lo <= c <= hi]
-        nxt = 0
-        for m in range(lo, hi + 1):
-            if not words_mod.is_eps_k_normal(m, eps, k, g, order):
-                bad += 1
-            if nxt < len(edges) and m == edges[nxt]:
-                out.append(bad)
-                nxt += 1
-        return bad, edges, out
+    def indicator(lo, hi):
+        return words_mod.eps_k_bad_mask(np.arange(lo, hi + 1, dtype=np.int64), eps, k, g)
 
-    if threads == 1:
-        blocks = [count_block((1, limit))]
-    else:
-        step = max(1, (limit + threads - 1) // threads)
-        bounds = [(lo, min(lo + step - 1, limit)) for lo in range(1, limit + 1, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(count_block, bounds))
-
-    results = {}
-    running = 0
-    for bad, edges, partials in blocks:
-        for c, p in zip(edges, partials):
-            results[c] = running + p
-        running += bad
-    return [results[c] for c in cps]
+    counts = blockwise_census(cps[-1], cps, indicator, threads)
+    return [counts[c] for c in cps]
 
 
 @dataclass(frozen=True)

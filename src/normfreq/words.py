@@ -125,6 +125,76 @@ def is_eps_k_normal(
     return True
 
 
+# digit-matrix cells per row chunk of `eps_k_bad_mask`
+_CLASSIFY_CELLS = 1 << 21
+
+
+def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
+    """`not is_eps_k_normal(v, eps, k, g)` for each v >= 1 of an int64
+    array, as one bool array.
+
+    Values are grouped by digit length L, with L - k + 1 windows per
+    word and the exact `normality_bounds` (lo, hi) of L.  With no
+    windows, a row is bad iff lo >= 0; so is every row when lo >= 0 and
+    g^k exceeds the windows, since some word is then absent.  Otherwise
+    the rows' window codes come from their digit matrix, and every
+    count, absent words at 0 included, must be one of the integers
+    floor(lo) + 1 .. ceil(hi) - 1.  With k <= L a code is at most the
+    value itself, so it fits int64.
+    """
+    if k < 1:
+        raise ValueError("word length k must be >= 1")
+    if not 0 < eps:
+        raise ValueError("eps must be positive")
+    if g < 2:
+        raise ValueError("base must be >= 2")
+    values = np.asarray(values, dtype=np.int64)
+    bad = np.zeros(len(values), dtype=bool)
+    if not len(values):
+        return bad
+    if int(values.min()) < 1:
+        raise ValueError("the classifier needs values >= 1")
+    lengths = _digit_lengths(values, g)
+    size = g**k
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        lo, hi = normality_bounds(length, eps, k, g)
+        width = length - k + 1  # windows per word
+        if width < 1 or (size > width and lo >= 0):
+            bad[rows] = lo >= 0
+            continue
+        # counts lie in 0..width, so the allowed range is clipped to it;
+        # the dense table holds absent words, and the sorted runs need not,
+        # since they are used only when size > width and so lo < 0
+        least = min(max(math.floor(lo) + 1, 0), width + 1)
+        most = max(min(math.ceil(hi) - 1, width), -1)
+        dense = size <= 2 * width
+        step = max(1, _CLASSIFY_CELLS // length)
+        for start in range(0, len(rows), step):
+            part = rows[start : start + step]
+            n = len(part)
+            digits = _expand_digits(values[part], np.full(n, length), g, MSF)
+            digits = digits.reshape(n, length)
+            if k == 1:
+                codes = digits.astype(np.int64)
+            else:
+                powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
+                codes = np.lib.stride_tricks.sliding_window_view(digits, k, axis=1) @ powers
+            if dense:
+                codes += np.arange(0, n * size, size, dtype=np.int64)[:, None]
+                counts = np.bincount(codes.ravel(), minlength=n * size).reshape(n, size)
+                bad[part] = ((counts < least) | (counts > most)).any(axis=1)
+            else:
+                codes.sort(axis=1)
+                starts = np.ones(codes.shape, dtype=bool)
+                np.not_equal(codes[:, 1:], codes[:, :-1], out=starts[:, 1:])
+                first = np.flatnonzero(starts)  # each run of equal codes
+                runs = np.diff(first, append=codes.size)
+                off = (runs < least) | (runs > most)
+                bad[part] = np.bincount(first[off] // width, minlength=n) > 0
+    return bad
+
+
 # ---------------------------------------------------------------------------
 # Streams
 # ---------------------------------------------------------------------------

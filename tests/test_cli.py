@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 from normfreq import cli, ngrams, reports
-from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, ArithEngine
+from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, ArithEngine, phi
 from normfreq.errors import UnknownFunctionError
 from normfreq.experiments import small_lambda_census
-from normfreq.words import load_digits
+from normfreq.words import digits_of, is_eps_k_normal, load_digits
 
 
 def run(capsys, *argv):
@@ -177,6 +177,25 @@ def test_count_eps_adds_bad_count(capsys):
     payload = json.loads(out)
     assert payload["eps"] == 0.2
     assert payload["bad_count"] == 9  # every one-digit value fails the strict test
+
+
+@pytest.mark.parametrize("base", [10, 16])
+@pytest.mark.parametrize("cut", ["flush", "mid-word"])
+def test_count_eps_bad_count_matches_pointwise(capsys, base, cut):
+    engine = ArithEngine()
+    values = [phi(engine.factorize(m)) for m in range(1, 301)]
+    # the first 300 words end flush; one more digit cuts into phi(301) = 252
+    digits = sum(len(digits_of(v, base)) for v in values) + (cut == "mid-word")
+    code, out, _ = run(capsys, "count", "--f", "phi", "--base", str(base), "--k", "2",
+                       "--digits", str(digits), "--eps", "0.4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["flush"] is (cut == "flush")
+    complete = payload["n"] if payload["flush"] else payload["n"] - 1
+    assert complete == 300
+    want = sum(not is_eps_k_normal(v, 0.4, 2, base) for v in values)
+    assert 0 < want < complete
+    assert payload["bad_count"] == want
 
 
 # --- classify ---

@@ -266,6 +266,15 @@ def test_classify_checkpoints_threads_equivalent():
     assert one == many
 
 
+def test_classify_checkpoints_threads_across_block_edge():
+    # 65536 is the last integer of the first fixed block
+    cps = [10, 65535, 65536, 65537]
+    flags = [not words.is_eps_k_normal(m, 0.1, 2, 2) for m in range(1, cps[-1] + 1)]
+    want = [sum(flags[:c]) for c in cps]
+    for threads in (1, 2, 5):
+        assert ngrams.classify_checkpoints(0.1, 2, 2, cps, threads=threads) == want
+
+
 def test_classify_checkpoints_validates():
     with pytest.raises(ValueError):
         ngrams.classify_checkpoints(0.2, 1, 2, [])

@@ -181,6 +181,94 @@ def test_is_normal_validates():
         words.is_eps_k_normal(5, 0.1, 0, 10)
 
 
+# eps of the form j/64 is exact in binary, so in bases 2 and 16 some word
+# lengths put a bound exactly on an integer count
+KERNEL_EPS = st.one_of(
+    st.integers(min_value=1, max_value=96).map(lambda j: j / 64),
+    st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.7]),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(g, k, eps, values) with values over several digit lengths, short
+    lengths (below k among them) drawn as often as any."""
+    g = draw(st.sampled_from([2, 3, 10, 16, 300]))
+    k = draw(st.integers(min_value=1, max_value=3))
+    top = words.digit_length(2**63 - 1, g)
+    lengths = st.one_of(st.integers(1, k + 2), st.integers(1, top))
+    values = st.lists(
+        lengths.flatmap(lambda n: st.integers(g ** (n - 1), min(g**n, 2**63) - 1)),
+        min_size=1,
+        max_size=40,
+    )
+    return g, k, draw(KERNEL_EPS), draw(values)
+
+
+@given(kernel_cases(), st.sampled_from([MSF, LSF]))
+@settings(max_examples=400, deadline=None)
+def test_eps_k_bad_mask_matches_pointwise(case, order):
+    g, k, eps, values = case
+    got = words.eps_k_bad_mask(np.array(values, dtype=np.int64), eps, k, g)
+    assert got.dtype == bool
+    assert got.tolist() == [not words.is_eps_k_normal(v, eps, k, g, order) for v in values]
+
+
+def test_eps_k_bad_mask_strict_at_exact_bounds():
+    # eps = 1/4, k = 1, g = 2, L = 4: the open band is (1, 3) exactly, so
+    # 1000 and 1110 (counts 1 and 3) fail and 1010 passes
+    assert words.normality_bounds(4, 0.25, 1, 2) == (1, 3)
+    vals = np.array([0b1000, 0b1010, 0b1110, 0b1001], dtype=np.int64)
+    assert words.eps_k_bad_mask(vals, 0.25, 1, 2).tolist() == [True, False, True, False]
+    # eps = 1/2 puts lo at 0: both digits must occur, so 11 and 111 fail
+    vals = np.array([0b11, 0b111, 0b101, 0b110], dtype=np.int64)
+    assert words.eps_k_bad_mask(vals, 0.5, 1, 2).tolist() == [True, True, False, False]
+    # eps = 1/4, k = 2, L = 8: the band is (0, 4), and 00 occurs 4 times
+    # in 10000011 but 3 times in 10000110
+    vals = np.array([0b10000011, 0b10000110], dtype=np.int64)
+    assert words.eps_k_bad_mask(vals, 0.25, 2, 2).tolist() == [True, False]
+    # lo = 0 again with a word absent: no windows (L = 1), or one window
+    # for four words (L = 2)
+    vals = np.array([1, 2, 3], dtype=np.int64)
+    assert words.eps_k_bad_mask(vals, 0.25, 2, 2).tolist() == [True, True, True]
+    # and with counting rows by sorted runs (g^k = 8 > 2 * 3 windows):
+    # 10110 has three distinct windows, each within (0, 1.25), but five
+    # words are absent
+    assert words.eps_k_bad_mask(np.array([0b10110]), 0.125, 3, 2).tolist() == [True]
+    # below k there are no windows: bad iff the lower bound is >= 0
+    short = np.arange(1, 100, dtype=np.int64)
+    assert words.eps_k_bad_mask(short, 0.0005, 3, 10).all()
+    assert not words.eps_k_bad_mask(short, 0.05, 3, 10).any()
+    for eps, k in ((0.25, 1), (0.5, 1), (0.25, 2), (0.125, 3)):
+        for v in range(1, 300):
+            want = not words.is_eps_k_normal(v, eps, k, 2)
+            assert words.eps_k_bad_mask(np.array([v]), eps, k, 2)[0] == want
+
+
+@pytest.mark.parametrize("eps, k, g", [(0.05, 1, 2), (0.3, 2, 2), (0.2, 1, 10), (0.4, 2, 16)])
+def test_eps_k_bad_mask_row_chunks(monkeypatch, eps, k, g):
+    # tiny chunks split every digit length into many row blocks
+    values = np.arange(1, 3000, dtype=np.int64)
+    want = words.eps_k_bad_mask(values, eps, k, g)
+    monkeypatch.setattr(words, "_CLASSIFY_CELLS", 7)
+    assert words.eps_k_bad_mask(values, eps, k, g).tolist() == want.tolist()
+    assert want.tolist() == [not words.is_eps_k_normal(v, eps, k, g) for v in range(1, 3000)]
+
+
+def test_eps_k_bad_mask_validates():
+    one = np.array([5], dtype=np.int64)
+    for eps in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            words.eps_k_bad_mask(one, eps, 1, 10)
+    with pytest.raises(ValueError):
+        words.eps_k_bad_mask(one, 0.1, 0, 10)
+    with pytest.raises(ValueError):
+        words.eps_k_bad_mask(np.array([0, 5]), 0.1, 1, 10)
+    with pytest.raises(ValueError):
+        words.eps_k_bad_mask(one, 0.1, 1, 1)
+    assert words.eps_k_bad_mask(np.empty(0, dtype=np.int64), 0.1, 1, 10).tolist() == []
+
+
 # ---------------------------------------------------------------------------
 # streams and truncation
 # ---------------------------------------------------------------------------
