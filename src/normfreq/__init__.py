@@ -4,8 +4,9 @@ Concatenate f(1), f(2), f(3), ... in base g — where f composes totient,
 divisor-sum, unit-group-exponent and related maps over a chosen index
 set — and measure how evenly every length-k digit block occurs in the
 prefix.  Exact integer censuses with closed-form reference bounds sit
-alongside the stream machinery; everything is deterministic and safe to
-parallelize.
+alongside the stream machinery.  Everything is deterministic: each
+threaded loop runs on the fixed blocks of one partitioner
+(`ngrams.blocked_map`), so any thread count gives the same bytes.
 """
 
 from .arith import (

@@ -19,12 +19,9 @@ Exit codes: 0 success, 2 usage error, 3 capacity/overflow.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from . import ngrams, reports
 from .arith import (
@@ -45,6 +42,7 @@ from .arith import (
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
 from .experiments import (
+    DENSITY_SETS,
     DETERMINISM_NOTE,
     THIN_SETS,
     default_checkpoints,
@@ -111,22 +109,21 @@ def parse_chain(text: Optional[str], domain: Domain = NATURALS) -> CompositionSp
     return CompositionSpec(tuple(chain), domain)
 
 
-def _domain(token: str) -> Domain:
+def _choose(table: dict, token: str, what: str):
+    """table[token]; argparse checks choices on the command line, this
+    also checks values read from a --config file."""
     try:
-        return _DOMAIN_TOKENS[token]
+        return table[token]
     except KeyError:
-        raise ValueError(
-            f"unknown domain {token!r} (choose from {', '.join(_DOMAIN_TOKENS)})"
-        ) from None
+        raise ValueError(f"unknown {what} {token!r} (choose from {', '.join(table)})") from None
+
+
+def _domain(token: str) -> Domain:
+    return _choose(_DOMAIN_TOKENS, token, "domain")
 
 
 def _order(token: str) -> DigitOrder:
-    try:
-        return _ORDER_TOKENS[token]
-    except KeyError:
-        raise ValueError(
-            f"unknown digit order {token!r} (choose from {', '.join(_ORDER_TOKENS)})"
-        ) from None
+    return _choose(_ORDER_TOKENS, token, "digit order")
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +308,7 @@ def _cmd_exp_small_value(args, opts) -> int:
 
 def _cmd_exp_thin_preimage(args, opts) -> int:
     got = opts.resolve(args)
-    try:
-        thin = THIN_SETS[got["set"]]
-    except KeyError:
-        raise ValueError(
-            f"unknown thin set {got['set']!r} (choose from {', '.join(THIN_SETS)})"
-        ) from None
+    thin = _choose(THIN_SETS, got["set"], "thin set")
     report = thin_preimage_census(
         ArithEngine(), _single_fn(got["f"]), thin, _checkpoints(got),
         threads=got["threads"],
@@ -354,29 +346,11 @@ def _cmd_exp_extremal(args, opts) -> int:
     return 0
 
 
-def _density_member(name: str, limit: int) -> tuple[Callable[[int], bool], str]:
-    if name == "primes":
-        # one sieve pass beats a per-n primality test at census sizes
-        mask = np.zeros(limit + 1, dtype=bool)
-        mask[ArithEngine().primes_upto(limit)] = True
-        return (lambda n: bool(mask[n])), "primes"
-    table = {
-        "naturals": lambda n: True,
-        "odd": lambda n: n % 2 == 1,
-        "squares": lambda n: math.isqrt(n) ** 2 == n,
-        "powers-of-two": lambda n: n & (n - 1) == 0,
-    }
-    if name not in table:
-        choices = "naturals, primes, odd, squares, powers-of-two"
-        raise ValueError(f"unknown set {name!r} (choose from {choices})")
-    return table[name], name
-
-
 def _cmd_exp_domain_density(args, opts) -> int:
     got = opts.resolve(args)
-    member, label = _density_member(got["set"], got["limit"])
+    member = _choose(DENSITY_SETS, got["set"], "set")
     report = restricted_domain_check(
-        member, label, got["exponent"], _checkpoints(got), threads=got["threads"]
+        member, got["set"], got["exponent"], _checkpoints(got), threads=got["threads"]
     )
     _emit(report, got["report"])
     return 0
@@ -517,7 +491,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     opts = declare(operations, ("experiment", "domain-density"), _cmd_exp_domain_density,
                    "check #(S intersect [1,x]) > x/(log x)^B for a named set S")
-    opts.add("set", required=True, help="naturals, primes, odd, squares, or powers-of-two")
+    opts.add("set", required=True, choices=sorted(DENSITY_SETS), help="which set S to check")
     opts.add("exponent", convert=float, default=1.0, help="density exponent B")
     census_options(opts)
 

@@ -3,13 +3,13 @@
 Each census counts an exceptional set exactly and prints the matching
 closed-form bound next to it; bounds are always evaluated from their
 formula, never fitted to the data.  Ranges are partitioned into fixed
-blocks so threaded runs reproduce the sequential counts exactly.
+blocks by `ngrams.blocked_map`, so threaded runs reproduce the
+sequential counts exactly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,8 +27,8 @@ from .arith import (
     DomainKind,
     big_omega,
     gstar,
-    restricted,
 )
+from . import ngrams
 from .ngrams import blockwise_census, validate_checkpoints
 from .reports import census_csv, density_csv
 from .words import MSF, DigitOrder, digits_of, truncate, word_text
@@ -334,6 +334,24 @@ THIN_SETS = {
 }
 
 
+def _is_prime(v: np.ndarray) -> np.ndarray:
+    """One sieve up to the largest value; values must be >= 0."""
+    top = int(v.max(initial=0))
+    sieve = np.zeros(top + 1, dtype=bool)
+    sieve[ArithEngine().primes_upto(top)] = True
+    return sieve[v]
+
+
+# the named sets of `restricted_domain_check`, array predicates as above
+DENSITY_SETS = {
+    "naturals": ALL_NATURALS.member,
+    "primes": _is_prime,
+    "odd": lambda v: v % 2 == 1,
+    "squares": _is_square,
+    "powers-of-two": _is_power_of_two,
+}
+
+
 def thin_preimage_census(
     engine: ArithEngine,
     a: BaseFn,
@@ -498,26 +516,21 @@ class BlockRepetitionReport:
         }
 
 
-def count_overlapping(haystack: bytes, needle: bytes, threads: int = 1, chunk: int = 1 << 20) -> int:
-    """Overlapping occurrence count, chunked deterministically."""
-    if not needle or len(needle) > len(haystack):
-        return 0
-    starts = len(haystack) - len(needle) + 1
+def count_overlapping(haystack: bytes, needle: bytes, threads: int = 1) -> int:
+    """Overlapping occurrence count, over fixed blocks of start positions."""
+    starts = max(0, len(haystack) - len(needle) + 1) if needle else 0
 
-    def work(lo):
-        hi = min(lo + chunk, starts)
+    def work(lo, hi):
+        # a match found before `end` starts before hi
+        end = hi + len(needle) - 1
         count = 0
-        i = haystack.find(needle, lo, hi + len(needle) - 1)
-        while i != -1 and i < hi:
+        i = haystack.find(needle, lo, end)
+        while i != -1:
             count += 1
-            i = haystack.find(needle, i + 1, hi + len(needle) - 1)
+            i = haystack.find(needle, i + 1, end)
         return count
 
-    blocks = list(range(0, starts, chunk))
-    if threads == 1 or len(blocks) == 1:
-        return sum(work(lo) for lo in blocks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(work, blocks))
+    return sum(ngrams.blocked_map(work, starts, ngrams._CHUNK, threads))
 
 
 def non_normality_demo(
@@ -664,20 +677,20 @@ class DensityReport:
 
 
 def restricted_domain_check(
-    member: Callable[[int], bool],
+    member: Callable[[np.ndarray], np.ndarray],
     label: str,
     exponent: float,
     checkpoints: Sequence[int],
     threads: int = 1,
 ) -> DensityReport:
-    """Verify the density floor for a membership predicate."""
+    """Verify the density floor for an array membership predicate, which
+    maps an int64 array of n to the bool mask of those in the set."""
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
+    mask = np.asarray(member(np.arange(1, limit + 1, dtype=np.int64)), dtype=bool)
 
     def indicator(lo, hi):
-        return np.fromiter(
-            (member(n) for n in range(lo, hi + 1)), dtype=bool, count=hi - lo + 1
-        )
+        return mask[lo - 1 : hi]
 
     counts = blockwise_census(limit, cps, indicator, threads)
     rows = []
@@ -685,8 +698,3 @@ def restricted_domain_check(
         floor = x / floored_log(x) ** exponent
         rows.append(DensityRow(x, counts[x], floor, counts[x] > floor))
     return DensityReport(label=label, exponent=exponent, rows=tuple(rows))
-
-
-def density_domain(member: Callable[[int], bool], label: str):
-    """Expose a checked membership set as a stream domain."""
-    return restricted(member, label)

@@ -3,16 +3,17 @@
 The window count over an N-digit prefix decomposes exactly, per word,
 into windows inside complete value-words, windows spanning a word
 boundary, and windows inside the final partial word.  All tallies are
-integers; chunked and threaded runs reproduce the single-pass result
-bit for bit.  Checkpoint censuses, the range classifier's and those of
-the census battery, run on fixed blocks of 1..limit the same way.
+integers.  Every loop that takes a `threads` argument runs through
+`blocked_map`, which cuts its range into fixed blocks, so chunked and
+threaded runs reproduce the single-pass result bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import starmap
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +25,33 @@ from .words import MSF, DigitOrder, word_texts
 # dense count tables are used while g^k stays at or below this
 DENSE_LIMIT = 1 << 24
 
+# windows (or digit positions) per block of a stream loop
 _CHUNK = 1 << 20
 
 # integers per block of a checkpoint census
 _BLOCK = 1 << 16
+
+
+def blocked_map(
+    work: Callable[[int, int], object], total: int, block: int, threads: int
+) -> Iterator:
+    """work(lo, hi) for each fixed block [lo, hi) of range(total), lazily
+    and in block order.
+
+    The block edges depend on `total` and `block` only, so every thread
+    count yields the same results.  `threads` is checked here, at call
+    time, for every command that takes one."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    if threads == 1 or len(bounds) <= 1:
+        return starmap(work, bounds)
+
+    def pooled():
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(work, *zip(*bounds))
+
+    return pooled()
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +114,6 @@ class FrequencyReport:
         }
 
 
-def _count_ranges(total: int):
-    return [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-
-
 def count_stream(
     engine: ArithEngine,
     spec: CompositionSpec,
@@ -108,14 +128,12 @@ def count_stream(
     """Census every k-gram window of the first `num_digits` digits.
 
     The result is independent of `threads`: the window range is chunked
-    deterministically and integer tallies are summed in chunk order.
+    by `blocked_map` and integer tallies are summed in chunk order.
     """
     if num_digits < 1:
         raise ValueError("need at least one digit")
     if k < 1:
         raise ValueError("word length k must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     size = g**k
     if size > 1 << 63:
         raise CapacityError(
@@ -129,8 +147,7 @@ def count_stream(
     word_id = np.repeat(np.arange(1, final_index + 1, dtype=np.int32), lengths)
     powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
-    def tally_chunk(bounds):
-        start, stop = bounds
+    def tally_chunk(start, stop):
         win = np.lib.stride_tricks.sliding_window_view(digits, k)[start:stop]
         codes = win @ powers
         sid = word_id[start:stop]
@@ -154,8 +171,8 @@ def count_stream(
         return out
 
     def merge(chunks):
-        """Sum the chunk tallies in chunk order (both map forms below yield
-        in order) into one sorted code array and three aligned tallies."""
+        """Sum the chunk tallies in chunk order into one sorted code array
+        and three aligned tallies."""
         if dense:
             tables = np.zeros((3, size), dtype=np.int64)
             for chunk in chunks:  # folded as it arrives
@@ -175,12 +192,7 @@ def count_stream(
             start += len(uniq)
         return codes, tables
 
-    ranges = _count_ranges(windows)
-    if threads == 1 or len(ranges) <= 1:
-        codes, tables = merge(map(tally_chunk, ranges))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            codes, tables = merge(pool.map(tally_chunk, ranges))
+    codes, tables = merge(blocked_map(tally_chunk, windows, _CHUNK, threads))
     complete, boundary, tail = tables
     total = tables.sum(axis=0)
     labels = word_texts(codes, g, k)
@@ -243,27 +255,18 @@ def blockwise_census(
     block_indicator: Callable[[int, int], np.ndarray],
     threads: int,
 ) -> dict[int, int]:
-    """Count flagged n at each checkpoint; blocks are fixed-size so the
-    result never depends on the thread count."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    blocks = [(lo, min(lo + _BLOCK - 1, limit)) for lo in range(1, limit + 1, _BLOCK)]
+    """Count flagged n at each checkpoint; `block_indicator(lo, hi)` flags
+    lo..hi inclusive, one fixed block of 1..limit at a time."""
 
-    def work(bounds):
-        lo, hi = bounds
+    def work(start, stop):
+        lo, hi = start + 1, stop
         ind = np.asarray(block_indicator(lo, hi), dtype=bool)
         edges = [(c, int(ind[: c - lo + 1].sum())) for c in cps if lo <= c <= hi]
         return int(ind.sum()), edges
 
-    if threads == 1 or len(blocks) == 1:
-        results = [work(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, blocks))
-
     out = {}
     running = 0
-    for total, edges in results:
+    for total, edges in blocked_map(work, limit, _BLOCK, threads):
         for c, partial in edges:
             out[c] = running + partial
         running += total

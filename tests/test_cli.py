@@ -358,6 +358,30 @@ def test_experiment_domain_density_primes(capsys):
     assert all(r["passes"] for r in rows)
 
 
+def test_experiment_domain_density_checkpoints_past_limit(capsys):
+    code, out, _ = run(capsys, "experiment", "domain-density", "--set", "primes",
+                       "--limit", "100", "--checkpoints", "10,1000")
+    assert code == 0
+    assert [(r["x"], r["count"]) for r in json.loads(out)["rows"]] == [(10, 4), (1000, 168)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--digits", "50"],
+        ["classify", "--eps", "0.1", "--limit", "100"],
+        ["experiment", "fps", "--limit", "100"],
+        ["experiment", "non-normal", "--k", "2", "--digits", "50"],
+        ["experiment", "domain-density", "--set", "odd", "--limit", "100"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_threads_zero_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv, "--threads", "0")
+    assert code == 2
+    assert "threads must be >= 1" in err
+
+
 def test_experiment_unknown_set(capsys):
     code, _, err = run(capsys, "experiment", "domain-density", "--set", "evens",
                        "--limit", "100")

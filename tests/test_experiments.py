@@ -449,11 +449,12 @@ def test_count_overlapping():
     assert experiments.count_overlapping(b"xyz", b"") == 0
 
 
-def test_count_overlapping_chunked_boundaries():
+def test_count_overlapping_chunked_boundaries(monkeypatch):
     hay = b"ab" * 50  # matches start at 0, 2, ..., 96
-    assert experiments.count_overlapping(hay, b"abab", chunk=3) == 49
-    assert experiments.count_overlapping(hay, b"abab", chunk=3, threads=3) == 49
     assert experiments.count_overlapping(hay, b"abab") == 49
+    monkeypatch.setattr(ngrams, "_CHUNK", 3)  # blocks end inside matches
+    assert experiments.count_overlapping(hay, b"abab") == 49
+    assert experiments.count_overlapping(hay, b"abab", threads=3) == 49
 
 
 def test_block_demo_two_digit_oracle(engine):
@@ -538,7 +539,9 @@ def test_extremal_gamma_constants(engine):
 
 
 def test_density_naturals_passes_any_exponent():
-    rep = experiments.restricted_domain_check(lambda m: True, "naturals", 5.0, [100, 10**4])
+    rep = experiments.restricted_domain_check(
+        experiments.DENSITY_SETS["naturals"], "naturals", 5.0, [100, 10**4]
+    )
     assert rep.passes
     assert [r.count for r in rep.rows] == [100, 10**4]
 
@@ -547,27 +550,37 @@ def test_density_primes_passes(engine):
     mask = np.zeros(10**5 + 1, dtype=bool)
     mask[engine.primes_upto(10**5)] = True
     rep = experiments.restricted_domain_check(
-        lambda m: bool(mask[m]), "primes", 1.1, [100, 10**4, 10**5]
+        lambda v: mask[v], "primes", 1.1, [100, 10**4, 10**5]
     )
     assert row_for(rep, 10**5).count == 9592  # prime count at 10^5
     assert rep.passes
 
 
+@pytest.mark.parametrize(
+    "name,oracle",
+    [
+        ("naturals", lambda n: True),
+        ("primes", arith.is_prime),
+        ("odd", lambda n: n % 2 == 1),
+        ("squares", lambda n: n >= 1 and math.isqrt(n) ** 2 == n),
+        ("powers-of-two", lambda n: n >= 1 and n & (n - 1) == 0),
+    ],
+)
+def test_density_sets_match_pointwise(name, oracle):
+    values = np.concatenate([np.arange(1, 3000), [4099, 4096, 4097, 3]]).astype(np.int64)
+    got = experiments.DENSITY_SETS[name](values)
+    assert got.tolist() == [oracle(int(n)) for n in values]
+
+
 def test_density_squares_fails_at_exponent_two():
     rep = experiments.restricted_domain_check(
-        lambda n: math.isqrt(n) ** 2 == n, "squares", 2.0, [100, 10**6]
+        experiments.DENSITY_SETS["squares"], "squares", 2.0, [100, 10**6]
     )
     assert row_for(rep, 10**6).count == 1000
     assert row_for(rep, 10**6).passes is False
     d = rep.to_dict()
     assert d["kind"] == "density-report" and d["B"] == 2.0
     assert rep.to_csv().splitlines()[0] == "x,count,floor,passes"
-
-
-def test_density_domain_roundtrip(engine):
-    dom = experiments.density_domain(lambda m: m % 7 == 0, "multiples-of-7")
-    stream = engine.domain_stream(dom)
-    assert [next(stream) for _ in range(3)] == [7, 14, 21]
 
 
 # ---------------------------------------------------------------------------

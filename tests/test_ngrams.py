@@ -6,6 +6,7 @@ each window into the complete/boundary/tail bucket by definition.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,33 @@ def test_count_stream_threads_equivalent(engine, monkeypatch):
     one = ngrams.count_stream(engine, spec, 4000, g=10, k=2, threads=1)
     four = ngrams.count_stream(engine, spec, 4000, g=10, k=2, threads=4)
     assert one.to_dict() == four.to_dict()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_blocked_map_yields_blocks_in_order(threads):
+    def work(lo, hi):
+        time.sleep((23 - lo) / 1000)  # on a pool, early blocks finish last
+        return lo, hi
+
+    got = list(ngrams.blocked_map(work, 23, 5, threads))
+    assert got == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+    assert list(ngrams.blocked_map(work, 0, 5, threads)) == []
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_blocked_map_checks_threads_at_call_time(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        ngrams.blocked_map(lambda lo, hi: (lo, hi), 10, 5, threads)
+
+
+@pytest.mark.parametrize("dense_limit", [ngrams.DENSE_LIMIT, 1])
+def test_count_stream_fewer_digits_than_k(engine, dense_limit):
+    spec = arith.CompositionSpec((arith.PHI,))
+    rep = ngrams.count_stream(engine, spec, 2, k=3, dense_limit=dense_limit)
+    assert rep.window_count == 0
+    assert rep.counts == rep.complete_counts == rep.boundary_counts == rep.tail_counts == {}
+    assert rep.freqs() == {}
+    assert rep.max_dev == 0.0
 
 
 def test_count_stream_sparse_matches_dense(engine):
