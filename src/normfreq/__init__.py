@@ -52,7 +52,6 @@ from .errors import (
 from .ngrams import (
     FrequencyReport,
     classify_checkpoints,
-    classify_range,
     count_stream,
     fit_meager_exponent,
 )

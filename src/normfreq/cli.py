@@ -189,6 +189,15 @@ class _OptionSet:
         return out
 
 
+def _threads(text: str) -> int:
+    """A --threads value, checked before any work starts (argparse prints
+    an ArgumentTypeError's own message)."""
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError("threads must be >= 1")
+    return threads
+
+
 def _parse_checkpoints(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
@@ -241,7 +250,7 @@ def _cmd_classify(args, opts: _OptionSet) -> int:
     got = opts.resolve(args)
     order = _order(got["order"])
     eps, k, g, limit = got["eps"], got["k"], got["base"], got["limit"]
-    bad = ngrams.classify_range(eps, k, g, limit, order=order, threads=got["threads"])
+    bad = ngrams.classify_checkpoints(eps, k, g, [limit], threads=got["threads"])[0]
     payload = {
         "kind": "classification-report",
         "schema": 1,
@@ -411,7 +420,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     opts = declare(commands, "count", _cmd_count, "exact k-gram census of a stream prefix")
     _add_stream_options(opts, census=True)
     opts.add("eps", convert=float, help="also classify each concatenated value at this eps")
-    opts.add("threads", convert=int, default=1, help="worker threads (any value, same output)")
+    opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     # --- classify ---
@@ -422,7 +431,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     opts.add("base", convert=int, default=10, help="digit base g >= 2")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
     opts.add("limit", convert=int, required=True, help="classify all n up to this bound")
-    opts.add("threads", convert=int, default=1, help="worker threads (any value, same output)")
+    opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     # --- experiment ---
@@ -434,7 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         opts.add("limit", convert=int, required=True, help="largest checkpoint x")
         opts.add("checkpoints", convert=_parse_checkpoints,
                  help="comma-separated checkpoints (default: powers of 10 up to limit)")
-        opts.add("threads", convert=int, default=1, help="worker threads (any value, same output)")
+        opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
         opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "fps"), _cmd_exp_fps,
@@ -481,7 +490,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     opts.add("base", convert=int, default=10, help="digit base g >= 2")
     opts.add("digits", convert=int, default=10**5, help="stream digits scanned N")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
-    opts.add("threads", convert=int, default=1, help="worker threads (any value, same output)")
+    opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "extremal"), _cmd_exp_extremal,
@@ -520,7 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NormfreqError, ValueError, OSError) as exc:
+    except (NormfreqError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,6 @@ from .arith import (
 )
 from . import ngrams
 from .ngrams import blockwise_census, validate_checkpoints
-from .reports import census_csv, density_csv
 from .words import MSF, DigitOrder, digits_of, truncate, word_text
 
 DETERMINISM_NOTE = "deterministic: exact integer censuses, no randomness"
@@ -110,9 +109,6 @@ class CensusReport:
             "note": self.note,
             "rows": [r.to_dict() for r in self.rows],
         }
-
-    def to_csv(self) -> str:
-        return census_csv(self.to_dict())
 
 
 _TABLE_FNS = (BaseTag.PHI, BaseTag.SIGMA, BaseTag.LAMBDA)
@@ -667,9 +663,6 @@ class DensityReport:
             "note": self.note,
             "rows": [r.to_dict() for r in self.rows],
         }
-
-    def to_csv(self) -> str:
-        return density_csv(self.to_dict())
 
     @property
     def passes(self) -> bool:

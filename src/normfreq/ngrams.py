@@ -2,10 +2,15 @@
 
 The window count over an N-digit prefix decomposes exactly, per word,
 into windows inside complete value-words, windows spanning a word
-boundary, and windows inside the final partial word.  All tallies are
-integers.  Every loop that takes a `threads` argument runs through
-`blocked_map`, which cuts its range into fixed blocks, so chunked and
-threaded runs reproduce the single-pass result bit for bit.
+boundary, and windows inside the final partial word (the decomposition
+of Copeland and Erdős).  The windows are classified from the word ends
+alone: the windows starting 1..k-1 digits before an end are the boundary
+windows, and when the cut falls inside the final word its windows are a
+suffix of the window range.  All tallies are integers.  Every loop that
+takes a `threads` argument runs through `blocked_map`, which cuts its
+range into fixed blocks: the window chunks of `count_stream`, the value
+blocks of its `eps` classifier and the checkpoint censuses.  Chunked
+and threaded runs therefore reproduce the single-pass result bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ DENSE_LIMIT = 1 << 24
 # windows (or digit positions) per block of a stream loop
 _CHUNK = 1 << 20
 
-# integers per block of a checkpoint census
+# integers (or stream values) per block of a classifier or census
 _BLOCK = 1 << 16
 
 
@@ -123,12 +128,13 @@ def count_stream(
     order: DigitOrder = MSF,
     eps: Optional[float] = None,
     threads: int = 1,
-    dense_limit: int = DENSE_LIMIT,
 ) -> FrequencyReport:
     """Census every k-gram window of the first `num_digits` digits.
 
-    The result is independent of `threads`: the window range is chunked
-    by `blocked_map` and integer tallies are summed in chunk order.
+    The result is independent of `threads`: the window range is chunked,
+    and with `eps` the complete words are classified in blocks, by
+    `blocked_map`; integer tallies are summed in block order.  Counts are
+    dense tables while g^k <= `DENSE_LIMIT`, sorted code runs above it.
     """
     if num_digits < 1:
         raise ValueError("need at least one digit")
@@ -143,26 +149,25 @@ def count_stream(
     digits, lengths, final_index = res.digits, res.lengths, res.final_index
     flush = res.flush
     windows = max(0, num_digits - k + 1)
-    dense = size <= dense_limit
-    word_id = np.repeat(np.arange(1, final_index + 1, dtype=np.int32), lengths)
+    dense = size <= DENSE_LIMIT
     powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    # a window starting `back` digits before a word end crosses it; a
+    # start before the word's own first digit is set by an earlier end
+    ends = np.cumsum(lengths)
+    crosses = np.zeros(windows, dtype=bool)
+    for back in range(1, k):
+        starts = ends[lengths >= back] - back  # sorted
+        crosses[starts[: np.searchsorted(starts, windows)]] = True
+    del ends
+    # the tail is the windows inside the cut final word: a suffix
+    cut = num_digits if flush else num_digits - res.consumed_of_final
 
     def tally_chunk(start, stop):
-        win = np.lib.stride_tricks.sliding_window_view(digits, k)[start:stop]
-        codes = win @ powers
-        sid = word_id[start:stop]
-        eid = word_id[start + k - 1 : stop + k - 1]
-        same = sid == eid
-        if flush:
-            complete_mask = same
-            tail_mask = np.zeros_like(same)
-        else:
-            in_final = sid == final_index
-            complete_mask = same & ~in_final
-            tail_mask = same & in_final
+        codes = np.lib.stride_tricks.sliding_window_view(digits, k)[start:stop] @ powers
+        cross = crosses[start:stop]
+        split = max(cut - start, 0)
         out = []
-        for mask in (complete_mask, ~same, tail_mask):
-            sel = codes[mask]
+        for sel in (codes[:split][~cross[:split]], codes[cross], codes[split:]):
             if dense:
                 out.append(np.bincount(sel, minlength=size))
             else:
@@ -210,9 +215,12 @@ def count_stream(
 
     bad_count = None
     if eps is not None:
+
+        def bad_in(lo, hi):
+            return int(words_mod.eps_k_bad_mask(res.values[lo:hi], eps, k, g).sum())
+
         complete_words = final_index if flush else final_index - 1
-        bad = words_mod.eps_k_bad_mask(res.values[:complete_words], eps, k, g)
-        bad_count = int(bad.sum())
+        bad_count = sum(blocked_map(bad_in, complete_words, _BLOCK, threads))
 
     return FrequencyReport(
         spec=spec.describe(),
@@ -237,7 +245,7 @@ def count_stream(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint censuses, range classification and meager-growth fits
+# checkpoint censuses, classification and meager-growth fits
 # ---------------------------------------------------------------------------
 
 
@@ -273,29 +281,12 @@ def blockwise_census(
     return out
 
 
-def classify_range(
-    eps: float,
-    k: int,
-    g: int,
-    limit: int,
-    order: DigitOrder = MSF,
-    threads: int = 1,
-) -> int:
-    """How many m <= limit fail the strict (eps, k) block-count test."""
-    return classify_checkpoints(eps, k, g, [limit], order=order, threads=threads)[0]
-
-
 def classify_checkpoints(
-    eps: float,
-    k: int,
-    g: int,
-    checkpoints: Sequence[int],
-    order: DigitOrder = MSF,
-    threads: int = 1,
+    eps: float, k: int, g: int, checkpoints: Sequence[int], threads: int = 1
 ) -> list[int]:
-    """Cumulative bad counts at each checkpoint, one `eps_k_bad_mask` per
-    fixed block of 1..max.  The verdict does not depend on the digit
-    order, so `order` does not change the counts."""
+    """How many m <= c fail the strict (eps, k) block-count test, for each
+    checkpoint c; one `eps_k_bad_mask` per fixed block of 1..max.  The
+    verdict does not depend on the digit order."""
     cps = validate_checkpoints(checkpoints)
 
     def indicator(lo, hi):

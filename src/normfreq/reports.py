@@ -17,17 +17,6 @@ import os
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-CSV_KINDS = (
-    "census-report",
-    "kgram-frequency-report",
-    "classification-report",
-    "growth-report",
-    "block-repetition-report",
-    "extremal-ratio-report",
-    "density-report",
-)
-
-
 def _payload(report: Any) -> dict:
     if isinstance(report, dict):
         return report
@@ -283,6 +272,8 @@ _PROJECTIONS = {
     "extremal-ratio-report": extremal_csv,
     "density-report": density_csv,
 }
+
+CSV_KINDS = tuple(_PROJECTIONS)
 
 
 def to_csv(report: Any) -> str:

@@ -125,10 +125,6 @@ def is_eps_k_normal(
     return True
 
 
-# digit-matrix cells per row chunk of `eps_k_bad_mask`
-_CLASSIFY_CELLS = 1 << 21
-
-
 def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
     """`not is_eps_k_normal(v, eps, k, g)` for each v >= 1 of an int64
     array, as one bool array.
@@ -140,7 +136,8 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
     the rows' window codes come from their digit matrix, and every
     count, absent words at 0 included, must be one of the integers
     floor(lo) + 1 .. ceil(hi) - 1.  With k <= L a code is at most the
-    value itself, so it fits int64.
+    value itself, so it fits int64.  The digit matrix of each length is
+    built whole, so callers hand in one block of values at a time.
     """
     if k < 1:
         raise ValueError("word length k must be >= 1")
@@ -168,30 +165,25 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
         # since they are used only when size > width and so lo < 0
         least = min(max(math.floor(lo) + 1, 0), width + 1)
         most = max(min(math.ceil(hi) - 1, width), -1)
-        dense = size <= 2 * width
-        step = max(1, _CLASSIFY_CELLS // length)
-        for start in range(0, len(rows), step):
-            part = rows[start : start + step]
-            n = len(part)
-            digits = _expand_digits(values[part], np.full(n, length), g, MSF)
-            digits = digits.reshape(n, length)
-            if k == 1:
-                codes = digits.astype(np.int64)
-            else:
-                powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
-                codes = np.lib.stride_tricks.sliding_window_view(digits, k, axis=1) @ powers
-            if dense:
-                codes += np.arange(0, n * size, size, dtype=np.int64)[:, None]
-                counts = np.bincount(codes.ravel(), minlength=n * size).reshape(n, size)
-                bad[part] = ((counts < least) | (counts > most)).any(axis=1)
-            else:
-                codes.sort(axis=1)
-                starts = np.ones(codes.shape, dtype=bool)
-                np.not_equal(codes[:, 1:], codes[:, :-1], out=starts[:, 1:])
-                first = np.flatnonzero(starts)  # each run of equal codes
-                runs = np.diff(first, append=codes.size)
-                off = (runs < least) | (runs > most)
-                bad[part] = np.bincount(first[off] // width, minlength=n) > 0
+        n = len(rows)
+        digits = _expand_digits(values[rows], np.full(n, length), g, MSF).reshape(n, length)
+        if k == 1:
+            codes = digits.astype(np.int64)
+        else:
+            powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            codes = np.lib.stride_tricks.sliding_window_view(digits, k, axis=1) @ powers
+        if size <= 2 * width:
+            codes += np.arange(0, n * size, size, dtype=np.int64)[:, None]
+            counts = np.bincount(codes.ravel(), minlength=n * size).reshape(n, size)
+            bad[rows] = ((counts < least) | (counts > most)).any(axis=1)
+        else:
+            codes.sort(axis=1)
+            starts = np.ones(codes.shape, dtype=bool)
+            np.not_equal(codes[:, 1:], codes[:, :-1], out=starts[:, 1:])
+            first = np.flatnonzero(starts)  # each run of equal codes
+            runs = np.diff(first, append=codes.size)
+            off = (runs < least) | (runs > most)
+            bad[rows] = np.bincount(first[off] // width, minlength=n) > 0
     return bad
 
 

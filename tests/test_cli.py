@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from normfreq import cli, ngrams, reports
+from normfreq import cli, ngrams, reports, words
 from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, ArithEngine, phi
 from normfreq.errors import UnknownFunctionError
 from normfreq.experiments import small_lambda_census
@@ -198,6 +198,21 @@ def test_count_eps_bad_count_matches_pointwise(capsys, base, cut):
     assert payload["bad_count"] == want
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("eps, k, base", [(0.05, 1, 2), (0.3, 2, 2), (0.2, 1, 10), (0.4, 2, 16)])
+def test_count_eps_across_block_edges(capsys, monkeypatch, threads, eps, k, base):
+    # 7-value blocks put many block edges inside every digit length
+    monkeypatch.setattr(ngrams, "_BLOCK", 7)
+    code, out, _ = run(capsys, "count", "--base", str(base), "--k", str(k),
+                       "--digits", "20000", "--eps", str(eps), "--threads", str(threads))
+    assert code == 0
+    payload = json.loads(out)
+    complete = payload["n"] if payload["flush"] else payload["n"] - 1
+    assert complete > 1000
+    want = sum(not is_eps_k_normal(v, eps, k, base) for v in range(1, complete + 1))
+    assert payload["bad_count"] == want
+
+
 # --- classify ---
 
 
@@ -214,7 +229,7 @@ def test_classify_strict_small_range(capsys):
 def test_classify_matches_library(capsys):
     _, out, _ = run(capsys, "classify", "--eps", "0.05", "--k", "1", "--base", "2",
                     "--limit", "200")
-    assert json.loads(out)["bad_count"] == ngrams.classify_range(0.05, 1, 2, 200)
+    assert json.loads(out)["bad_count"] == ngrams.classify_checkpoints(0.05, 1, 2, [200])[0]
 
 
 # --- configuration file ---
@@ -378,6 +393,32 @@ def test_experiment_domain_density_checkpoints_past_limit(capsys):
 )
 def test_threads_zero_is_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv, "--threads", "0")
+    assert code == 2
+    assert "threads must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--digits", "3000000"],
+        ["experiment", "fps", "--limit", "1000000"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_threads_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, source):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --threads was checked")
+
+    monkeypatch.setattr(words, "truncate", no_work)
+    monkeypatch.setattr(ArithEngine, "value_table", no_work)
+    if source == "flag":
+        argv = argv + ["--threads", "0"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=0\n")
+        argv = argv + ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert "threads must be >= 1" in err
 

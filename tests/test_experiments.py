@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normfreq import arith, experiments, ngrams
+from normfreq import arith, experiments, ngrams, reports
 from normfreq.arith import LAMBDA, PHI, SIGMA, CompositionSpec
 
 
@@ -109,7 +109,7 @@ def test_census_report_serialization(engine):
     assert d["kind"] == "census-report" and d["schema"] == 1
     assert d["bound_formula"] == "x / exp((log x)^(1/3))"
     assert [r["x"] for r in d["rows"]] == [10, 100]
-    csv = rep.to_csv()
+    csv = reports.to_csv(rep)
     assert csv.splitlines()[0] == "x,count,bound,ratio,verdict"
     assert len(csv.splitlines()) == 3
 
@@ -580,7 +580,7 @@ def test_density_squares_fails_at_exponent_two():
     assert row_for(rep, 10**6).passes is False
     d = rep.to_dict()
     assert d["kind"] == "density-report" and d["B"] == 2.0
-    assert rep.to_csv().splitlines()[0] == "x,count,floor,passes"
+    assert reports.to_csv(rep).splitlines()[0] == "x,count,floor,passes"
 
 
 # ---------------------------------------------------------------------------

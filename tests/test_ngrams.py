@@ -68,24 +68,48 @@ def identity_words(count, g=10, order=MSF):
     return [words.digits_of(m, g, order) for m in range(1, count + 1)]
 
 
-def test_count_stream_matches_oracle(engine):
-    spec = arith.CompositionSpec()
-    rep = ngrams.count_stream(engine, spec, 1000, g=10, k=2)
-    want = oracle_census(identity_words(600), 1000, 2)
-    assert rep.counts == as_text(
-        {
-            w: want["complete"].get(w, 0) + want["boundary"].get(w, 0) + want["tail"].get(w, 0)
-            for w in set(want["complete"]) | set(want["boundary"]) | set(want["tail"])
-        },
-        10,
-    )
-    assert rep.complete_counts == as_text(want["complete"], 10)
-    assert rep.boundary_counts == as_text(want["boundary"], 10)
-    assert rep.tail_counts == as_text(want["tail"], 10)
-    assert rep.final_index == want["n"]
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("g", [2, 10])
+@pytest.mark.parametrize("order", [MSF, LSF])
+def test_count_stream_matches_oracle(engine, monkeypatch, k, extra, g, order):
+    # the cut lands on the end of word 100 (extra 0) or 1 or 2 digits into
+    # word 101; k above the one-digit words makes windows span three or
+    # more words, and 7-window chunks end inside runs of crossing windows
+    monkeypatch.setattr(ngrams, "_CHUNK", 7)
+    word_list = identity_words(110, g, order)
+    num = sum(map(len, word_list[:100])) + extra
+    rep = ngrams.count_stream(engine, arith.CompositionSpec(), num, g=g, k=k, order=order)
+    want = oracle_census(word_list, num, k)
+    total = {}
+    for bucket in ("complete", "boundary", "tail"):
+        for w, c in want[bucket].items():
+            total[w] = total.get(w, 0) + c
+    assert rep.counts == as_text(total, g)
+    assert rep.complete_counts == as_text(want["complete"], g)
+    assert rep.boundary_counts == as_text(want["boundary"], g)
+    assert rep.tail_counts == as_text(want["tail"], g)
+    assert rep.boundary_total == sum(want["boundary"].values())
+    assert rep.tail_total == sum(want["tail"].values())
+    assert rep.final_index == want["n"] == 100 + (extra > 0)
     assert rep.consumed_of_final == want["consumed"]
-    assert rep.flush == want["flush"]
-    assert rep.window_count == 1000 - 2 + 1
+    assert rep.flush == want["flush"] == (extra == 0)
+    assert rep.window_count == num - k + 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_stream_tail_spans_chunks(engine, monkeypatch, k):
+    # the final word 1023 (ten ones in base 2) is cut after 9 digits, so
+    # its tail windows fill several 2-window chunks
+    monkeypatch.setattr(ngrams, "_CHUNK", 2)
+    word_list = identity_words(1023, 2)
+    num = sum(map(len, word_list[:1022])) + 9
+    rep = ngrams.count_stream(engine, arith.CompositionSpec(), num, g=2, k=k)
+    want = oracle_census(word_list, num, k)
+    assert rep.tail_total == 9 - k + 1
+    assert rep.tail_counts == as_text(want["tail"], 2) == {"1" * k: 9 - k + 1}
+    assert rep.complete_counts == as_text(want["complete"], 2)
+    assert rep.boundary_counts == as_text(want["boundary"], 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -156,19 +180,21 @@ def test_blocked_map_checks_threads_at_call_time(threads):
 
 
 @pytest.mark.parametrize("dense_limit", [ngrams.DENSE_LIMIT, 1])
-def test_count_stream_fewer_digits_than_k(engine, dense_limit):
+def test_count_stream_fewer_digits_than_k(engine, monkeypatch, dense_limit):
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", dense_limit)
     spec = arith.CompositionSpec((arith.PHI,))
-    rep = ngrams.count_stream(engine, spec, 2, k=3, dense_limit=dense_limit)
+    rep = ngrams.count_stream(engine, spec, 2, k=3)
     assert rep.window_count == 0
     assert rep.counts == rep.complete_counts == rep.boundary_counts == rep.tail_counts == {}
     assert rep.freqs() == {}
     assert rep.max_dev == 0.0
 
 
-def test_count_stream_sparse_matches_dense(engine):
+def test_count_stream_sparse_matches_dense(engine, monkeypatch):
     spec = arith.CompositionSpec((arith.PHI,))
     dense = ngrams.count_stream(engine, spec, 800, g=10, k=2)
-    sparse = ngrams.count_stream(engine, spec, 800, g=10, k=2, dense_limit=0)
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", 0)
+    sparse = ngrams.count_stream(engine, spec, 800, g=10, k=2)
     assert dense.to_dict() == sparse.to_dict()
 
 
@@ -187,19 +213,20 @@ def test_count_stream_sparse_and_dense_reports_are_byte_identical(
     num = 600
     while words.truncate(engine, spec, num, g, order).flush != flush:
         num += 1
-    dense = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order, dense_limit=g**k)
-    sparse = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order, dense_limit=0)
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", g**k)
+    dense = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order)
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", 0)
+    sparse = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order)
     assert dense.flush == sparse.flush == flush
     assert reports.canonical_json(dense) == reports.canonical_json(sparse)
 
 
 @pytest.mark.parametrize("dense_limit", [ngrams.DENSE_LIMIT, 0])
-def test_count_stream_max_dev_counts_absent_words(engine, dense_limit):
+def test_count_stream_max_dev_counts_absent_words(engine, monkeypatch, dense_limit):
     # 1..200 are 200 one-digit words of base 300, each seen once: a present
     # word deviates by 1/200 - 1/300, an absent one by 1/300
-    rep = ngrams.count_stream(
-        engine, arith.CompositionSpec(), 200, g=300, k=1, dense_limit=dense_limit
-    )
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", dense_limit)
+    rep = ngrams.count_stream(engine, arith.CompositionSpec(), 200, g=300, k=1)
     assert len(rep.counts) == 200
     assert rep.max_dev == 1 / 300
 
@@ -264,26 +291,26 @@ def test_count_stream_validates(engine):
 
 
 # ---------------------------------------------------------------------------
-# classify_range and meager fits
+# classification and meager fits
 # ---------------------------------------------------------------------------
 
 
-def test_classify_range_matches_pointwise():
+def test_classify_one_checkpoint_matches_pointwise():
     for eps, k, g, limit in ((0.2, 1, 2, 300), (0.3, 2, 2, 300), (0.2, 1, 10, 200)):
         want = sum(1 for m in range(1, limit + 1) if not words.is_eps_k_normal(m, eps, k, g))
-        assert ngrams.classify_range(eps, k, g, limit) == want
+        assert ngrams.classify_checkpoints(eps, k, g, [limit]) == [want]
 
 
-def test_classify_range_one_digit_regime():
+def test_classify_one_digit_regime():
     # with eps <= 1 - 1/g no single-digit integer can pass, so all of
     # 1..9 count as bad in base 10
-    assert ngrams.classify_range(0.2, 1, 10, 9) == 9
+    assert ngrams.classify_checkpoints(0.2, 1, 10, [9]) == [9]
 
 
 def test_classify_checkpoints_cumulative():
     cps = [10, 50, 100, 400]
     got = ngrams.classify_checkpoints(0.25, 1, 2, cps)
-    assert got == [ngrams.classify_range(0.25, 1, 2, c) for c in cps]
+    assert got == [ngrams.classify_checkpoints(0.25, 1, 2, [c])[0] for c in cps]
     assert all(a <= b for a, b in zip(got, got[1:]))
 
 

@@ -245,16 +245,6 @@ def test_eps_k_bad_mask_strict_at_exact_bounds():
             assert words.eps_k_bad_mask(np.array([v]), eps, k, 2)[0] == want
 
 
-@pytest.mark.parametrize("eps, k, g", [(0.05, 1, 2), (0.3, 2, 2), (0.2, 1, 10), (0.4, 2, 16)])
-def test_eps_k_bad_mask_row_chunks(monkeypatch, eps, k, g):
-    # tiny chunks split every digit length into many row blocks
-    values = np.arange(1, 3000, dtype=np.int64)
-    want = words.eps_k_bad_mask(values, eps, k, g)
-    monkeypatch.setattr(words, "_CLASSIFY_CELLS", 7)
-    assert words.eps_k_bad_mask(values, eps, k, g).tolist() == want.tolist()
-    assert want.tolist() == [not words.is_eps_k_normal(v, eps, k, g) for v in range(1, 3000)]
-
-
 def test_eps_k_bad_mask_validates():
     one = np.array([5], dtype=np.int64)
     for eps in (0.0, -0.5):
