@@ -25,16 +25,13 @@ from .arith import (
     BaseTag,
     CompositionSpec,
     Domain,
-    DomainKind,
     Factorization,
     big_omega,
-    default_engine,
     gstar,
     is_prime,
     lam,
     phi,
     radical,
-    restricted,
     sigma,
     small_omega,
     spf_table,
@@ -60,7 +57,6 @@ from .words import (
     LSF,
     MSF,
     DigitOrder,
-    DigitStream,
     digit_length,
     digits_of,
     is_eps_k_normal,

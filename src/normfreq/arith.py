@@ -1,4 +1,4 @@
-"""Arithmetic functions, factorization, and composition streams.
+"""Arithmetic functions, factorization, and composition specs.
 
 Everything here is exact integer arithmetic.  Pointwise evaluation goes
 through `Factorization`; bulk evaluation over a range [1, limit] goes
@@ -8,7 +8,6 @@ through numpy value tables built by one prime-power sieve.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -218,7 +217,7 @@ def eval_base(fn: BaseFn, fac: Factorization) -> int:
 
 
 class _TableRow(NamedTuple):
-    """A base function as the table kernel sees it: f(p^e) for e >= 1, and
+    """A function as the table kernel sees it: f(p^e) for e >= 1, and
     whether the prime-power parts of n combine by lcm instead of product."""
 
     at: Callable[[int, int], int]
@@ -236,6 +235,20 @@ _TABLE_ROWS = {
     BaseTag.GSTAR: _TableRow(lambda p, e: p**e),
 }
 
+# the `_tables` key of the ord_n(2) table, which backs the order domains
+_ORDER_OF_TWO = "order-of-2"
+
+
+def _pow_mod(a: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """a^exps mod mods elementwise, for int64 arrays with mods < 2^31."""
+    out = np.ones_like(mods)
+    base = a % mods
+    while exps.any():
+        out = np.where((exps & 1) == 1, out * base % mods, out)
+        base = base * base % mods
+        exps = exps >> 1
+    return out
+
 
 def _prime_powers(primes, limit: int) -> Iterator[tuple[int, int, int]]:
     """(p, e, p^e) for every power p^e <= limit of each given prime."""
@@ -249,36 +262,24 @@ def _prime_powers(primes, limit: int) -> Iterator[tuple[int, int, int]]:
             e += 1
 
 
-class DomainKind(enum.Enum):
+class Domain(enum.Enum):
+    """The index set a composition chain runs over."""
+
     NATURALS = "naturals"
     PRIMES = "primes"
     # index i -> multiplicative order of 2 mod (2i - 1)
     ODD_ORDERS = "odd-orders"
     # index i -> multiplicative order of 2 mod p_{i+1}
     PRIME_ORDERS = "prime-orders"
-    RESTRICTED = "restricted"
-
-
-@dataclass(frozen=True)
-class Domain:
-    kind: DomainKind
-    member: Optional[Callable[[int], bool]] = None  # RESTRICTED only
-    label: str = ""
 
     def describe(self) -> str:
-        if self.kind is DomainKind.RESTRICTED:
-            return self.label or "restricted"
-        return self.kind.value
+        return self.value
 
 
-NATURALS = Domain(DomainKind.NATURALS, label="naturals")
-PRIMES = Domain(DomainKind.PRIMES, label="primes")
-ODD_ORDERS = Domain(DomainKind.ODD_ORDERS, label="odd-orders")
-PRIME_ORDERS = Domain(DomainKind.PRIME_ORDERS, label="prime-orders")
-
-
-def restricted(member: Callable[[int], bool], label: str) -> Domain:
-    return Domain(DomainKind.RESTRICTED, member=member, label=label)
+NATURALS = Domain.NATURALS
+PRIMES = Domain.PRIMES
+ODD_ORDERS = Domain.ODD_ORDERS
+PRIME_ORDERS = Domain.PRIME_ORDERS
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ class ArithEngine:
         self._spf_limit = 1
         self._primes = np.empty(0, dtype=np.int64)
         self._prime_limit = 1
-        self._tables: dict[BaseFn, np.ndarray] = {}
+        self._tables: dict[object, np.ndarray] = {}  # BaseFn or _ORDER_OF_TWO
         if spf_limit >= 2:
             self.ensure_spf(spf_limit)
 
@@ -477,15 +478,6 @@ class ArithEngine:
         self._ensure_prime_count(n)
         return int(self._primes[n - 1])
 
-    def prime_stream(self) -> Iterator[int]:
-        """All primes in increasing order."""
-        i = 0
-        while True:
-            if i >= len(self._primes):
-                self._ensure_prime_count(max(2 * (i + 1), 64))
-            yield int(self._primes[i])
-            i += 1
-
     def primes_upto(self, limit: int) -> np.ndarray:
         self._ensure_primes_upto(limit)
         return self._primes[: int(np.searchsorted(self._primes, limit, side="right"))]
@@ -519,57 +511,30 @@ class ArithEngine:
         return eval_base(fn, self.factorize(n))
 
     def _domain_value(self, domain: Domain, index: int) -> int:
-        kind = domain.kind
-        if kind is DomainKind.NATURALS:
+        if domain is NATURALS:
             return index
-        if kind is DomainKind.PRIMES:
+        if domain is PRIMES:
             return self.nth_prime(index)
-        if kind is DomainKind.ODD_ORDERS:
+        if domain is ODD_ORDERS:
             return self.mult_order(2, 2 * index - 1)
-        if kind is DomainKind.PRIME_ORDERS:
-            return self.mult_order(2, self.nth_prime(index + 1))
-        if kind is DomainKind.RESTRICTED:
-            seen = 0
-            for m in itertools.count(1):
-                if domain.member(m):
-                    seen += 1
-                    if seen == index:
-                        return m
-        raise ValueError(f"unknown domain {domain!r}")
+        return self.mult_order(2, self.nth_prime(index + 1))
 
     def domain_values(self, domain: Domain, count: int) -> np.ndarray:
         """Domain inputs for index = 1, ..., count as an int64 array.
 
-        Naturals are an `arange` and primes one sieve; the other domains
-        are read off `domain_stream`.
+        Naturals are an `arange` and primes one sieve; the order domains
+        read the ord_n(2) table at the odd n or at the primes p_2, p_3, ...
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        if domain.kind is DomainKind.NATURALS:
+        if domain is NATURALS:
             return np.arange(1, count + 1, dtype=np.int64)
-        if domain.kind is DomainKind.PRIMES:
-            self._ensure_prime_count(count)
+        if domain is ODD_ORDERS:
+            return self._order_table(2 * count)[1 : 2 * count : 2].copy()
+        self._ensure_prime_count(count + 1)
+        if domain is PRIMES:
             return self._primes[:count].copy()
-        return np.fromiter(itertools.islice(self.domain_stream(domain), count), np.int64, count)
-
-    def domain_stream(self, domain: Domain, start_index: int = 1) -> Iterator[int]:
-        """Domain inputs for index = start_index, start_index + 1, ..."""
-        kind = domain.kind
-        if kind is DomainKind.NATURALS:
-            return itertools.count(start_index)
-        if kind is DomainKind.PRIMES:
-            stream = self.prime_stream()
-            return itertools.islice(stream, start_index - 1, None)
-        if kind is DomainKind.ODD_ORDERS:
-            return (self.mult_order(2, 2 * i - 1) for i in itertools.count(start_index))
-        if kind is DomainKind.PRIME_ORDERS:
-            return (
-                self.mult_order(2, self.nth_prime(i + 1)) for i in itertools.count(start_index)
-            )
-        if kind is DomainKind.RESTRICTED:
-            members = (m for m in itertools.count(1) if domain.member(m))
-            return itertools.islice(members, start_index - 1, None)
-        raise ValueError(f"unknown domain {domain!r}")
+        return self._order_table(int(self._primes[count]))[self._primes[1 : count + 1]]
 
     def eval_composition(self, spec: CompositionSpec, index: int) -> int:
         """f(domain value at `index`), chain applied outermost-first."""
@@ -579,15 +544,6 @@ class ArithEngine:
         for fn in reversed(spec.chain):
             m = eval_base(fn, self.factorize(m))
         return m
-
-    def value_stream(self, spec: CompositionSpec, start_index: int = 1) -> Iterator[int]:
-        """f(domain value) for index = start_index, start_index + 1, ..."""
-        rev = tuple(reversed(spec.chain))
-        for m in self.domain_stream(spec.domain, start_index):
-            v = m
-            for fn in rev:
-                v = eval_base(fn, self.factorize(v))
-            yield v
 
     # -- bulk value tables ---------------------------------------------------
 
@@ -600,31 +556,74 @@ class ArithEngine:
         tab = self._tables.get(fn)
         if tab is None or len(tab) <= limit:
             _check_budget(f"{fn.describe()} table", limit, 8, self.memory_budget)
-            if fn.tag is BaseTag.SUM_PROPER_DIVISORS:
-                tab = self._prime_power_table(SIGMA, limit)
+            proper = fn.tag is BaseTag.SUM_PROPER_DIVISORS
+            row = _TABLE_ROWS[BaseTag.SIGMA if proper else fn.tag]
+            primes = fn.primes if fn.tag is BaseTag.GSTAR else self.primes_upto(limit)
+            tab = self._prime_power_table(row, primes, limit)
+            if proper:
                 tab -= np.arange(limit + 1, dtype=np.int64)
                 if limit >= 1:
                     tab[1] = 1
-            else:
-                tab = self._prime_power_table(fn, limit)
-            with self._lock:
-                cur = self._tables.get(fn)
-                if cur is None or len(cur) < len(tab):
-                    self._tables[fn] = tab
-                else:
-                    tab = cur
+            tab = self._keep_table(fn, tab)
         return tab[: limit + 1]
 
-    def _prime_power_table(self, fn: BaseFn, limit: int) -> np.ndarray:
+    def _order_table(self, limit: int) -> np.ndarray:
+        """ord_n(2) for odd 1 <= n <= limit; even entries hold the order
+        of 2 modulo their odd part."""
+        tab = self._tables.get(_ORDER_OF_TWO)
+        if tab is None or len(tab) <= limit:
+            _check_budget("order-of-2 table", limit, 8, self.memory_budget)
+            if limit >= 1 << 31:  # _pow_mod squares residues in int64
+                raise CapacityError(f"order-of-2 table for limit {limit} is past 2^31")
+            primes = self.primes_upto(limit)[1:]
+            tab = self._prime_power_table(self._order_row(primes), primes, limit)
+            tab = self._keep_table(_ORDER_OF_TWO, tab)
+        return tab[: limit + 1]
+
+    def _order_row(self, primes: np.ndarray) -> _TableRow:
+        """The lcm row of ord_{p^e}(2) over an int64 array of odd primes.
+
+        ord_p(2) comes for all the primes at once: t starts at p - 1, and
+        each round takes the next prime factor q of p - 1 (smallest first,
+        repeated by multiplicity) and divides t by q where 2^(t/q) = 1
+        (mod p), as `mult_order` does for one p.
+        """
+        t = primes - 1
+        self.ensure_spf(int(t.max(initial=0)))
+        rest = t.copy()  # the part of p - 1 whose factors are still to try
+        live = np.flatnonzero(rest > 1)
+        while len(live):
+            q = self._spf[rest[live]].astype(np.int64)
+            rest[live] //= q
+            cand = t[live] // q
+            hit = _pow_mod(2, cand, primes[live]) == 1
+            t[live[hit]] = cand[hit]
+            live = live[rest[live] > 1]
+        first = dict(zip(primes.tolist(), t.tolist()))
+
+        def at(p: int, e: int) -> int:
+            # ord_{p^e}(2) is ord_p(2) p^j for the least j with 2^that = 1
+            # (mod p^e); j is 0 at p^2 for the Wieferich primes 1093 and 3511
+            order = first[p]
+            while e > 1 and pow(2, order, p**e) != 1:
+                order *= p
+            return order
+
+        return _TableRow(at, lcm=True)
+
+    def _keep_table(self, key, tab: np.ndarray) -> np.ndarray:
+        """Cache `tab` under `key` unless a longer table is there already."""
+        with self._lock:
+            if len(self._tables.get(key, ())) < len(tab):
+                self._tables[key] = tab
+            return self._tables[key]
+
+    def _prime_power_table(self, row: _TableRow, primes, limit: int) -> np.ndarray:
         # Every n starts at 1; for each prime power q = p^e the multiples
         # of q move from f(p^(e-1)) to f(p^e).  A product row divides the
-        # old part out exactly, and lambda's lcm needs no division because
-        # lambda(p^(e-1)) divides lambda(p^e).
-        at, lcm = _TABLE_ROWS[fn.tag]
-        if fn.tag is BaseTag.GSTAR:
-            primes = fn.primes
-        else:
-            primes = self.primes_upto(limit)
+        # old part out exactly, and an lcm row needs no division because
+        # its f(p^(e-1)) divides f(p^e).
+        at, lcm = row
         out = np.ones(limit + 1, dtype=np.int64)
         out[0] = 0
         for p, e, q in _prime_powers(primes, limit):
@@ -662,17 +661,3 @@ class ArithEngine:
                 break
             vals = self.value_table(fn, int(vals.max()))[vals]
         return vals
-
-
-_default_engine: Optional[ArithEngine] = None
-_default_lock = threading.Lock()
-
-
-def default_engine() -> ArithEngine:
-    """Process-wide shared engine."""
-    global _default_engine
-    if _default_engine is None:
-        with _default_lock:
-            if _default_engine is None:
-                _default_engine = ArithEngine()
-    return _default_engine

@@ -27,10 +27,7 @@ from . import ngrams, reports
 from .arith import (
     LAMBDA,
     NATURALS,
-    ODD_ORDERS,
     PHI,
-    PRIME_ORDERS,
-    PRIMES,
     RADICAL,
     SIGMA,
     SUM_PROPER,
@@ -67,12 +64,7 @@ _FN_TOKENS = {
     "two-squares": TWO_SQUARES,
 }
 
-_DOMAIN_TOKENS = {
-    "naturals": NATURALS,
-    "primes": PRIMES,
-    "odd-orders": ODD_ORDERS,
-    "prime-orders": PRIME_ORDERS,
-}
+_DOMAIN_TOKENS = {domain.value: domain for domain in Domain}
 
 # "msf" prints values the way they are written; the alternative order
 # lists the least significant digit first ("lsf", alias "paper").

@@ -18,13 +18,13 @@ import numpy as np
 from .arith import (
     EULER_GAMMA,
     LAMBDA,
+    NATURALS,
     PHI,
     SIGMA,
     ArithEngine,
     BaseFn,
     BaseTag,
     CompositionSpec,
-    DomainKind,
     big_omega,
     gstar,
 )
@@ -262,7 +262,7 @@ def small_value_census(
     The comparison runs in exact integers (`_below_nested_root`); thinness
     is certified against x / exp((log x)^theta) for the caller's theta.
     """
-    if spec.domain.kind is not DomainKind.NATURALS:
+    if spec.domain is not NATURALS:
         raise ValueError("small-value census runs over the naturals")
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
@@ -446,7 +446,7 @@ def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) 
     """Report sum log f(m) / (x log x) and max log f(m) / log m over m <= x."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    if spec.domain.kind is not DomainKind.NATURALS:
+    if spec.domain is not NATURALS:
         raise ValueError("growth check runs over the naturals")
     vals = engine.chain_values(spec.chain, np.arange(1, x + 1, dtype=np.int64))
     logf = np.maximum(1.0, np.log(vals.astype(np.float64)))
@@ -541,6 +541,9 @@ def non_normality_demo(
     """Count the block f(1)...f(2^k - 1) inside the first N stream digits."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not 2 <= g <= 256:
+        # the block search runs on one byte per digit
+        raise ValueError("the non-normal demo supports 2 <= g <= 256")
     fn = gstar(primes)
     modulus = math.prod(sorted(fn.primes)) ** k
     block_digits = []
@@ -548,11 +551,7 @@ def non_normality_demo(
         block_digits.extend(digits_of(engine.eval_base_value(fn, i), g, order))
     spec = CompositionSpec((fn,))
     res = truncate(engine, spec, num_digits, g, order)
-    observed = count_overlapping(
-        res.digits.astype(np.uint8).tobytes(),
-        bytes(block_digits),
-        threads=threads,
-    )
+    observed = count_overlapping(res.digits.tobytes(), bytes(block_digits), threads=threads)
     n = res.final_index
     period_count = max(0, (n - (2**k - 1)) // modulus + 1) if n >= 2**k - 1 else 0
     return BlockRepetitionReport(

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,80 +188,8 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Streams
+# Stream prefixes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamCursor:
-    """Resumable position: the next digit comes from word `next_index`,
-    after `offset` digits of it; `emitted` digits precede it overall."""
-
-    next_index: int = 1
-    offset: int = 0
-    emitted: int = 0
-
-
-class DigitStream:
-    """Lazy digit iterator over the concatenation of f(1), f(2), ...
-
-    `cursor` snapshots the position; constructing a stream from a cursor
-    resumes exactly where the snapshot was taken.
-    """
-
-    def __init__(
-        self,
-        engine: ArithEngine,
-        spec: CompositionSpec,
-        g: int = 10,
-        order: DigitOrder = MSF,
-        cursor: Optional[StreamCursor] = None,
-    ):
-        if g < 2:
-            raise ValueError("base must be >= 2")
-        self.engine = engine
-        self.spec = spec
-        self.g = g
-        self.order = order
-        cursor = cursor or StreamCursor()
-        self._index = cursor.next_index - 1  # index of the buffered word
-        self._values = engine.value_stream(spec, start_index=cursor.next_index)
-        self._buf: tuple[int, ...] = ()
-        self._pos = 0
-        self._emitted = cursor.emitted
-        if cursor.offset:
-            self._advance_word()
-            if cursor.offset > len(self._buf):
-                raise ValueError(
-                    f"cursor offset {cursor.offset} exceeds word length {len(self._buf)}"
-                )
-            self._pos = cursor.offset
-
-    def _advance_word(self) -> None:
-        self._buf = digits_of(next(self._values), self.g, self.order)
-        self._pos = 0
-        self._index += 1
-
-    def __iter__(self) -> Iterator[int]:
-        return self
-
-    def __next__(self) -> int:
-        if self._pos >= len(self._buf):
-            self._advance_word()
-        d = self._buf[self._pos]
-        self._pos += 1
-        self._emitted += 1
-        return d
-
-    def take(self, count: int) -> list[int]:
-        """Next `count` digits as a list."""
-        return [next(self) for _ in range(count)]
-
-    @property
-    def cursor(self) -> StreamCursor:
-        if self._pos >= len(self._buf):
-            return StreamCursor(self._index + 1, 0, self._emitted)
-        return StreamCursor(self._index, self._pos, self._emitted)
 
 
 @dataclass(frozen=True)

@@ -145,8 +145,8 @@ def test_factorization_validates():
 
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=200, deadline=None)
-def test_factorize_reconstructs(n):
-    fac = arith.default_engine().factorize(n)
+def test_factorize_reconstructs(engine, n):
+    fac = engine.factorize(n)
     assert math.prod(p**e for p, e in fac.factors) == n
     assert all(arith.is_prime(p) for p, _ in fac.factors)
 
@@ -242,11 +242,10 @@ def test_gstar_part(engine):
     st.integers(min_value=1, max_value=30_000),
 )
 @settings(max_examples=150, deadline=None)
-def test_multiplicative_on_coprime_pairs(m, n):
+def test_multiplicative_on_coprime_pairs(engine, m, n):
     if math.gcd(m, n) != 1:
         return
-    eng = arith.default_engine()
-    fm, fn, fmn = eng.factorize(m), eng.factorize(n), eng.factorize(m * n)
+    fm, fn, fmn = engine.factorize(m), engine.factorize(n), engine.factorize(m * n)
     assert arith.phi(fmn) == arith.phi(fm) * arith.phi(fn)
     assert arith.sigma(fmn) == arith.sigma(fm) * arith.sigma(fn)
     assert arith.lam(fmn) == math.lcm(arith.lam(fm), arith.lam(fn))
@@ -271,11 +270,6 @@ def test_nth_prime(engine):
     assert engine.nth_prime(1000) == 7919
     with pytest.raises(ValueError):
         engine.nth_prime(0)
-
-
-def test_prime_stream_prefix(engine):
-    stream = engine.prime_stream()
-    assert [next(stream) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_mult_order_matches_iteration(engine):
@@ -304,12 +298,11 @@ def test_mult_order_edge_cases(engine):
 
 @given(st.integers(min_value=1, max_value=2000))
 @settings(max_examples=100, deadline=None)
-def test_mult_order_divides_lambda(n):
-    eng = arith.default_engine()
+def test_mult_order_divides_lambda(engine, n):
     m = 2 * n + 1  # odd, so 2 is a unit
-    t = eng.mult_order(2, m)
+    t = engine.mult_order(2, m)
     assert pow(2, t, m) == 1 or m == 1
-    assert arith.lam(eng.factorize(m)) % t == 0
+    assert arith.lam(engine.factorize(m)) % t == 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,42 +355,44 @@ def test_primes_domain(engine):
 
 
 def test_odd_orders_domain(engine):
-    vals = []
-    stream = engine.domain_stream(arith.ODD_ORDERS)
-    for i in range(1, 9):
-        vals.append(next(stream))
-        assert vals[-1] == (oracle_order(2, 2 * i - 1) if i > 1 else 1)
+    vals = engine.domain_values(arith.ODD_ORDERS, 8).tolist()
+    assert vals == [oracle_order(2, 2 * i - 1) if i > 1 else 1 for i in range(1, 9)]
     assert vals == [1, 2, 4, 3, 6, 10, 12, 4]
 
 
 def test_prime_orders_domain(engine):
-    stream = engine.domain_stream(arith.PRIME_ORDERS)
-    got = [next(stream) for _ in range(5)]
+    got = engine.domain_values(arith.PRIME_ORDERS, 5).tolist()
     # orders of 2 mod p_2..p_6 = 3, 5, 7, 11, 13
     assert got == [oracle_order(2, p) for p in (3, 5, 7, 11, 13)]
     assert got == [2, 4, 3, 10, 12]
 
 
-def test_restricted_domain(engine):
-    dom = arith.restricted(lambda m: m % 3 == 0, "multiples-of-3")
-    stream = engine.domain_stream(dom)
-    assert [next(stream) for _ in range(4)] == [3, 6, 9, 12]
-    assert engine.eval_composition(arith.CompositionSpec((), dom), 5) == 15
-    assert dom.describe() == "multiples-of-3"
+def test_order_table_matches_mult_order():
+    eng = arith.ArithEngine()
+    tab = eng._order_table(20_001)
+    assert all(int(tab[n]) == eng.mult_order(2, n) for n in range(1, 20_001, 2))
 
 
-def test_value_stream_matches_pointwise(engine):
-    spec = arith.CompositionSpec((arith.LAMBDA, arith.PHI), arith.PRIMES)
-    stream = engine.value_stream(spec)
-    for i in range(1, 40):
-        assert next(stream) == engine.eval_composition(spec, i)
+def test_order_row_at_wieferich_primes(engine):
+    # 2^(p-1) = 1 (mod p^2) for p = 1093, 3511, so the order does not grow
+    # at e = 2; the row runs over just the primes dividing these n
+    assert engine.mult_order(2, 1093**2) == engine.mult_order(2, 1093)
+    primes = np.array([3, 1093, 3511])
+    tab = engine._prime_power_table(engine._order_row(primes), primes, 3511**2)
+    for n in (1093**2, 3511**2, 1093 * 3511, 3 * 1093**2, 9 * 3511):
+        assert int(tab[n]) == engine.mult_order(2, n), n
 
 
-def test_value_stream_start_index(engine):
-    spec = arith.CompositionSpec((arith.SIGMA,))
-    stream = engine.value_stream(spec, start_index=10)
-    assert next(stream) == oracle_sigma(10)
-    assert next(stream) == oracle_sigma(11)
+def test_order_table_refuses_moduli_past_int64_squares():
+    # residues are squared in int64, so the table stops below 2^31
+    eng = arith.ArithEngine(memory_budget=1 << 40)
+    with pytest.raises(CapacityError):
+        eng._order_table(1 << 31)
+
+
+def test_prime_orders_match_mult_order(engine):
+    got = engine.domain_values(arith.PRIME_ORDERS, 2000).tolist()
+    assert got == [engine.mult_order(2, engine.nth_prime(i)) for i in range(2, 2002)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +487,12 @@ def test_chain_values_on_primes_matches_eval(chain):
     assert got.tolist() == want + want[::-1]
 
 
-@pytest.mark.parametrize(
-    "domain", [arith.NATURALS, arith.PRIMES, arith.ODD_ORDERS, arith.PRIME_ORDERS,
-               arith.restricted(lambda m: m % 3 == 0, "multiples-of-3")],
-    ids=lambda d: d.describe(),
-)
+@pytest.mark.parametrize("domain", list(arith.Domain), ids=lambda d: d.describe())
 def test_domain_values_match_domain_stream(engine, domain):
     got = engine.domain_values(domain, 300)
-    stream = engine.domain_stream(domain)
+    spec = arith.CompositionSpec((), domain)
     assert got.dtype == np.int64
-    assert got.tolist() == [next(stream) for _ in range(300)]
+    assert got.tolist() == [engine.eval_composition(spec, i) for i in range(1, 301)]
     assert engine.domain_values(domain, 0).tolist() == []
 
 

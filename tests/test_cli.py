@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from normfreq import cli, ngrams, reports, words
+from normfreq import cli, experiments, ngrams, reports, words
 from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, ArithEngine, phi
 from normfreq.errors import UnknownFunctionError
 from normfreq.experiments import small_lambda_census
@@ -348,6 +348,19 @@ def test_experiment_non_normal_block(capsys):
     payload = json.loads(out)
     assert payload["block"] == "1214121"
     assert payload["observed"] == payload["period_count"]
+
+
+@pytest.mark.parametrize("base", ["1", "257", "300"])
+def test_experiment_non_normal_refuses_base(capsys, monkeypatch, base):
+    # one byte per digit: base 300 used to fail on bytes(), base 1 never ended
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the base was checked")
+
+    monkeypatch.setattr(experiments, "truncate", no_work)
+    code, _, err = run(capsys, "experiment", "non-normal", "--primes", "2", "--k", "9",
+                       "--base", base, "--digits", "100000")
+    assert code == 2
+    assert "the non-normal demo supports 2 <= g <= 256" in err
 
 
 def test_experiment_extremal(capsys):

@@ -313,14 +313,6 @@ def test_truncate_matches_direct_concatenation(engine):
     assert res.digits.tolist() == concat[:500]
 
 
-@pytest.mark.parametrize("order", [MSF, LSF])
-def test_stream_agrees_with_truncate(engine, order):
-    spec = arith.CompositionSpec((arith.SIGMA,))
-    stream = words.DigitStream(engine, spec, 10, order)
-    res = words.truncate(engine, spec, 300, 10, order)
-    assert stream.take(300) == res.digits.tolist()
-
-
 DIFF_CHAINS = [
     (), (arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.SUM_PROPER,),
     (arith.RADICAL,), (arith.TWO_SQUARES,), (arith.gstar([2, 3]),),
@@ -330,8 +322,8 @@ DIFF_DOMAINS = [arith.NATURALS, arith.PRIMES, arith.ODD_ORDERS, arith.PRIME_ORDE
 
 
 def lazy_words(engine, spec, count, g, order):
-    """The first `count` values and their words, from the pointwise stream."""
-    values = list(itertools.islice(engine.value_stream(spec), count))
+    """The first `count` values and their words, from the pointwise oracle."""
+    values = [engine.eval_composition(spec, i) for i in range(1, count + 1)]
     return values, [words.digits_of(v, g, order) for v in values]
 
 
@@ -357,7 +349,7 @@ def array_truncation(res):
     "chain", DIFF_CHAINS, ids=lambda c: ".".join(fn.describe() for fn in c) or "id"
 )
 def test_truncate_matches_lazy_stream(chain, domain):
-    """The array path against value_stream + digits_of, at flush and mid-word cuts."""
+    """The array path against eval_composition + digits_of, at flush and mid-word cuts."""
     eng = arith.ArithEngine()
     spec = arith.CompositionSpec(chain, domain)
     for g in (2, 3, 10, 16, 300):
@@ -392,36 +384,12 @@ def test_truncate_matches_lazy_stream_random(chain, domain, g, order, num):
     assert array_truncation(res) == lazy_truncation(values, word_list, num)
 
 
-def test_stream_cursor_resume(engine):
-    spec = arith.CompositionSpec((arith.PHI,), arith.PRIMES)
-    whole = words.DigitStream(engine, spec).take(187)
-    first = words.DigitStream(engine, spec)
-    first.take(137)
-    resumed = words.DigitStream(engine, spec, cursor=first.cursor)
-    assert resumed.take(50) == whole[137:187]
-    assert resumed.cursor.emitted == 187
-
-
-def test_stream_cursor_at_word_boundary(engine):
-    stream = words.DigitStream(engine, arith.CompositionSpec())
-    stream.take(9)  # words 1..9 complete
-    cur = stream.cursor
-    assert (cur.next_index, cur.offset, cur.emitted) == (10, 0, 9)
-    resumed = words.DigitStream(engine, arith.CompositionSpec(), cursor=cur)
-    assert resumed.take(2) == [1, 0]
-
-
 def test_stream_base2(engine):
-    stream = words.DigitStream(engine, arith.CompositionSpec(), 2)
+    res = words.truncate(engine, arith.CompositionSpec(), 9, 2)
     # 1 10 11 100 101 ...
-    assert stream.take(9) == [1, 1, 0, 1, 1, 1, 0, 0, 1]
-
-
-def test_stream_rejects_bad_cursor(engine):
+    assert res.digits.tolist() == [1, 1, 0, 1, 1, 1, 0, 0, 1]
     with pytest.raises(ValueError):
-        words.DigitStream(engine, arith.CompositionSpec(), cursor=words.StreamCursor(5, 9, 0))
-    with pytest.raises(ValueError):
-        words.DigitStream(engine, arith.CompositionSpec(), g=1)
+        words.truncate(engine, arith.CompositionSpec(), 9, 1)
 
 
 # ---------------------------------------------------------------------------
