@@ -272,6 +272,11 @@ def test_nth_prime(engine):
         engine.nth_prime(0)
 
 
+def test_prime_stream_prefix(engine):
+    got = engine.domain_values(arith.PRIMES, 10).tolist()
+    assert got == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
 def test_mult_order_matches_iteration(engine):
     for n in range(3, 400, 2):
         for a in (2, 3, 5, 10):
@@ -393,6 +398,18 @@ def test_order_table_refuses_moduli_past_int64_squares():
 def test_prime_orders_match_mult_order(engine):
     got = engine.domain_values(arith.PRIME_ORDERS, 2000).tolist()
     assert got == [engine.mult_order(2, engine.nth_prime(i)) for i in range(2, 2002)]
+
+
+def test_value_stream_matches_pointwise(engine):
+    spec = arith.CompositionSpec((arith.LAMBDA, arith.PHI), arith.PRIMES)
+    got = engine.chain_values(spec.chain, engine.domain_values(spec.domain, 39))
+    assert got.tolist() == [engine.eval_composition(spec, i) for i in range(1, 40)]
+
+
+def test_value_stream_start_index(engine):
+    # a block of chain values need not start at index 1
+    got = engine.chain_values((arith.SIGMA,), np.arange(10, 12, dtype=np.int64))
+    assert got.tolist() == [oracle_sigma(10), oracle_sigma(11)]
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,14 @@ def test_truncate_matches_direct_concatenation(engine):
     assert res.digits.tolist() == concat[:500]
 
 
+@pytest.mark.parametrize("order", [MSF, LSF])
+def test_stream_agrees_with_truncate(engine, order):
+    spec = arith.CompositionSpec((arith.SIGMA,))
+    _, word_list = lazy_words(engine, spec, 300, 10, order)
+    res = words.truncate(engine, spec, 300, 10, order)
+    assert res.digits.tolist() == [d for w in word_list for d in w][:300]
+
+
 DIFF_CHAINS = [
     (), (arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.SUM_PROPER,),
     (arith.RADICAL,), (arith.TWO_SQUARES,), (arith.gstar([2, 3]),),
@@ -382,6 +390,30 @@ def test_truncate_matches_lazy_stream_random(chain, domain, g, order, num):
     res = words.truncate(eng, spec, num, g, order)
     values, word_list = lazy_words(eng, spec, res.final_index, g, order)
     assert array_truncation(res) == lazy_truncation(values, word_list, num)
+
+
+def test_stream_cursor_resume(engine):
+    # the cut of a shorter prefix says where the longer one goes on: the
+    # rest of word `final_index`, then the words after it
+    spec = arith.CompositionSpec((arith.PHI,), arith.PRIMES)
+    whole = words.truncate(engine, spec, 187)
+    first = words.truncate(engine, spec, 137)
+    assert not first.flush
+    n = first.final_index
+    rest = list(words.digits_of(engine.eval_composition(spec, n), 10))[first.consumed_of_final :]
+    while len(rest) < 50:
+        n += 1
+        rest.extend(words.digits_of(engine.eval_composition(spec, n), 10))
+    assert first.digits.tolist() == whole.digits.tolist()[:137]
+    assert rest[:50] == whole.digits.tolist()[137:187]
+    assert int(whole.lengths.sum()) == 187
+
+
+def test_stream_cursor_at_word_boundary(engine):
+    res = words.truncate(engine, arith.CompositionSpec(), 9)  # words 1..9 complete
+    assert (res.final_index, res.consumed_of_final, int(res.lengths.sum())) == (9, 1, 9)
+    assert res.flush
+    assert words.truncate(engine, arith.CompositionSpec(), 11).digits.tolist()[9:] == [1, 0]
 
 
 def test_stream_base2(engine):
