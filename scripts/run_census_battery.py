@@ -32,7 +32,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--limit", type=int, default=10**5, help="largest checkpoint x")
     parser.add_argument("--out", type=Path, default=Path("census-results"))
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     engine = ArithEngine()
@@ -46,30 +45,27 @@ def main() -> int:
         written.append(path)
         print(f"wrote {path}")
 
-    emit("fps", small_lambda_census(engine, checkpoints, threads=args.threads))
+    emit("fps", small_lambda_census(engine, checkpoints))
 
     for fn_name, fn in BASE_FNS.items():
         for d in (2, 3, 4, 6, 12):
             emit(f"divisor-{fn_name}-d{d}",
-                 divisor_preimage_census(engine, fn, d, checkpoints, threads=args.threads))
+                 divisor_preimage_census(engine, fn, d, checkpoints))
         for big_k in (1, 2, 3):
             emit(f"omega-tail-{fn_name}-K{big_k}",
-                 omega_tail_census(engine, fn, big_k, checkpoints, threads=args.threads))
+                 omega_tail_census(engine, fn, big_k, checkpoints))
         emit(f"thin-preimage-{fn_name}-pow2",
-             thin_preimage_census(engine, fn, THIN_SETS["powers-of-two"], checkpoints,
-                                  threads=args.threads))
+             thin_preimage_census(engine, fn, THIN_SETS["powers-of-two"], checkpoints))
 
     for label, chain in (("phi", (PHI,)), ("phi.phi", (PHI, PHI)), ("sigma", (SIGMA,))):
         emit(f"small-value-{label}",
-             small_value_census(engine, CompositionSpec(chain), checkpoints,
-                                threads=args.threads))
+             small_value_census(engine, CompositionSpec(chain), checkpoints))
         emit(f"growth-{label}",
              growth_hypothesis_check(engine, CompositionSpec(chain), args.limit))
 
     emit("extremal", extremal_ratio_report(engine, args.limit))
     emit("non-normal-k5",
-         non_normality_demo(engine, (2,), 5, num_digits=min(args.limit * 10, 10**6),
-                            threads=args.threads))
+         non_normality_demo(engine, (2,), 5, num_digits=min(args.limit * 10, 10**6)))
 
     print(f"{len(written)} reports in {args.out}")
     return 0

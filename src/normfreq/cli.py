@@ -272,7 +272,7 @@ def _single_fn(chain_text: str):
 
 def _cmd_exp_fps(args, opts) -> int:
     got = opts.resolve(args)
-    report = small_lambda_census(ArithEngine(), _checkpoints(got), threads=got["threads"])
+    report = small_lambda_census(ArithEngine(), _checkpoints(got))
     _emit(report, got["report"])
     return 0
 
@@ -280,8 +280,7 @@ def _cmd_exp_fps(args, opts) -> int:
 def _cmd_exp_divisor(args, opts) -> int:
     got = opts.resolve(args)
     report = divisor_preimage_census(
-        ArithEngine(), _single_fn(got["f"]), got["d"], _checkpoints(got),
-        threads=got["threads"],
+        ArithEngine(), _single_fn(got["f"]), got["d"], _checkpoints(got)
     )
     _emit(report, got["report"])
     return 0
@@ -290,8 +289,7 @@ def _cmd_exp_divisor(args, opts) -> int:
 def _cmd_exp_omega_tail(args, opts) -> int:
     got = opts.resolve(args)
     report = omega_tail_census(
-        ArithEngine(), _single_fn(got["f"]), got["big_k"], _checkpoints(got),
-        threads=got["threads"],
+        ArithEngine(), _single_fn(got["f"]), got["big_k"], _checkpoints(got)
     )
     _emit(report, got["report"])
     return 0
@@ -300,8 +298,7 @@ def _cmd_exp_omega_tail(args, opts) -> int:
 def _cmd_exp_small_value(args, opts) -> int:
     got = opts.resolve(args)
     report = small_value_census(
-        ArithEngine(), parse_chain(got["f"]), _checkpoints(got),
-        theta=got["theta"], threads=got["threads"],
+        ArithEngine(), parse_chain(got["f"]), _checkpoints(got), theta=got["theta"]
     )
     _emit(report, got["report"])
     return 0
@@ -310,10 +307,7 @@ def _cmd_exp_small_value(args, opts) -> int:
 def _cmd_exp_thin_preimage(args, opts) -> int:
     got = opts.resolve(args)
     thin = _choose(THIN_SETS, got["set"], "thin set")
-    report = thin_preimage_census(
-        ArithEngine(), _single_fn(got["f"]), thin, _checkpoints(got),
-        threads=got["threads"],
-    )
+    report = thin_preimage_census(ArithEngine(), _single_fn(got["f"]), thin, _checkpoints(got))
     _emit(report, got["report"])
     return 0
 
@@ -334,7 +328,6 @@ def _cmd_exp_non_normal(args, opts) -> int:
         g=got["base"],
         num_digits=got["digits"],
         order=_order(got["order"]),
-        threads=got["threads"],
     )
     _emit(report, got["report"])
     return 0
@@ -350,9 +343,7 @@ def _cmd_exp_extremal(args, opts) -> int:
 def _cmd_exp_domain_density(args, opts) -> int:
     got = opts.resolve(args)
     member = _choose(DENSITY_SETS, got["set"], "set")
-    report = restricted_domain_check(
-        member, got["set"], got["exponent"], _checkpoints(got), threads=got["threads"]
-    )
+    report = restricted_domain_check(member, got["set"], got["exponent"], _checkpoints(got))
     _emit(report, got["report"])
     return 0
 
@@ -435,7 +426,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         opts.add("limit", convert=int, required=True, help="largest checkpoint x")
         opts.add("checkpoints", convert=_parse_checkpoints,
                  help="comma-separated checkpoints (default: powers of 10 up to limit)")
-        opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
         opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "fps"), _cmd_exp_fps,
@@ -482,7 +472,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     opts.add("base", convert=int, default=10, help="digit base g >= 2")
     opts.add("digits", convert=int, default=10**5, help="stream digits scanned N")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
-    opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
     opts.add("report", help="write the JSON report here instead of stdout")
 
     opts = declare(operations, ("experiment", "extremal"), _cmd_exp_extremal,

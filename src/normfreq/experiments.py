@@ -2,9 +2,9 @@
 
 Each census counts an exceptional set exactly and prints the matching
 closed-form bound next to it; bounds are always evaluated from their
-formula, never fitted to the data.  Ranges are partitioned into fixed
-blocks by `ngrams.blocked_map`, so threaded runs reproduce the
-sequential counts exactly.
+formula, never fitted to the data.  A table census builds one bool
+mask over 1..limit and reads every checkpoint count from it with
+`ngrams.checkpoint_counts`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .arith import (
     big_omega,
     gstar,
 )
-from . import ngrams
-from .ngrams import blockwise_census, validate_checkpoints
+from .ngrams import checkpoint_counts, validate_checkpoints
 from .words import MSF, DigitOrder, digits_of, truncate, word_text
 
 DETERMINISM_NOTE = "deterministic: exact integer censuses, no randomness"
@@ -124,27 +123,20 @@ def _require_table_fn(a: BaseFn) -> None:
 # ---------------------------------------------------------------------------
 
 
-def small_lambda_census(
-    engine: ArithEngine, checkpoints: Sequence[int], threads: int = 1
-) -> CensusReport:
+def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> CensusReport:
     """Count n <= x whose unit-group exponent is below sqrt(n).
 
-    The comparison is exact (lambda(n)^2 < n); the reference bound is
-    x / exp((log x)^(1/3)).
+    The comparison is exact (lambda(n)^2 < n, i.e. lambda(n) <=
+    isqrt(n - 1)); the reference bound is x / exp((log x)^(1/3)).
     """
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     lam = engine.value_table(LAMBDA, limit)
-
-    def indicator(lo, hi):
-        seg = lam[lo : hi + 1]
-        return seg * seg < np.arange(lo, hi + 1, dtype=np.int64)
-
-    counts = blockwise_census(limit, cps, indicator, threads)
+    counts = checkpoint_counts(lam[1:] <= _nested_isqrt(limit, 1), cps)
     rows = []
-    for x in cps:
+    for x, count in zip(cps, counts):
         bound = x / math.exp(floored_log(x) ** (1.0 / 3.0))
-        rows.append(CensusRow(x, counts[x], bound, counts[x] / bound, counts[x] <= bound))
+        rows.append(CensusRow(x, count, bound, count / bound, count <= bound))
     return CensusReport(
         experiment="fps",
         label="n <= x with lambda(n) < sqrt(n)",
@@ -159,7 +151,6 @@ def divisor_preimage_census(
     a: BaseFn,
     d: int,
     checkpoints: Sequence[int],
-    threads: int = 1,
 ) -> CensusReport:
     """Count n <= x with d | a(n) against (x/d) * (8 l (log x)^2)^l."""
     _require_table_fn(a)
@@ -169,15 +160,11 @@ def divisor_preimage_census(
     limit = cps[-1]
     tab = engine.value_table(a, limit)
     ell = big_omega(engine.factorize(d))
-
-    def indicator(lo, hi):
-        return tab[lo : hi + 1] % d == 0
-
-    counts = blockwise_census(limit, cps, indicator, threads)
+    counts = checkpoint_counts(tab[1:] % d == 0, cps)
     rows = []
-    for x in cps:
+    for x, count in zip(cps, counts):
         bound = (x / d) * (8.0 * ell * floored_log(x) ** 2) ** ell
-        rows.append(CensusRow(x, counts[x], bound, counts[x] / bound, counts[x] <= bound))
+        rows.append(CensusRow(x, count, bound, count / bound, count <= bound))
     return CensusReport(
         experiment="divisor",
         label=f"n <= x with {d} | {a.describe()}(n)",
@@ -192,7 +179,6 @@ def omega_tail_census(
     a: BaseFn,
     big_k: int,
     checkpoints: Sequence[int],
-    threads: int = 1,
 ) -> CensusReport:
     """Count n <= x with Omega(a(n)) > K^2.
 
@@ -208,15 +194,11 @@ def omega_tail_census(
     tab = engine.value_table(a, limit)
     omega = engine.big_omega_table(int(tab.max()))
     threshold = big_k * big_k
-
-    def indicator(lo, hi):
-        return omega[tab[lo : hi + 1]] > threshold
-
-    counts = blockwise_census(limit, cps, indicator, threads)
+    counts = checkpoint_counts(omega[tab[1:]] > threshold, cps)
     rows = []
-    for x in cps:
+    for x, count in zip(cps, counts):
         scale = (big_k / 2.0**big_k) * x * floored_log(x) ** 3
-        rows.append(CensusRow(x, counts[x], scale, counts[x] / scale, None))
+        rows.append(CensusRow(x, count, scale, count / scale, None))
     return CensusReport(
         experiment="omega-tail",
         label=f"n <= x with Omega({a.describe()}(n)) > {threshold}",
@@ -239,15 +221,21 @@ def _isqrt_array(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _below_nested_root(values: np.ndarray, ns: np.ndarray, depth: int) -> np.ndarray:
-    """values < ns^(1/2^depth), elementwise, for values and ns >= 1.
+def _nested_isqrt(limit: int, depth: int) -> np.ndarray:
+    """isqrt^depth(n - 1) for n = 1..limit, exactly, as one int64 array.
 
     For integers v >= 0 and m >= 0, v^2 <= m exactly when v <= isqrt(m),
-    so v^(2^j) < n is v <= isqrt^j(n - 1), j nested integer roots."""
-    root = ns - 1
+    so v^(2^j) < n is v <= isqrt^j(n - 1), and isqrt^j(m) is the largest
+    r with r^(2^j) <= m.  Each root r fills the m with
+    r^(2^j) <= m < (r + 1)^(2^j), those edges capped at the limit."""
+    if depth == 0:
+        return np.arange(limit, dtype=np.int64)
+    power = 2**depth
+    top = limit - 1
     for _ in range(depth):
-        root = _isqrt_array(root)
-    return values <= root
+        top = math.isqrt(top)
+    edges = np.array([min(r**power, limit) for r in range(top + 2)], dtype=np.int64)
+    return np.repeat(np.arange(top + 1, dtype=np.int64), np.diff(edges))
 
 
 def small_value_census(
@@ -255,11 +243,10 @@ def small_value_census(
     spec: CompositionSpec,
     checkpoints: Sequence[int],
     theta: float = 1.0 / 3.0,
-    threads: int = 1,
 ) -> CensusReport:
     """Count n <= x with f(n) < n^(1/2^j), j the chain depth.
 
-    The comparison runs in exact integers (`_below_nested_root`); thinness
+    The comparison runs in exact integers (`_nested_isqrt`); thinness
     is certified against x / exp((log x)^theta) for the caller's theta.
     """
     if spec.domain is not NATURALS:
@@ -270,16 +257,11 @@ def small_value_census(
     limit = cps[-1]
     vals = engine.chain_values(spec.chain, np.arange(1, limit + 1, dtype=np.int64))
     power = 2**spec.depth
-
-    def indicator(lo, hi):
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        return _below_nested_root(vals[lo - 1 : hi], ns, spec.depth)
-
-    counts = blockwise_census(limit, cps, indicator, threads)
+    counts = checkpoint_counts(vals <= _nested_isqrt(limit, spec.depth), cps)
     rows = []
-    for x in cps:
+    for x, count in zip(cps, counts):
         bound = x / math.exp(floored_log(x) ** theta)
-        rows.append(CensusRow(x, counts[x], bound, counts[x] / bound, counts[x] <= bound))
+        rows.append(CensusRow(x, count, bound, count / bound, count <= bound))
     return CensusReport(
         experiment="small-value",
         label=f"n <= x with {spec.describe()}(n) < n^(1/{power})",
@@ -353,7 +335,6 @@ def thin_preimage_census(
     a: BaseFn,
     thin_set: ThinSetSpec,
     checkpoints: Sequence[int],
-    threads: int = 1,
 ) -> CensusReport:
     """Census of {n <= x : a(n) in E} with the proof's partition.
 
@@ -365,17 +346,13 @@ def thin_preimage_census(
     limit = cps[-1]
     tab = engine.value_table(a, limit)
     mask = np.asarray(thin_set.member(tab[1:]), dtype=bool)
-
-    def indicator(lo, hi):
-        return mask[lo - 1 : hi]
-
-    counts = blockwise_census(limit, cps, indicator, threads)
+    counts = checkpoint_counts(mask, cps)
     member_ns = np.flatnonzero(mask) + 1
     member_vals = tab[member_ns]
     omega = engine.big_omega_table(int(member_vals.max(initial=1)))[member_vals]
 
     rows = []
-    for x in cps:
+    for x, total in zip(cps, counts):
         # v <= x^(1/3) and Omega > (log x)^(theta/3) compare integers with
         # floats, so both sides reduce exactly to their integer floors
         cut = math.floor(x ** (1.0 / 3.0))
@@ -385,7 +362,6 @@ def thin_preimage_census(
         e1 = int(small.sum())
         e2 = int((~small & (omega[:upto] > om_cut)).sum())
         e3 = upto - e1 - e2
-        total = counts[x]
         assert upto == total
         bound = x / math.exp(floored_log(x) ** thin_set.theta)
         rows.append(
@@ -512,21 +488,16 @@ class BlockRepetitionReport:
         }
 
 
-def count_overlapping(haystack: bytes, needle: bytes, threads: int = 1) -> int:
-    """Overlapping occurrence count, over fixed blocks of start positions."""
-    starts = max(0, len(haystack) - len(needle) + 1) if needle else 0
-
-    def work(lo, hi):
-        # a match found before `end` starts before hi
-        end = hi + len(needle) - 1
-        count = 0
-        i = haystack.find(needle, lo, end)
-        while i != -1:
-            count += 1
-            i = haystack.find(needle, i + 1, end)
-        return count
-
-    return sum(ngrams.blocked_map(work, starts, ngrams._CHUNK, threads))
+def count_overlapping(haystack: bytes, needle: bytes) -> int:
+    """Overlapping occurrence count; an empty needle counts 0."""
+    if not needle:
+        return 0
+    count = 0
+    i = haystack.find(needle)
+    while i != -1:
+        count += 1
+        i = haystack.find(needle, i + 1)
+    return count
 
 
 def non_normality_demo(
@@ -536,7 +507,6 @@ def non_normality_demo(
     g: int = 10,
     num_digits: int = 10**5,
     order: DigitOrder = MSF,
-    threads: int = 1,
 ) -> BlockRepetitionReport:
     """Count the block f(1)...f(2^k - 1) inside the first N stream digits."""
     if k < 1:
@@ -551,7 +521,7 @@ def non_normality_demo(
         block_digits.extend(digits_of(engine.eval_base_value(fn, i), g, order))
     spec = CompositionSpec((fn,))
     res = truncate(engine, spec, num_digits, g, order)
-    observed = count_overlapping(res.digits.tobytes(), bytes(block_digits), threads=threads)
+    observed = count_overlapping(res.digits.tobytes(), bytes(block_digits))
     n = res.final_index
     period_count = max(0, (n - (2**k - 1)) // modulus + 1) if n >= 2**k - 1 else 0
     return BlockRepetitionReport(
@@ -673,20 +643,15 @@ def restricted_domain_check(
     label: str,
     exponent: float,
     checkpoints: Sequence[int],
-    threads: int = 1,
 ) -> DensityReport:
     """Verify the density floor for an array membership predicate, which
     maps an int64 array of n to the bool mask of those in the set."""
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     mask = np.asarray(member(np.arange(1, limit + 1, dtype=np.int64)), dtype=bool)
-
-    def indicator(lo, hi):
-        return mask[lo - 1 : hi]
-
-    counts = blockwise_census(limit, cps, indicator, threads)
+    counts = checkpoint_counts(mask, cps)
     rows = []
-    for x in cps:
+    for x, count in zip(cps, counts):
         floor = x / floored_log(x) ** exponent
-        rows.append(DensityRow(x, counts[x], floor, counts[x] > floor))
+        rows.append(DensityRow(x, count, floor, count > floor))
     return DensityReport(label=label, exponent=exponent, rows=tuple(rows))

@@ -8,9 +8,12 @@ alone: the windows starting 1..k-1 digits before an end are the boundary
 windows, and when the cut falls inside the final word its windows are a
 suffix of the window range.  All tallies are integers.  Every loop that
 takes a `threads` argument runs through `blocked_map`, which cuts its
-range into fixed blocks: the window chunks of `count_stream`, the value
-blocks of its `eps` classifier and the checkpoint censuses.  Chunked
-and threaded runs therefore reproduce the single-pass result bit for bit.
+range into fixed blocks: the window chunks of `count_stream`, and the
+value blocks of its `eps` classifier and of `classify_checkpoints`.
+Chunked and threaded runs therefore reproduce the single-pass result
+bit for bit.  `checkpoint_counts` reads the checkpoint counts of one
+flag mask; the censuses of `experiments` call it once on a whole-range
+mask.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .words import MSF, DigitOrder, word_texts
 # dense count tables are used while g^k stays at or below this
 DENSE_LIMIT = 1 << 24
 
-# windows (or digit positions) per block of a stream loop
+# windows per block of the `count_stream` tally
 _CHUNK = 1 << 20
 
-# integers (or stream values) per block of a classifier or census
+# integers (or stream values) per block of the classifier
 _BLOCK = 1 << 16
 
 
@@ -257,28 +260,15 @@ def validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
     return cps
 
 
-def blockwise_census(
-    limit: int,
-    cps: list[int],
-    block_indicator: Callable[[int, int], np.ndarray],
-    threads: int,
-) -> dict[int, int]:
-    """Count flagged n at each checkpoint; `block_indicator(lo, hi)` flags
-    lo..hi inclusive, one fixed block of 1..limit at a time."""
-
-    def work(start, stop):
-        lo, hi = start + 1, stop
-        ind = np.asarray(block_indicator(lo, hi), dtype=bool)
-        edges = [(c, int(ind[: c - lo + 1].sum())) for c in cps if lo <= c <= hi]
-        return int(ind.sum()), edges
-
-    out = {}
-    running = 0
-    for total, edges in blocked_map(work, limit, _BLOCK, threads):
-        for c, partial in edges:
-            out[c] = running + partial
-        running += total
-    return out
+def checkpoint_counts(mask: np.ndarray, cps: Sequence[int]) -> list[int]:
+    """How many of mask[:c] are set, for each checkpoint c in increasing
+    order; one pass over mask[:cps[-1]]."""
+    counts, running, prev = [], 0, 0
+    for c in cps:
+        running += int(np.count_nonzero(mask[prev:c]))
+        counts.append(running)
+        prev = c
+    return counts
 
 
 def classify_checkpoints(
@@ -289,11 +279,18 @@ def classify_checkpoints(
     verdict does not depend on the digit order."""
     cps = validate_checkpoints(checkpoints)
 
-    def indicator(lo, hi):
-        return words_mod.eps_k_bad_mask(np.arange(lo, hi + 1, dtype=np.int64), eps, k, g)
+    def work(start, stop):
+        # the block holds m = start + 1 .. stop
+        mask = words_mod.eps_k_bad_mask(np.arange(start + 1, stop + 1, dtype=np.int64), eps, k, g)
+        inside = [c - start for c in cps if start < c <= stop]
+        return checkpoint_counts(mask, inside), int(np.count_nonzero(mask))
 
-    counts = blockwise_census(cps[-1], cps, indicator, threads)
-    return [counts[c] for c in cps]
+    counts = []
+    running = 0
+    for edges, total in blocked_map(work, cps[-1], _BLOCK, threads):
+        counts.extend(running + e for e in edges)
+        running += total
+    return counts
 
 
 @dataclass(frozen=True)

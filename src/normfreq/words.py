@@ -55,6 +55,8 @@ def digit_length(n: int, g: int = 10) -> int:
     """Number of base-g digits of n >= 1 (satisfies g^(L-1) <= n < g^L)."""
     if n < 1:
         raise ValueError(f"digit length needs n >= 1, got {n}")
+    if g < 2:
+        raise ValueError("base must be >= 2")
     if g == 10:
         return len(str(n))
     if g == 2:
@@ -70,6 +72,8 @@ def digits_of(n: int, g: int = 10, order: DigitOrder = MSF) -> tuple[int, ...]:
     """Base-g digits of n >= 1 in the requested order (no leading zeros)."""
     if n < 1:
         raise ValueError(f"digit expansion needs n >= 1, got {n}")
+    if g < 2:
+        raise ValueError("base must be >= 2")
     if g == 10:
         msf = tuple(ord(c) - 48 for c in str(n))
     elif g == 2:

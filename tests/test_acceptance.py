@@ -388,20 +388,25 @@ def test_11_non_normal_fraction_shrinks():
 
 
 def test_12_threads_do_not_change_report_bytes(tmp_path):
+    threaded = ["--threads", "1"], ["--threads", "8"]
     cases = {
-        "count": ["count", "--f", "phi.sigma", "--domain", "primes", "--base", "16",
-                  "--k", "3", "--digits", str(10**4)],
-        "fps": ["experiment", "fps", "--limit", str(10**6)],
-        "non-normal": ["experiment", "non-normal", "--primes", "2", "--k", "5",
-                       "--digits", str(10**6)],
+        "count": (["count", "--f", "phi.sigma", "--domain", "primes", "--base", "16",
+                   "--k", "3", "--digits", str(10**4)], threaded),
+        # 16 classifier blocks
+        "classify": (["classify", "--eps", "0.05", "--base", "2",
+                      "--limit", str(10**6)], threaded),
+        # no --threads option: two runs must still agree
+        "fps": (["experiment", "fps", "--limit", str(10**6)], ([], [])),
+        "non-normal": (["experiment", "non-normal", "--primes", "2", "--k", "5",
+                        "--digits", str(10**6)], ([], [])),
     }
     diffs = []
-    for name, argv in cases.items():
-        one = tmp_path / f"{name}-t1.json"
-        eight = tmp_path / f"{name}-t8.json"
-        assert cli.main(argv + ["--threads", "1", "--report", str(one)]) == 0
-        assert cli.main(argv + ["--threads", "8", "--report", str(eight)]) == 0
-        if one.read_bytes() != eight.read_bytes():
+    for name, (argv, (first, second)) in cases.items():
+        one = tmp_path / f"{name}-1.json"
+        two = tmp_path / f"{name}-2.json"
+        assert cli.main(argv + first + ["--report", str(one)]) == 0
+        assert cli.main(argv + second + ["--report", str(two)]) == 0
+        if one.read_bytes() != two.read_bytes():
             diffs.append(name)
         payload = json.loads(one.read_text())
         assert payload["kind"] in reports_kinds()

@@ -257,6 +257,11 @@ def test_config_foreign_keys_are_ignored(tmp_path, capsys):
     cfg.write_text("digits=7\nf=phi\nd=12\nexponent=2.0\nthreads=4\n")
     code, out, _ = run(capsys, "stream", "--config", str(cfg))
     assert (code, out) == (0, "1122426\n")
+    # the censuses take no threads, so even an invalid value is foreign
+    cfg.write_text("threads=0\n")
+    code, out, _ = run(capsys, "experiment", "fps", "--limit", "100", "--config", str(cfg))
+    assert code == 0
+    assert [r["count"] for r in json.loads(out)["rows"]] == [17]
 
 
 def test_config_without_equals_is_usage_error(tmp_path, capsys):
@@ -394,27 +399,32 @@ def test_experiment_domain_density_checkpoints_past_limit(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["count", "--digits", "50"],
-        ["classify", "--eps", "0.1", "--limit", "100"],
-        ["experiment", "fps", "--limit", "100"],
-        ["experiment", "non-normal", "--k", "2", "--digits", "50"],
-        ["experiment", "domain-density", "--set", "odd", "--limit", "100"],
+        pytest.param(argv, message, id=" ".join(argv[:2]))
+        for argv, message in [
+            (["count", "--digits", "50"], "threads must be >= 1"),
+            (["classify", "--eps", "0.1", "--limit", "100"], "threads must be >= 1"),
+            # the censuses and the block demo take no --threads at all
+            (["experiment", "fps", "--limit", "100"], "unrecognized arguments"),
+            (["experiment", "non-normal", "--k", "2", "--digits", "50"],
+             "unrecognized arguments"),
+            (["experiment", "domain-density", "--set", "odd", "--limit", "100"],
+             "unrecognized arguments"),
+        ]
     ],
-    ids=lambda argv: " ".join(argv[:2]),
 )
-def test_threads_zero_is_usage_error(capsys, argv):
+def test_threads_zero_is_usage_error(capsys, argv, message):
     code, _, err = run(capsys, *argv, "--threads", "0")
     assert code == 2
-    assert "threads must be >= 1" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["count", "--digits", "3000000"],
-        ["experiment", "fps", "--limit", "1000000"],
+        ["classify", "--eps", "0.1", "--limit", "1000000"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -424,7 +434,7 @@ def test_threads_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, so
         raise AssertionError("work started before --threads was checked")
 
     monkeypatch.setattr(words, "truncate", no_work)
-    monkeypatch.setattr(ArithEngine, "value_table", no_work)
+    monkeypatch.setattr(words, "eps_k_bad_mask", no_work)
     if source == "flag":
         argv = argv + ["--threads", "0"]
     else:
@@ -441,14 +451,6 @@ def test_experiment_unknown_set(capsys):
                        "--limit", "100")
     assert code == 2
     assert "evens" in err
-
-
-def test_experiment_threads_byte_identical(tmp_path, capsys):
-    one, eight = tmp_path / "t1.json", tmp_path / "t8.json"
-    base = ["experiment", "non-normal", "--primes", "2", "--k", "3", "--digits", "5000"]
-    assert cli.main(base + ["--threads", "1", "--report", str(one)]) == 0
-    assert cli.main(base + ["--threads", "8", "--report", str(eight)]) == 0
-    assert one.read_bytes() == eight.read_bytes()
 
 
 # --- report projection ---

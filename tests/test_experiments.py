@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normfreq import arith, experiments, ngrams, reports
+from normfreq import arith, experiments, reports
 from normfreq.arith import LAMBDA, PHI, SIGMA, CompositionSpec
 
 
@@ -137,13 +137,6 @@ def test_small_lambda_census_verdicts(engine):
         assert r.bound == pytest.approx(r.x / math.exp(max(1, math.log(r.x)) ** (1 / 3)))
 
 
-def test_small_lambda_census_threads_equal(engine, monkeypatch):
-    monkeypatch.setattr(ngrams, "_BLOCK", 97)
-    one = experiments.small_lambda_census(engine, [10, 500, 2000], threads=1)
-    many = experiments.small_lambda_census(engine, [10, 500, 2000], threads=4)
-    assert one.to_dict() == many.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # divisor censuses
 # ---------------------------------------------------------------------------
@@ -247,28 +240,43 @@ def test_small_value_census_identity_chain(engine):
     assert rep.rows[0].count == 0  # n < n never holds
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_below_nested_root_matches_literal_comparison(depth):
-    ns = set(range(1, 300))
-    # above 2^53 the float root of n - 1 is inexact, so both integer
-    # corrections are needed
+def test_isqrt_array_and_is_square_near_perfect_squares():
+    ms = set(range(0, 300))
+    # above 2^53 the float root is inexact, so both integer corrections
+    # are needed
     for r in (2, 3, 7, 10, 99, 1000, 3162, 46340, 10**6, 3 * 10**7, 2**30 + 12345, 2**31 - 1):
         for m in (r**2, r**4):
-            ns.update({m - 1, m, m + 1})
-    ns = sorted(n for n in ns if n <= 2**62)
-    pairs = []
-    for n in ns:
+            ms.update({m - 1, m, m + 1})
+    ms = sorted(m for m in ms if m < 2**62)
+    assert ms[-1] > 2**61
+    values = np.array(ms, dtype=np.int64)
+    assert experiments._isqrt_array(values).tolist() == [math.isqrt(m) for m in ms]
+    squares = experiments._is_square(values).tolist()
+    assert squares == [m >= 1 and math.isqrt(m) ** 2 == m for m in ms]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 17, 65537, 10**6])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_nested_isqrt_matches_iterated_isqrt(depth, limit):
+    got = experiments._nested_isqrt(limit, depth)
+    assert got.dtype == np.int64 and len(got) == limit
+    # every n where the root steps, with its neighbours, plus a stride
+    power = 2**depth
+    ns = {1, 2, limit}
+    for r in range(1, math.isqrt(limit) + 2):
+        edge = r**power
+        if edge > limit + 1:
+            break
+        ns.update({edge - 1, edge, edge + 1, edge + 2})
+    ns.update(range(1, limit + 1, max(1, limit // 997)))
+    for n in sorted(n for n in ns if 1 <= n <= limit):
         root = n - 1
         for _ in range(depth):
             root = math.isqrt(root)
-        # the cut and its neighbours, and values beyond the input range
-        for v in {1, 2, root - 1, root, root + 1, root + 2, min(5 * n, 2**62), 10**13}:
-            if v >= 1:
-                pairs.append((v, n))
-    values = np.array([v for v, _ in pairs], dtype=np.int64)
-    points = np.array([n for _, n in pairs], dtype=np.int64)
-    got = experiments._below_nested_root(values, points, depth)
-    assert got.tolist() == [v ** 2**depth < n for v, n in pairs]
+        assert got[n - 1] == root
+        for v in range(max(0, root - 1), root + 3):
+            assert (v**power < n) == (v <= got[n - 1])
+    assert np.all(np.diff(got) >= 0)
 
 
 @pytest.mark.parametrize(
@@ -363,15 +371,6 @@ def test_thin_preimage_parts_match_pointwise(engine, a, oracle, thin):
         assert row.count == sum(parts.values())
 
 
-def test_thin_preimage_threads_equal(engine, monkeypatch):
-    monkeypatch.setattr(ngrams, "_BLOCK", 123)
-    a = experiments.thin_preimage_census(engine, PHI, experiments.POWERS_OF_TWO, [2000])
-    b = experiments.thin_preimage_census(
-        engine, PHI, experiments.POWERS_OF_TWO, [2000], threads=4
-    )
-    assert a.to_dict() == b.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # growth ratios
 # ---------------------------------------------------------------------------
@@ -449,12 +448,9 @@ def test_count_overlapping():
     assert experiments.count_overlapping(b"xyz", b"") == 0
 
 
-def test_count_overlapping_chunked_boundaries(monkeypatch):
+def test_count_overlapping_chunked_boundaries():
     hay = b"ab" * 50  # matches start at 0, 2, ..., 96
     assert experiments.count_overlapping(hay, b"abab") == 49
-    monkeypatch.setattr(ngrams, "_CHUNK", 3)  # blocks end inside matches
-    assert experiments.count_overlapping(hay, b"abab") == 49
-    assert experiments.count_overlapping(hay, b"abab", threads=3) == 49
 
 
 def test_block_demo_two_digit_oracle(engine):
@@ -495,12 +491,6 @@ def test_block_demo_two_primes(engine):
     assert rep.block == "123"
     assert rep.period_modulus == 36
     assert rep.observed >= rep.period_count > 0
-
-
-def test_block_demo_threads_equal(engine):
-    a = experiments.non_normality_demo(engine, [2], 4, num_digits=20_000, threads=1)
-    b = experiments.non_normality_demo(engine, [2], 4, num_digits=20_000, threads=4)
-    assert a.to_dict() == b.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -588,17 +578,17 @@ def test_density_squares_fails_at_exponent_two():
 # ---------------------------------------------------------------------------
 
 
-def test_census_battery_files_match_across_threads(tmp_path):
+def test_census_battery_files_match_across_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
     # the child imports the same package as this process, installed or from src/
     src = str(Path(experiments.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads-{threads}"
+    for run in (1, 2):
+        out = tmp_path / f"run-{run}"
         subprocess.run(
             [sys.executable, str(root / "scripts" / "run_census_battery.py"),
-             "--limit", "3000", "--threads", str(threads), "--out", str(out)],
+             "--limit", "3000", "--out", str(out)],
             check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=path),
         )
         runs.append({p.name: p.read_bytes() for p in out.iterdir()})

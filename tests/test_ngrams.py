@@ -328,6 +328,8 @@ def test_classify_checkpoints_threads_across_block_edge():
     want = [sum(flags[:c]) for c in cps]
     for threads in (1, 2, 5):
         assert ngrams.classify_checkpoints(0.1, 2, 2, cps, threads=threads) == want
+    # the first block's total carries over with no checkpoint at its end
+    assert ngrams.classify_checkpoints(0.1, 2, 2, [10, 65537]) == [want[0], want[-1]]
 
 
 def test_classify_checkpoints_validates():

@@ -125,6 +125,18 @@ def test_digits_of_rejects_zero():
         words.digit_length(0, 2)
 
 
+@pytest.mark.parametrize("g", [1, 0])
+def test_digit_functions_reject_base_below_two(g):
+    # base 1 never shrinks n, so these would loop forever
+    for call in (
+        lambda: words.digits_of(5, g),
+        lambda: words.digit_length(5, g),
+        lambda: words.is_eps_k_normal(5, 0.1, 1, g),
+    ):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # normality
 # ---------------------------------------------------------------------------
