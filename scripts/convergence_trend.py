@@ -15,7 +15,7 @@ import sys
 
 from normfreq import ngrams, reports
 from normfreq.arith import ArithEngine
-from normfreq.cli import parse_chain
+from normfreq.cli import parse_chain, parse_threads
 
 MIN_DECADE = 2
 
@@ -29,7 +29,7 @@ def main() -> int:
     parser.add_argument("--eps", type=float, default=0.05,
                         help="classifier tolerance for the meager-set fit")
     parser.add_argument("--classify-base", type=int, default=2)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=parse_threads, default=1)
     parser.add_argument("--out", help="write JSON here instead of stdout")
     args = parser.parse_args()
     if args.max < MIN_DECADE:

@@ -37,7 +37,6 @@ from .arith import (
     spf_table,
     sum_proper_divisors,
 )
-from .cli import main, parse_chain
 from .errors import (
     CacheFormatError,
     CapacityError,

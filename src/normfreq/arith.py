@@ -235,8 +235,10 @@ _TABLE_ROWS = {
     BaseTag.GSTAR: _TableRow(lambda p, e: p**e),
 }
 
-# the `_tables` key of the ord_n(2) table, which backs the order domains
+# the `_tables` keys of the ord_n(2) table, which backs the order domains,
+# and of the Omega table
 _ORDER_OF_TWO = "order-of-2"
+_BIG_OMEGA = "big-omega"
 
 
 def _pow_mod(a: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
@@ -407,7 +409,7 @@ class ArithEngine:
         self._spf_limit = 1
         self._primes = np.empty(0, dtype=np.int64)
         self._prime_limit = 1
-        self._tables: dict[object, np.ndarray] = {}  # BaseFn or _ORDER_OF_TWO
+        self._tables: dict[object, np.ndarray] = {}  # BaseFn, _ORDER_OF_TWO or _BIG_OMEGA
         if spf_limit >= 2:
             self.ensure_spf(spf_limit)
 
@@ -642,12 +644,16 @@ class ArithEngine:
 
     def big_omega_table(self, limit: int) -> np.ndarray:
         """Omega(n), the prime factors of n counted with multiplicity, for
-        0 <= n <= limit as uint8.  Raises CapacityError over the budget."""
-        _check_budget("Omega table", limit, 1, self.memory_budget)
-        out = np.zeros(limit + 1, dtype=np.uint8)
-        for _, _, q in _prime_powers(self.primes_upto(limit), limit):
-            out[q::q] += 1
-        return out
+        0 <= n <= limit as uint8.  Cached and rebuilt like `value_table`;
+        raises CapacityError over the budget."""
+        tab = self._tables.get(_BIG_OMEGA)
+        if tab is None or len(tab) <= limit:
+            _check_budget("Omega table", limit, 1, self.memory_budget)
+            tab = np.zeros(limit + 1, dtype=np.uint8)
+            for _, _, q in _prime_powers(self.primes_upto(limit), limit):
+                tab[q::q] += 1
+            tab = self._keep_table(_BIG_OMEGA, tab)
+        return tab[: limit + 1]
 
     def chain_values(self, chain: tuple[BaseFn, ...], args: np.ndarray) -> np.ndarray:
         """Evaluate a composition chain over an array of inputs.

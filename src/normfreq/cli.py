@@ -8,6 +8,10 @@ Subcommands:
     experiment  the census/report battery (fps, divisor, omega-tail, ...)
     report      project a stored JSON report to CSV (or re-emit JSON)
 
+`build_parser` declares each subcommand once, with its options and a
+runner; `main` resolves the options, calls the runner and writes the
+report it returns to stdout or to ``--report FILE``.
+
 Options may also come from a ``--config FILE`` of plain ``key=value``
 lines whose keys are long flag names; explicit flags win on conflict,
 and keys that do not belong to the active subcommand are ignored so one
@@ -23,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import ngrams, reports
+from . import experiments, ngrams, reports
 from .arith import (
     LAMBDA,
     NATURALS,
@@ -38,21 +42,6 @@ from .arith import (
     gstar,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .experiments import (
-    DENSITY_SETS,
-    DETERMINISM_NOTE,
-    THIN_SETS,
-    default_checkpoints,
-    divisor_preimage_census,
-    extremal_ratio_report,
-    growth_hypothesis_check,
-    non_normality_demo,
-    omega_tail_census,
-    restricted_domain_check,
-    small_lambda_census,
-    small_value_census,
-    thin_preimage_census,
-)
 from .words import LSF, MSF, DigitOrder, save_digits, truncate, word_text
 
 _FN_TOKENS = {
@@ -181,7 +170,7 @@ class _OptionSet:
         return out
 
 
-def _threads(text: str) -> int:
+def parse_threads(text: str) -> int:
     """A --threads value, checked before any work starts (argparse prints
     an ArgumentTypeError's own message)."""
     threads = int(text)
@@ -190,43 +179,28 @@ def _threads(text: str) -> int:
     return threads
 
 
-def _parse_checkpoints(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
-def _emit(report, path: Optional[str]) -> None:
-    if path:
-        reports.write_report(report, path)
-    else:
-        sys.stdout.write(reports.canonical_json(report))
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommands: each returns its report, or None when it writes its own output
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stream(args, opts: _OptionSet) -> int:
-    got = opts.resolve(args)
+def _stream(got) -> None:
     spec = parse_chain(got["f"], _domain(got["domain"]))
     order = _order(got["order"])
     result = truncate(ArithEngine(), spec, got["digits"], got["base"], order)
     print(word_text(result.digits.tolist(), got["base"]))
     if got["dump"]:
         save_digits(got["dump"], result.digits, got["base"], order)
-    return 0
 
 
-def _cmd_count(args, opts: _OptionSet) -> int:
-    got = opts.resolve(args)
-    spec = parse_chain(got["f"], _domain(got["domain"]))
-    report = ngrams.count_stream(
+def _count(got):
+    return ngrams.count_stream(
         ArithEngine(),
-        spec,
+        parse_chain(got["f"], _domain(got["domain"])),
         got["digits"],
         g=got["base"],
         k=got["k"],
@@ -234,33 +208,23 @@ def _cmd_count(args, opts: _OptionSet) -> int:
         eps=got["eps"],
         threads=got["threads"],
     )
-    _emit(report, got["report"])
-    return 0
 
 
-def _cmd_classify(args, opts: _OptionSet) -> int:
-    got = opts.resolve(args)
-    order = _order(got["order"])
+def _classify(got) -> dict:
     eps, k, g, limit = got["eps"], got["k"], got["base"], got["limit"]
     bad = ngrams.classify_checkpoints(eps, k, g, [limit], threads=got["threads"])[0]
-    payload = {
+    return {
         "kind": "classification-report",
         "schema": 1,
         "eps": eps,
         "k": k,
         "g": g,
-        "order": order.value,
+        "order": _order(got["order"]).value,
         "limit": limit,
         "bad_count": bad,
         "bad_fraction": bad / limit,
-        "note": DETERMINISM_NOTE,
+        "note": experiments.DETERMINISM_NOTE,
     }
-    _emit(payload, got["report"])
-    return 0
-
-
-def _checkpoints(got) -> list[int]:
-    return got["checkpoints"] or default_checkpoints(got["limit"])
 
 
 def _single_fn(chain_text: str):
@@ -270,58 +234,35 @@ def _single_fn(chain_text: str):
     return spec.chain[0]
 
 
-def _cmd_exp_fps(args, opts) -> int:
-    got = opts.resolve(args)
-    report = small_lambda_census(ArithEngine(), _checkpoints(got))
-    _emit(report, got["report"])
-    return 0
+def _fps(got, cps):
+    return experiments.small_lambda_census(ArithEngine(), cps)
 
 
-def _cmd_exp_divisor(args, opts) -> int:
-    got = opts.resolve(args)
-    report = divisor_preimage_census(
-        ArithEngine(), _single_fn(got["f"]), got["d"], _checkpoints(got)
+def _divisor(got, cps):
+    return experiments.divisor_preimage_census(ArithEngine(), _single_fn(got["f"]), got["d"], cps)
+
+
+def _omega_tail(got, cps):
+    return experiments.omega_tail_census(ArithEngine(), _single_fn(got["f"]), got["big_k"], cps)
+
+
+def _small_value(got, cps):
+    return experiments.small_value_census(
+        ArithEngine(), parse_chain(got["f"]), cps, theta=got["theta"]
     )
-    _emit(report, got["report"])
-    return 0
 
 
-def _cmd_exp_omega_tail(args, opts) -> int:
-    got = opts.resolve(args)
-    report = omega_tail_census(
-        ArithEngine(), _single_fn(got["f"]), got["big_k"], _checkpoints(got)
-    )
-    _emit(report, got["report"])
-    return 0
+def _thin_preimage(got, cps):
+    thin = _choose(experiments.THIN_SETS, got["set"], "thin set")
+    return experiments.thin_preimage_census(ArithEngine(), _single_fn(got["f"]), thin, cps)
 
 
-def _cmd_exp_small_value(args, opts) -> int:
-    got = opts.resolve(args)
-    report = small_value_census(
-        ArithEngine(), parse_chain(got["f"]), _checkpoints(got), theta=got["theta"]
-    )
-    _emit(report, got["report"])
-    return 0
+def _growth(got):
+    return experiments.growth_hypothesis_check(ArithEngine(), parse_chain(got["f"]), got["limit"])
 
 
-def _cmd_exp_thin_preimage(args, opts) -> int:
-    got = opts.resolve(args)
-    thin = _choose(THIN_SETS, got["set"], "thin set")
-    report = thin_preimage_census(ArithEngine(), _single_fn(got["f"]), thin, _checkpoints(got))
-    _emit(report, got["report"])
-    return 0
-
-
-def _cmd_exp_growth(args, opts) -> int:
-    got = opts.resolve(args)
-    report = growth_hypothesis_check(ArithEngine(), parse_chain(got["f"]), got["limit"])
-    _emit(report, got["report"])
-    return 0
-
-
-def _cmd_exp_non_normal(args, opts) -> int:
-    got = opts.resolve(args)
-    report = non_normality_demo(
+def _non_normal(got):
+    return experiments.non_normality_demo(
         ArithEngine(),
         got["primes"],
         got["k"],
@@ -329,34 +270,24 @@ def _cmd_exp_non_normal(args, opts) -> int:
         num_digits=got["digits"],
         order=_order(got["order"]),
     )
-    _emit(report, got["report"])
-    return 0
 
 
-def _cmd_exp_extremal(args, opts) -> int:
-    got = opts.resolve(args)
-    report = extremal_ratio_report(ArithEngine(), got["limit"])
-    _emit(report, got["report"])
-    return 0
+def _extremal(got):
+    return experiments.extremal_ratio_report(ArithEngine(), got["limit"])
 
 
-def _cmd_exp_domain_density(args, opts) -> int:
-    got = opts.resolve(args)
-    member = _choose(DENSITY_SETS, got["set"], "set")
-    report = restricted_domain_check(member, got["set"], got["exponent"], _checkpoints(got))
-    _emit(report, got["report"])
-    return 0
+def _domain_density(got, cps):
+    member = _choose(experiments.DENSITY_SETS, got["set"], "set")
+    return experiments.restricted_domain_check(member, got["set"], got["exponent"], cps)
 
 
-def _cmd_report(args, opts: _OptionSet) -> int:
-    got = opts.resolve(args)
+def _report(got) -> None:
     payload = reports.read_report(got["in"])
     text = reports.to_csv(payload) if got["format"] == "csv" else reports.canonical_json(payload)
     if got["out"]:
         Path(got["out"]).write_text(text, encoding="ascii")
     else:
         sys.stdout.write(text)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +295,7 @@ def _cmd_report(args, opts: _OptionSet) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_stream_options(opts: _OptionSet, *, census: bool) -> None:
+def _add_stream_options(opts: _OptionSet) -> None:
     opts.add("f", default="id", help="function chain, outermost first (e.g. phi.sigma)")
     opts.add("domain", default="naturals", choices=sorted(_DOMAIN_TOKENS),
              help="index set the chain runs over")
@@ -372,141 +303,131 @@ def _add_stream_options(opts: _OptionSet, *, census: bool) -> None:
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"],
              help="digit order inside each value: most significant first, "
                   "or least significant first (lsf; 'paper' is an alias)")
-    if census:
-        opts.add("k", convert=int, default=1, help="word length")
     opts.add("digits", convert=int, required=True, help="number of stream digits N")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normfreq",
         description="Digit streams of arithmetic-function values and their block statistics.",
     )
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
-    commands.required = True
-    registry: dict = {}
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def declare(container, key, handler, help: str) -> _OptionSet:
-        name = key[1] if isinstance(key, tuple) else key
+    def declare(container, name, run, help, *, report=True) -> _OptionSet:
+        """One subcommand: `main` resolves its options and calls `run`."""
         sub = container.add_parser(name, help=help, description=help)
         opts = _OptionSet(sub)
-        registry[key] = (handler, opts)
+        sub.set_defaults(run=run, opts=opts)
+        if report:
+            opts.add("report", help="write the JSON report here instead of stdout")
         return opts
 
-    # --- stream ---
-    opts = declare(commands, "stream", _cmd_stream,
-                   "print the first N digits of a value stream")
-    _add_stream_options(opts, census=False)
+    opts = declare(commands, "stream", _stream, "print the first N digits of a value stream",
+                   report=False)
+    _add_stream_options(opts)
     opts.add("dump", help="also write the digits to FILE (raw dump with header)")
 
-    # --- count ---
-    opts = declare(commands, "count", _cmd_count, "exact k-gram census of a stream prefix")
-    _add_stream_options(opts, census=True)
+    opts = declare(commands, "count", _count, "exact k-gram census of a stream prefix")
+    _add_stream_options(opts)
+    opts.add("k", convert=int, default=1, help="word length")
     opts.add("eps", convert=float, help="also classify each concatenated value at this eps")
-    opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
-    opts.add("report", help="write the JSON report here instead of stdout")
+    opts.add("threads", convert=parse_threads, default=1,
+             help="worker threads (any value, same output)")
 
-    # --- classify ---
-    opts = declare(commands, "classify", _cmd_classify,
+    opts = declare(commands, "classify", _classify,
                    "count n <= limit failing the strict (eps, k) block test")
     opts.add("eps", convert=float, required=True, help="deviation tolerance")
     opts.add("k", convert=int, default=1, help="word length")
     opts.add("base", convert=int, default=10, help="digit base g >= 2")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
     opts.add("limit", convert=int, required=True, help="classify all n up to this bound")
-    opts.add("threads", convert=_threads, default=1, help="worker threads (any value, same output)")
-    opts.add("report", help="write the JSON report here instead of stdout")
+    opts.add("threads", convert=parse_threads, default=1,
+             help="worker threads (any value, same output)")
 
-    # --- experiment ---
     experiment = commands.add_parser("experiment", help="run one census/report experiment")
-    operations = experiment.add_subparsers(dest="operation", metavar="OP")
-    operations.required = True
+    operations = experiment.add_subparsers(metavar="OP", required=True)
 
-    def census_options(opts: _OptionSet) -> None:
+    def census(name, run, help) -> _OptionSet:
+        """A census at checkpoints: `run(got, checkpoints)` makes its report."""
+        def at_checkpoints(got):
+            return run(got, got["checkpoints"] or experiments.default_checkpoints(got["limit"]))
+
+        opts = declare(operations, name, at_checkpoints, help)
         opts.add("limit", convert=int, required=True, help="largest checkpoint x")
-        opts.add("checkpoints", convert=_parse_checkpoints,
+        opts.add("checkpoints", convert=_int_list,
                  help="comma-separated checkpoints (default: powers of 10 up to limit)")
-        opts.add("report", help="write the JSON report here instead of stdout")
+        return opts
 
-    opts = declare(operations, ("experiment", "fps"), _cmd_exp_fps,
-                   "census of n with a small unit-group exponent: lambda(n) < sqrt(n)")
-    census_options(opts)
+    census("fps", _fps, "census of n with a small unit-group exponent: lambda(n) < sqrt(n)")
 
-    opts = declare(operations, ("experiment", "divisor"), _cmd_exp_divisor,
-                   "census of n with d | a(n), against the divisor-preimage bound")
+    opts = census("divisor", _divisor,
+                  "census of n with d | a(n), against the divisor-preimage bound")
     opts.add("f", required=True, help="one of phi, sigma, lambda")
     opts.add("d", convert=int, required=True, help="required divisor of a(n)")
-    census_options(opts)
 
-    opts = declare(operations, ("experiment", "omega-tail"), _cmd_exp_omega_tail,
-                   "census of n with Omega(a(n)) > K^2 (ratio only, no verdict)")
+    opts = census("omega-tail", _omega_tail,
+                  "census of n with Omega(a(n)) > K^2 (ratio only, no verdict)")
     opts.add("f", required=True, help="one of phi, sigma, lambda")
     opts.add("big-k", convert=int, required=True, help="threshold root K")
-    census_options(opts)
 
-    opts = declare(operations, ("experiment", "small-value"), _cmd_exp_small_value,
-                   "census of n with f(n) < n^(1/2^j), j the chain depth")
+    opts = census("small-value", _small_value,
+                  "census of n with f(n) < n^(1/2^j), j the chain depth")
     opts.add("f", default="id", help="function chain, outermost first")
     opts.add("theta", convert=float, default=1.0 / 3.0,
              help="thinness exponent in x/exp((log x)^theta)")
-    census_options(opts)
 
-    opts = declare(operations, ("experiment", "thin-preimage"), _cmd_exp_thin_preimage,
-                   "census of n with a(n) in a thin set, split by the proof's partition")
+    opts = census("thin-preimage", _thin_preimage,
+                  "census of n with a(n) in a thin set, split by the proof's partition")
     opts.add("f", required=True, help="one of phi, sigma, lambda")
-    opts.add("set", default="powers-of-two", choices=sorted(THIN_SETS),
+    opts.add("set", default="powers-of-two", choices=sorted(experiments.THIN_SETS),
              help="which thin set to census")
-    census_options(opts)
 
-    opts = declare(operations, ("experiment", "growth"), _cmd_exp_growth,
+    opts = declare(operations, "growth", _growth,
                    "average and pointwise growth ratios of log f(m) against log m")
     opts.add("f", default="id", help="function chain, outermost first")
     opts.add("limit", convert=int, required=True, help="largest m scanned")
-    opts.add("report", help="write the JSON report here instead of stdout")
 
-    opts = declare(operations, ("experiment", "non-normal"), _cmd_exp_non_normal,
+    opts = declare(operations, "non-normal", _non_normal,
                    "count the repeating leading block of a prime-part stream")
-    opts.add("primes", convert=_parse_primes, default=(2,),
+    opts.add("primes", convert=_int_list, default=(2,),
              help="comma-separated primes defining the kept part")
     opts.add("k", convert=int, required=True, help="block covers f(1)..f(2^k - 1)")
     opts.add("base", convert=int, default=10, help="digit base g >= 2")
     opts.add("digits", convert=int, default=10**5, help="stream digits scanned N")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
-    opts.add("report", help="write the JSON report here instead of stdout")
 
-    opts = declare(operations, ("experiment", "extremal"), _cmd_exp_extremal,
+    opts = declare(operations, "extremal", _extremal,
                    "extremes of phi(m) loglog m / m and sigma(m) / (m loglog m)")
     opts.add("limit", convert=int, required=True, help="largest m scanned")
-    opts.add("report", help="write the JSON report here instead of stdout")
 
-    opts = declare(operations, ("experiment", "domain-density"), _cmd_exp_domain_density,
-                   "check #(S intersect [1,x]) > x/(log x)^B for a named set S")
-    opts.add("set", required=True, choices=sorted(DENSITY_SETS), help="which set S to check")
+    opts = census("domain-density", _domain_density,
+                  "check #(S intersect [1,x]) > x/(log x)^B for a named set S")
+    opts.add("set", required=True, choices=sorted(experiments.DENSITY_SETS),
+             help="which set S to check")
     opts.add("exponent", convert=float, default=1.0, help="density exponent B")
-    census_options(opts)
 
-    # --- report ---
-    opts = declare(commands, "report", _cmd_report,
-                   "project a stored JSON report to CSV (or re-emit canonical JSON)")
+    opts = declare(commands, "report", _report,
+                   "project a stored JSON report to CSV (or re-emit canonical JSON)", report=False)
     opts.add("in", required=True, help="JSON report file to read")
     opts.add("format", default="csv", choices=["csv", "json"], help="output format")
     opts.add("out", help="write here instead of stdout")
 
-    return parser, registry
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, registry = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-    if args.command == "experiment":
-        handler, opts = registry[("experiment", args.operation)]
-    else:
-        handler, opts = registry[args.command]
     try:
-        return handler(args, opts)
+        got = args.opts.resolve(args)
+        report = args.run(got)
+        if report is not None and got["report"]:
+            reports.write_report(report, got["report"])
+        elif report is not None:
+            sys.stdout.write(reports.canonical_json(report))
+        return 0
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

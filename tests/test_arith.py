@@ -488,6 +488,16 @@ def test_big_omega_table_matches_pointwise(engine):
         assert int(tab[n]) == sum(e for _, e in oracle_factor(n))
 
 
+def test_big_omega_table_is_cached_until_a_larger_limit():
+    eng = arith.ArithEngine()
+    small = eng.big_omega_table(1000)
+    assert np.shares_memory(eng.big_omega_table(500), small)
+    big = eng.big_omega_table(5000)
+    assert not np.shares_memory(big, small)
+    assert np.array_equal(big[:1001], small)
+    assert np.shares_memory(eng.big_omega_table(1000), big)
+
+
 @pytest.mark.parametrize(
     "chain",
     [(arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.RADICAL,), (arith.TWO_SQUARES,),

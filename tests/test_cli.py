@@ -16,10 +16,18 @@ from pathlib import Path
 import pytest
 
 from normfreq import cli, experiments, ngrams, reports, words
-from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, ArithEngine, phi
+from normfreq.arith import (
+    LAMBDA,
+    NATURALS,
+    PHI,
+    PRIMES,
+    SIGMA,
+    ArithEngine,
+    CompositionSpec,
+    phi,
+)
 from normfreq.errors import UnknownFunctionError
-from normfreq.experiments import small_lambda_census
-from normfreq.words import digits_of, is_eps_k_normal, load_digits
+from normfreq.words import LSF, digits_of, is_eps_k_normal, load_digits
 
 
 def run(capsys, *argv):
@@ -296,11 +304,44 @@ def test_count_wide_window_codes_exit_code(capsys):
 # --- experiments through the CLI ---
 
 
-def test_experiment_fps_matches_library(capsys):
-    code, out, _ = run(capsys, "experiment", "fps", "--limit", "1000")
+@pytest.mark.parametrize(
+    "argv,library",
+    [
+        pytest.param(argv, library, id=argv[0])
+        for argv, library in [
+            (["fps", "--limit", "1000"],
+             lambda e: experiments.small_lambda_census(e, [100, 1000])),
+            (["divisor", "--f", "sigma", "--d", "12", "--limit", "1000"],
+             lambda e: experiments.divisor_preimage_census(e, SIGMA, 12, [100, 1000])),
+            (["omega-tail", "--f", "lambda", "--big-k", "2", "--limit", "1000",
+              "--checkpoints", "10,500,1000"],
+             lambda e: experiments.omega_tail_census(e, LAMBDA, 2, [10, 500, 1000])),
+            (["small-value", "--f", "phi.phi", "--theta", "0.5", "--limit", "1000"],
+             lambda e: experiments.small_value_census(e, CompositionSpec((PHI, PHI)),
+                                                      [100, 1000], theta=0.5)),
+            (["thin-preimage", "--f", "phi", "--set", "squares", "--limit", "1000"],
+             lambda e: experiments.thin_preimage_census(e, PHI, experiments.THIN_SETS["squares"],
+                                                        [100, 1000])),
+            (["growth", "--f", "phi.sigma", "--limit", "1000"],
+             lambda e: experiments.growth_hypothesis_check(e, CompositionSpec((PHI, SIGMA)),
+                                                           1000)),
+            (["non-normal", "--primes", "2,3", "--k", "4", "--base", "9", "--digits", "3000",
+              "--order", "lsf"],
+             lambda e: experiments.non_normality_demo(e, (2, 3), 4, g=9, num_digits=3000,
+                                                      order=LSF)),
+            (["extremal", "--limit", "1000"],
+             lambda e: experiments.extremal_ratio_report(e, 1000)),
+            (["domain-density", "--set", "squares", "--exponent", "2", "--limit", "1000"],
+             lambda e: experiments.restricted_domain_check(experiments.DENSITY_SETS["squares"],
+                                                           "squares", 2.0, [100, 1000])),
+        ]
+    ],
+)
+def test_experiment_matches_library(capsys, argv, library):
+    # every experiment operation is wired to its library call, options and all
+    code, out, _ = run(capsys, "experiment", *argv)
     assert code == 0
-    expected = small_lambda_census(ArithEngine(), [100, 1000])
-    assert out == reports.canonical_json(expected)
+    assert out == reports.canonical_json(library(ArithEngine()))
 
 
 def test_experiment_fps_custom_checkpoints(capsys):
@@ -555,3 +596,5 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12345678910111213\n"
+    # the package root does not import cli, so runpy has nothing to warn about
+    assert proc.stderr == ""

@@ -208,6 +208,26 @@ def test_omega_tail_census_zero_for_huge_threshold(engine):
     assert rep.rows[0].count == 0
 
 
+def test_omega_tail_builds_the_omega_table_once(monkeypatch):
+    engine = arith.ArithEngine()
+    cps = [100, 1000, 5000]
+    engine.value_table(SIGMA, cps[-1])  # warm, so only the Omega table sieves below
+    limits = []
+    prime_powers = arith._prime_powers
+
+    def counted(primes, limit):
+        limits.append(limit)
+        return prime_powers(primes, limit)
+
+    monkeypatch.setattr(arith, "_prime_powers", counted)
+    cached = [experiments.omega_tail_census(engine, SIGMA, k, cps) for k in (1, 2, 3)]
+    assert len(limits) == 1
+    monkeypatch.undo()
+    for k, rep in zip((1, 2, 3), cached):
+        fresh = experiments.omega_tail_census(arith.ArithEngine(), SIGMA, k, cps)
+        assert reports.canonical_json(rep) == reports.canonical_json(fresh)
+
+
 # ---------------------------------------------------------------------------
 # small-value census
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ each window into the complete/boundary/tail bucket by definition.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,3 +366,34 @@ def test_fit_meager_exponent_degenerate():
         ngrams.fit_meager_exponent([10, 100], [0, 5])
     with pytest.raises(ValueError):
         ngrams.fit_meager_exponent([10], [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# convergence trend script
+# ---------------------------------------------------------------------------
+
+
+def run_trend(*argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_trend.py"
+    # the child imports the same package as this process, installed or from src/
+    src = str(Path(ngrams.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(script), *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_convergence_trend_is_deterministic_across_runs_and_threads():
+    # at 10^5 the classifier runs two fixed blocks, so two threads split the work
+    runs = [run_trend("--max", "5", "--threads", t) for t in ("1", "1", "2")]
+    assert [proc.returncode for proc in runs] == [0, 0, 0]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    payload = json.loads(runs[0].stdout)
+    assert payload["kind"] == "convergence-trend"
+    assert [d["N"] for d in payload["deviations"]] == [100, 1000, 10_000, 100_000]
+
+
+def test_convergence_trend_threads_zero_exits_before_any_work():
+    proc = run_trend("--max", "5", "--threads", "0")
+    assert proc.returncode == 2
+    assert "threads must be >= 1" in proc.stderr
+    assert "N=10^" not in proc.stderr and proc.stdout == ""
