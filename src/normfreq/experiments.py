@@ -455,6 +455,7 @@ class BlockRepetitionReport:
     primes: tuple[int, ...]
     k: int
     g: int
+    order: str
     num_digits: int
     block: str
     block_len: int
@@ -475,6 +476,7 @@ class BlockRepetitionReport:
             "primes": list(self.primes),
             "k": self.k,
             "g": self.g,
+            "order": self.order,
             "N": self.num_digits,
             "block": self.block,
             "block_len": self.block_len,
@@ -528,6 +530,7 @@ def non_normality_demo(
         primes=tuple(sorted(fn.primes)),
         k=k,
         g=g,
+        order=order.value,
         num_digits=num_digits,
         block=word_text(block_digits, g),
         block_len=len(block_digits),

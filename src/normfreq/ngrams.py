@@ -28,6 +28,7 @@ import numpy as np
 from . import words as words_mod
 from .arith import ArithEngine, CompositionSpec
 from .errors import CapacityError, DegenerateInputError
+from .reports import ArrayMap
 from .words import MSF, DigitOrder, word_texts
 
 # dense count tables are used while g^k stays at or below this
@@ -69,7 +70,8 @@ def blocked_map(
 
 @dataclass(frozen=True)
 class FrequencyReport:
-    """Exact k-gram census of an N-digit stream prefix."""
+    """Exact k-gram census of an N-digit stream prefix; each tally maps a
+    word's text to its count."""
 
     spec: str
     g: int
@@ -80,21 +82,20 @@ class FrequencyReport:
     consumed_of_final: int
     flush: bool
     window_count: int
-    counts: dict[str, int]
-    complete_counts: dict[str, int]
-    boundary_counts: dict[str, int]
-    tail_counts: dict[str, int]
+    counts: ArrayMap
+    complete_counts: ArrayMap
+    boundary_counts: ArrayMap
+    tail_counts: ArrayMap
     boundary_total: int
     tail_total: int
     max_dev: float
     eps: Optional[float] = None
     bad_count: Optional[int] = None
 
-    def freqs(self) -> dict[str, float]:
-        if self.window_count <= 0:
-            return {}
-        share = {c: c / self.window_count for c in set(self.counts.values())}
-        return dict(zip(self.counts, map(share.__getitem__, self.counts.values())))
+    def freqs(self) -> ArrayMap:
+        """count / windows for each word.  Counts and windows stay below
+        2^53, so float64 division rounds exactly as Python's int / int."""
+        return ArrayMap(self.counts.key_text, self.counts.value_array / self.window_count)
 
     def to_dict(self) -> dict:
         return {
@@ -205,9 +206,9 @@ def count_stream(
     total = tables.sum(axis=0)
     labels = word_texts(codes, g, k)
 
-    def to_counts(table):
+    def tally(table):
         live = table > 0
-        return dict(zip(labels[live].tolist(), table[live].tolist()))
+        return ArrayMap(labels[live], table[live])
 
     max_dev = 0.0
     if windows > 0:
@@ -235,10 +236,10 @@ def count_stream(
         consumed_of_final=res.consumed_of_final,
         flush=flush,
         window_count=windows,
-        counts=to_counts(total),
-        complete_counts=to_counts(complete),
-        boundary_counts=to_counts(boundary),
-        tail_counts=to_counts(tail),
+        counts=tally(total),
+        complete_counts=tally(complete),
+        boundary_counts=tally(boundary),
+        tail_counts=tally(tail),
         boundary_total=int(boundary.sum()),
         tail_total=int(tail.sum()),
         max_dev=max_dev,

@@ -1,12 +1,13 @@
 """Canonical JSON emission and CSV projections for report payloads.
 
-Every report in this package serializes through `to_dict()` into a plain
-dict tagged with a "kind" key.  This module owns the byte layout: JSON is
-written with sorted keys, two-space indent, ASCII escapes and a trailing
-newline, so equal payloads produce equal files.  One writer,
-`canonical_json`, produces it.  CSV is a lossy projection
-of the JSON (headers per kind below); round-tripping through a JSON file
-and projecting gives the same bytes as projecting the live object.
+Every report in this package serializes through `to_dict()` into a dict
+tagged with a "kind" key, whose values are JSON scalars, lists, dicts and,
+for the k-gram tallies, `ArrayMap`s.  This module owns the byte layout:
+JSON is written with sorted keys, two-space indent, ASCII escapes and a
+trailing newline, so equal payloads produce equal files.  One writer,
+`canonical_json`, produces it.  CSV is a lossy projection of the JSON
+(headers per kind below); round-tripping through a JSON file and
+projecting gives the same bytes as projecting the live object.
 """
 
 from __future__ import annotations
@@ -14,8 +15,78 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import ItemsView, Mapping
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Iterator
+
+import numpy as np
+
+
+class ArrayMap(Mapping):
+    """A read-only str -> int or str -> float map held as two aligned arrays.
+
+    `key_text` is an `S` array of keys made of bytes that JSON writes
+    unescaped, unique and in increasing byte order (which is str order);
+    `value_array` is int64 or float64.  Construction sorts keys that are
+    not yet sorted.  `canonical_json` writes the map from the arrays,
+    without a Python object per entry.
+    """
+
+    __slots__ = ("key_text", "value_array")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        keys = np.ascontiguousarray(keys)
+        values = np.asarray(values)
+        if keys.dtype.kind != "S" or keys.ndim != 1 or keys.shape != values.shape:
+            raise ValueError("keys must be a 1-d bytes array aligned with the values")
+        if values.dtype != np.int64 and values.dtype != np.float64:
+            raise TypeError(f"values must be int64 or float64, not {values.dtype}")
+        # keys hold only the bytes JSON writes unescaped: printable ASCII
+        # other than the quote and the backslash.  numpy pads short keys
+        # with NUL, so a NUL may be followed only by NUL within a key.
+        raw = keys.view(np.uint8)
+        nul = raw == 0
+        plain = (raw >= 0x20) & (raw < 0x7F) & (raw != 0x22) & (raw != 0x5C)
+        inner_nul = nul[:-1] & ~nul[1:]
+        inner_nul[keys.itemsize - 1 :: keys.itemsize] = False  # the next key's first byte
+        if not (plain | nul).all() or inner_nul.any():
+            raise ValueError("keys must be printable ASCII without quotes or backslashes")
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+            if not (keys[1:] > keys[:-1]).all():
+                raise ValueError("keys must be unique")
+        self.key_text = keys
+        self.value_array = values
+
+    def __getitem__(self, key: str) -> int | float:
+        if isinstance(key, str) and key.isascii():
+            text = key.encode("ascii")
+            i = int(np.searchsorted(self.key_text, text))
+            if i < len(self.key_text) and self.key_text[i] == text:
+                return self.value_array[i].item()
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.key_text.astype(str).tolist())
+
+    def __len__(self) -> int:
+        return len(self.key_text)
+
+    def items(self) -> ItemsView[str, int | float]:
+        # one pass over the arrays, not a search per key
+        return dict(zip(self, self.value_array.tolist())).items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ArrayMap):
+            return np.array_equal(self.key_text, other.key_text) and np.array_equal(
+                self.value_array, other.value_array
+            )
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"ArrayMap({dict(zip(self, self.value_array.tolist()))!r})"
+
 
 def _payload(report: Any) -> dict:
     if isinstance(report, dict):
@@ -30,8 +101,9 @@ def canonical_json(report: Any) -> str:
     """Deterministic JSON text for a report object or payload dict.
 
     The bytes are those of `json.dumps(payload, sort_keys=True, indent=2,
-    ensure_ascii=True)` plus a newline.  Maps of str to int or to finite
-    float (the k-gram tallies and frequencies) are written line by line;
+    ensure_ascii=True)` plus a newline, with each `ArrayMap` written as
+    the dict it equals.  Maps of str to int or to finite nonzero float,
+    array-backed or plain, are written by one array line builder;
     everything else follows json's own scalar rules.
     """
     out: list[str] = []
@@ -79,22 +151,54 @@ def _key_text(key: Any) -> str:
     return text
 
 
-def _flat_map_lines(obj: dict, indent: str) -> list[str] | None:
-    """The item lines of a str -> int or str -> finite float map, or None
-    for any other dict.  Float text is made once per distinct value."""
-    if set(map(type, obj)) != {str}:
-        return None
-    value_types = set(map(type, obj.values()))
-    if value_types == {int}:
-        return [f"{indent}{_quote(key)}: {value}" for key, value in sorted(obj.items())]
-    if value_types == {float}:
-        distinct = set(obj.values())
-        # 0.0 and -0.0 are one set entry but two texts
-        if 0.0 in distinct or not all(map(math.isfinite, distinct)):
+def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
+    """Escaped key bytes and int64 or float64 values, in key order, of a
+    str -> int (within int64) or str -> finite float map; None for any
+    other map.  A float map holding 0.0 or -0.0 is also None: the two are
+    one distinct value with two texts."""
+    if isinstance(obj, ArrayMap):
+        keys, values = obj.key_text, obj.value_array
+    else:
+        if set(map(type, obj)) != {str}:
             return None
-        text = {value: float.__repr__(value) for value in distinct}
-        return [f"{indent}{_quote(key)}: {text[value]}" for key, value in sorted(obj.items())]
-    return None
+        value_types = set(map(type, obj.values()))
+        if value_types == {int}:
+            if not -(1 << 63) <= min(obj.values()) <= max(obj.values()) < 1 << 63:
+                return None
+            dtype = np.int64
+        elif value_types == {float}:
+            dtype = np.float64
+        else:
+            return None
+        items = sorted(obj.items())
+        keys = np.array([_quote(key)[1:-1] for key, _ in items], dtype="S")
+        values = np.array([value for _, value in items], dtype=dtype)
+    if values.dtype == np.float64 and not (values.all() and np.isfinite(values).all()):
+        return None
+    return keys, values
+
+
+def _item_lines(keys: np.ndarray, values: np.ndarray, indent: str) -> str:
+    """`indent "key": value` for each entry, joined by ",".
+
+    Each distinct value is formatted once.  The lines are built as the
+    rows of one NUL-padded byte block; canonical ASCII JSON holds no NUL
+    byte, so dropping every NUL leaves the text."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    text = int.__repr__ if values.dtype == np.int64 else float.__repr__
+    table = np.array([text(value) for value in distinct.tolist()], dtype="S")
+    parts = [(indent + '"').encode("ascii"), keys, b'": ', table[inverse], b","]
+    widths = [part.itemsize if isinstance(part, np.ndarray) else len(part) for part in parts]
+    block = np.zeros((len(keys), sum(widths)), dtype=np.uint8)
+    col = 0
+    for part, width in zip(parts, widths):
+        if isinstance(part, np.ndarray):
+            part = part.view(np.uint8).reshape(len(keys), width)
+        else:
+            part = np.frombuffer(part, dtype=np.uint8)
+        block[:, col : col + width] = part
+        col += width
+    return block[block != 0].tobytes()[:-1].decode("ascii")
 
 
 def _write(obj: Any, newline: str, out: list[str]) -> None:
@@ -115,14 +219,14 @@ def _write(obj: Any, newline: str, out: list[str]) -> None:
             sep = "," + inner
             _write(item, inner, out)
         out.append(newline + "]")
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, ArrayMap)):
         if not obj:
             out.append("{}")
             return
         out.append("{")
-        lines = _flat_map_lines(obj, inner)
-        if lines is not None:
-            out.append(",".join(lines))
+        flat = _flat_arrays(obj)
+        if flat is not None:
+            out.append(_item_lines(*flat, inner))
         else:
             sep = inner
             for key, value in sorted(obj.items()):
@@ -177,12 +281,11 @@ def census_csv(payload: dict) -> str:
 
 def kgram_csv(payload: dict) -> str:
     windows = payload["windows"]
-    complete = payload["complete_counts"]
-    boundary = payload["boundary_counts"]
-    tail = payload["tail_counts"]
+    complete, boundary, tail = (
+        dict(payload[name].items()) for name in ("complete_counts", "boundary_counts", "tail_counts")
+    )
     lines = ["word,count,complete,boundary,tail,freq"]
-    for word in sorted(payload["counts"]):
-        count = payload["counts"][word]
+    for word, count in sorted(payload["counts"].items()):
         freq = count / windows if windows else 0.0
         lines.append(
             ",".join(
@@ -228,6 +331,7 @@ def block_repetition_csv(payload: dict) -> str:
             "primes",
             "k",
             "g",
+            "order",
             "N",
             "block",
             "block_len",

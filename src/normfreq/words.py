@@ -43,12 +43,13 @@ def word_text(digits: Sequence[int], g: int) -> str:
 
 def word_texts(codes: np.ndarray, g: int, k: int) -> np.ndarray:
     """`word_text` of each k-digit word code (most significant digit first)
-    as an array of str, with no per-word Python work for g <= 10."""
+    as an array of ASCII bytes (`S` dtype), with no per-word Python work
+    for g <= 10."""
     codes = np.asarray(codes, dtype=np.int64)
     digits = codes[:, None] // g ** np.arange(k - 1, -1, -1, dtype=np.int64) % g
     if g <= 10:
-        return (digits.astype(np.uint8) + 48).view(f"S{k}").ravel().astype(f"U{k}")
-    return np.array([word_text(row, g) for row in digits.tolist()], dtype=str)
+        return (digits.astype(np.uint8) + 48).view(f"S{k}").ravel()
+    return np.array([word_text(row, g) for row in digits.tolist()], dtype="S")
 
 
 def digit_length(n: int, g: int = 10) -> int:

@@ -6,6 +6,7 @@ goes through a real subprocess to make sure the module entry point is
 wired up.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -149,8 +150,31 @@ def test_count_report_bytes_match_json_dumps(tmp_path, chain, domain, k, digits)
                      "--digits", str(digits), "--report", str(path)]) == 0
     spec = cli.parse_chain(chain, {"naturals": NATURALS, "primes": PRIMES}[domain])
     payload = ngrams.count_stream(ArithEngine(), spec, digits, k=k).to_dict()
-    want = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    plain = {key: dict(value) if isinstance(value, reports.ArrayMap) else value
+             for key, value in payload.items()}
+    want = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     assert path.read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "argv,sha256",
+    [
+        (["--f", "id", "--domain", "primes", "--k", "6"],
+         "856349b826979e261a19583c6fd314b3f5f2cc73aaf5328bbdd61260246b68b0"),
+        (["--f", "phi", "--domain", "naturals", "--k", "2", "--base", "16", "--order", "lsf"],
+         "a2400fcbdb1f5139e97f0394f7ba60e2af93a414fc0041caa63b4a319bd82678"),
+        (["--f", "sigma.phi", "--domain", "naturals", "--k", "3", "--eps", "0.1"],
+         "81d6c148fbcb35d234c67a706113c8db9e4fdc2ab8d68bd4e68fcdccf0020164"),
+        (["--f", "lambda", "--domain", "primes", "--k", "12", "--base", "2"],
+         "6a78328c1fb8db2e37ecdbb5aff31a9c783499835d41d407044320151ebbe268"),
+    ],
+    ids=["primes-k6", "phi-base16-lsf", "sigma.phi-eps", "lambda-base2-k12"],
+)
+def test_count_report_golden_bytes(tmp_path, argv, sha256):
+    # the hashes of these report files as the dict-backed writer wrote them
+    path = tmp_path / "report.json"
+    assert cli.main(["count", *argv, "--digits", "100000", "--report", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_count_report_file_equals_stdout(tmp_path, capsys):
@@ -517,6 +541,16 @@ def test_report_json_reemits_same_bytes(census_file, capsys):
     code, out, _ = run(capsys, "report", "--in", str(census_file), "--format", "json")
     assert code == 0
     assert out == census_file.read_text()
+
+
+def test_report_json_reemits_kgram_report_bytes(tmp_path, capsys):
+    # the re-read report holds plain dicts, written by the same line builder
+    path = tmp_path / "count.json"
+    assert cli.main(["count", "--f", "id", "--domain", "primes", "--k", "6",
+                     "--digits", "100000", "--report", str(path)]) == 0
+    code, out, _ = run(capsys, "report", "--in", str(path), "--format", "json")
+    assert code == 0
+    assert out == path.read_text()
 
 
 def test_report_out_file(census_file, tmp_path, capsys):

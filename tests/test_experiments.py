@@ -17,6 +17,7 @@ import pytest
 
 from normfreq import arith, experiments, reports
 from normfreq.arith import LAMBDA, PHI, SIGMA, CompositionSpec
+from normfreq.words import LSF, MSF
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +512,19 @@ def test_block_demo_two_primes(engine):
     assert rep.block == "123"
     assert rep.period_modulus == 36
     assert rep.observed >= rep.period_count > 0
+
+
+def test_block_demo_names_its_digit_order(engine):
+    # base 9 writes f(9) = 9 as 10 (msf) or 01 (lsf), and f(12) = 12 as 13 or 31
+    lsf, msf = (
+        experiments.non_normality_demo(engine, [2, 3], 4, g=9, num_digits=3000, order=order)
+        for order in (LSF, MSF)
+    )
+    assert lsf.block == "12341618012131123"
+    assert msf.block == "12341618102113123"
+    assert lsf.to_dict()["order"] == "lsf" and msf.to_dict()["order"] == "msf"
+    assert "order,lsf" in reports.to_csv(lsf).splitlines()
+    assert "order,msf" in reports.to_csv(msf).splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ prefix digit by digit, tag each position with its word index, and put
 each window into the complete/boundary/tail bucket by definition.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -61,6 +62,13 @@ def oracle_census(word_digits, num_digits, k):
 
 def as_text(d, g):
     return {words.word_text(w, g): c for w, c in d.items()}
+
+
+def json_dumps_text(rep):
+    """The report as `json.dumps` writes it, every ArrayMap turned into a dict."""
+    payload = {key: dict(value) if isinstance(value, reports.ArrayMap) else value
+               for key, value in rep.to_dict().items()}
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,7 @@ def test_count_stream_fewer_digits_than_k(engine, monkeypatch, dense_limit):
     assert rep.counts == rep.complete_counts == rep.boundary_counts == rep.tail_counts == {}
     assert rep.freqs() == {}
     assert rep.max_dev == 0.0
+    assert reports.canonical_json(rep) == json_dumps_text(rep)
 
 
 def test_count_stream_sparse_matches_dense(engine, monkeypatch):
@@ -202,27 +211,31 @@ def test_count_stream_sparse_matches_dense(engine, monkeypatch):
     assert dense.to_dict() == sparse.to_dict()
 
 
-@pytest.mark.parametrize(
-    "g,k", [(g, k) for g in (2, 3, 10, 16, 300) for k in (1, 2, 3) if g**k <= 10**5]
-)
+@pytest.mark.parametrize("g,k", [(g, k) for g in (2, 3, 10, 16, 300) for k in (1, 2, 3)])
 @pytest.mark.parametrize("order", [MSF, LSF])
 @pytest.mark.parametrize("flush", [True, False])
 def test_count_stream_sparse_and_dense_reports_are_byte_identical(
     engine, monkeypatch, g, k, order, flush
 ):
     # above g = 10 the dotted labels sort apart from the codes; small
-    # chunks make both branches merge several chunk tallies
+    # chunks make both branches merge several chunk tallies.  Both
+    # reports are also written exactly as json.dumps writes their dicts,
+    # and project to the CSV of their JSON file.
     monkeypatch.setattr(ngrams, "_CHUNK", 97)
     spec = arith.CompositionSpec((arith.PHI,))
     num = 600
     while words.truncate(engine, spec, num, g, order).flush != flush:
         num += 1
-    monkeypatch.setattr(ngrams, "DENSE_LIMIT", g**k)
-    dense = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order)
     monkeypatch.setattr(ngrams, "DENSE_LIMIT", 0)
     sparse = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order)
-    assert dense.flush == sparse.flush == flush
-    assert reports.canonical_json(dense) == reports.canonical_json(sparse)
+    assert sparse.flush == flush
+    assert isinstance(sparse.counts, reports.ArrayMap)
+    assert reports.canonical_json(sparse) == json_dumps_text(sparse)
+    assert reports.to_csv(sparse) == reports.to_csv(json.loads(json_dumps_text(sparse)))
+    if g**k <= 10**5:  # a dense table of 300^3 int64 tallies is too large here
+        monkeypatch.setattr(ngrams, "DENSE_LIMIT", g**k)
+        dense = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order)
+        assert reports.canonical_json(dense) == reports.canonical_json(sparse)
 
 
 @pytest.mark.parametrize("dense_limit", [ngrams.DENSE_LIMIT, 0])
@@ -261,11 +274,31 @@ def test_count_stream_report_json_stable(engine):
     spec = arith.CompositionSpec((arith.LAMBDA,))
     a = ngrams.count_stream(engine, spec, 600, g=10, k=2, eps=0.3)
     b = ngrams.count_stream(engine, spec, 600, g=10, k=2, eps=0.3)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert reports.canonical_json(a) == reports.canonical_json(b)
     d = a.to_dict()
     for key in ("N", "n", "g", "k", "order", "freqs", "max_dev", "boundary", "tail", "bad_count"):
         assert key in d
     assert d["N"] == 600 and d["g"] == 10 and d["k"] == 2
+
+
+def test_freqs_round_as_python_division(engine):
+    # counts and windows between 2^52 and 2^53: every int is a float64,
+    # so one correctly rounded division gives Python's c / w
+    rng = np.random.default_rng(5)
+    windows = 2**53 - 12345
+    counts = rng.integers(2**52, windows, size=3000, dtype=np.int64)
+    labels = np.array([b"%04d" % i for i in range(len(counts))])
+    rep = dataclasses.replace(
+        ngrams.count_stream(engine, arith.CompositionSpec(), 50, k=1),
+        window_count=windows,
+        counts=reports.ArrayMap(labels, counts),
+    )
+    freqs = rep.freqs()
+    assert list(freqs) == [label.decode() for label in labels.tolist()]
+    assert [float.__repr__(f) for f in freqs.values()] == [
+        float.__repr__(c / windows) for c in counts.tolist()
+    ]
+    assert reports.canonical_json(rep) == json_dumps_text(rep)
 
 
 def test_count_stream_rejects_codes_beyond_int64(engine):

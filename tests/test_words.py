@@ -114,7 +114,8 @@ def test_word_texts_match_word_text(g, k):
         return [(code // g**j) % g for j in range(k - 1, -1, -1)]
 
     got = words.word_texts(codes, g, k)
-    assert got.tolist() == [words.word_text(decode(c), g) for c in codes.tolist()]
+    assert got.dtype.kind == "S"
+    assert got.tolist() == [words.word_text(decode(c), g).encode("ascii") for c in codes.tolist()]
     assert words.word_texts(np.empty(0, dtype=np.int64), g, k).tolist() == []
 
 
