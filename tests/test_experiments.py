@@ -5,6 +5,7 @@ bulk-table machinery; frozen literals below were recorded from those
 scans and guard against regressions.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -628,3 +629,8 @@ def test_census_battery_files_match_across_runs(tmp_path):
         runs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert len(runs[0]) == 36
     assert runs[0] == runs[1]
+    # one digest over the files in name order, each as name, NUL, bytes
+    digest = hashlib.sha256()
+    for name in sorted(runs[0]):
+        digest.update(name.encode("ascii") + b"\0" + runs[0][name])
+    assert digest.hexdigest() == "93074736b1f0db0b38ddc5d82a724d60b916c774be6eb3e91b1d2be85009eb6b"
