@@ -149,6 +149,8 @@ def count_stream(
         raise CapacityError(
             f"g**k = {size} window codes do not fit int64 (g={g}, k={k})"
         )
+    if eps is not None:
+        words_mod.check_eps(eps)
     res = words_mod.truncate(engine, spec, num_digits, g, order)
     digits, lengths, final_index = res.digits, res.lengths, res.final_index
     flush = res.flush

@@ -5,15 +5,16 @@ tagged with a "kind" key, whose values are JSON scalars, lists, dicts and,
 for the k-gram tallies, `ArrayMap`s.  This module owns the byte layout:
 JSON is written with sorted keys, two-space indent, ASCII escapes and a
 trailing newline, so equal payloads produce equal files.  One writer,
-`canonical_json`, produces it.  CSV is a lossy projection of the JSON
-(headers per kind below); round-tripping through a JSON file and
-projecting gives the same bytes as projecting the live object.
+`canonical_json`, produces it: `json.dumps` writes everything except the
+top-level flat maps, whose lines come from one array row builder, the
+same one that writes the k-gram CSV rows.  CSV is a lossy projection of
+the JSON (headers per kind below); round-tripping through a JSON file
+and projecting gives the same bytes as projecting the live object.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import ItemsView, Mapping
 from json.encoder import encode_basestring_ascii as _quote
@@ -28,8 +29,8 @@ class ArrayMap(Mapping):
     `key_text` is an `S` array of keys made of bytes that JSON writes
     unescaped, unique and in increasing byte order (which is str order);
     `value_array` is int64 or float64.  Construction sorts keys that are
-    not yet sorted.  `canonical_json` writes the map from the arrays,
-    without a Python object per entry.
+    not yet sorted.  At the top level of a payload, `canonical_json`
+    writes the map from the arrays, without a Python object per entry.
     """
 
     __slots__ = ("key_text", "value_array")
@@ -102,53 +103,37 @@ def canonical_json(report: Any) -> str:
 
     The bytes are those of `json.dumps(payload, sort_keys=True, indent=2,
     ensure_ascii=True)` plus a newline, with each `ArrayMap` written as
-    the dict it equals.  Maps of str to int or to finite nonzero float,
-    array-backed or plain, are written by one array line builder;
-    everything else follows json's own scalar rules.
+    the dict it equals.  json writes everything except the top-level
+    flat maps (str to int64 or to finite nonzero float, array-backed or
+    plain), whose lines come from the array row builder.
     """
-    out: list[str] = []
-    _write(_payload(report), "\n", out)
-    out.append("\n")
+    payload = _payload(report)
+    if not all(isinstance(key, str) for key in payload):
+        return _dumps(payload) + "\n"
+    out = []
+    sep = "{"
+    for key in sorted(payload):
+        value = payload[key]
+        out.append(f"{sep}\n  {_quote(key)}: ")
+        sep = ","
+        flat = _flat_arrays(value) if isinstance(value, (dict, ArrayMap)) and value else None
+        if flat is not None:
+            out += ["{", _item_lines(*flat, "\n    "), "\n  }"]
+        else:
+            # ASCII JSON holds no raw newline, so every one starts a line
+            out.append(_dumps(value).replace("\n", "\n  "))
+    out.append("\n}\n" if out else "{}\n")
     return "".join(out)
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+def _as_dict(value: Any) -> dict:
+    if isinstance(value, ArrayMap):
+        return dict(value.items())
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _scalar_text(value: Any) -> str | None:
-    """json's text for a str, None, bool, int or float; None otherwise."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key: Any) -> str:
-    """A dict key as json converts it to str, before quoting."""
-    if isinstance(key, str):
-        return key
-    text = _scalar_text(key)
-    if text is None:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-        )
-    return text
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, default=_as_dict)
 
 
 def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
@@ -178,64 +163,36 @@ def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
     return keys, values
 
 
-def _item_lines(keys: np.ndarray, values: np.ndarray, indent: str) -> str:
-    """`indent "key": value` for each entry, joined by ",".
-
-    Each distinct value is formatted once.  The lines are built as the
-    rows of one NUL-padded byte block; canonical ASCII JSON holds no NUL
-    byte, so dropping every NUL leaves the text."""
+def _value_text(values: np.ndarray) -> np.ndarray:
+    """The `S` text of each int64 or finite float64 value, as json writes
+    it; each distinct value is formatted once."""
     distinct, inverse = np.unique(values, return_inverse=True)
     text = int.__repr__ if values.dtype == np.int64 else float.__repr__
-    table = np.array([text(value) for value in distinct.tolist()], dtype="S")
-    parts = [(indent + '"').encode("ascii"), keys, b'": ', table[inverse], b","]
+    return np.array([text(value) for value in distinct.tolist()], dtype="S")[inverse]
+
+
+def _rows(parts: list, count: int) -> str:
+    """`count` rows, each the concatenation of `parts`: `S` arrays of
+    `count` entries and byte constants.  The rows are built as one
+    NUL-padded byte block; the text holds no NUL byte, so dropping every
+    NUL leaves it."""
     widths = [part.itemsize if isinstance(part, np.ndarray) else len(part) for part in parts]
-    block = np.zeros((len(keys), sum(widths)), dtype=np.uint8)
+    block = np.zeros((count, sum(widths)), dtype=np.uint8)
     col = 0
     for part, width in zip(parts, widths):
         if isinstance(part, np.ndarray):
-            part = part.view(np.uint8).reshape(len(keys), width)
+            part = part.view(np.uint8).reshape(count, width)
         else:
             part = np.frombuffer(part, dtype=np.uint8)
         block[:, col : col + width] = part
         col += width
-    return block[block != 0].tobytes()[:-1].decode("ascii")
+    return str(block[block != 0].data, "ascii")
 
 
-def _write(obj: Any, newline: str, out: list[str]) -> None:
-    """Append the text of `obj` at the indentation that `newline` ends in."""
-    text = _scalar_text(obj)
-    if text is not None:
-        out.append(text)
-        return
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        sep = inner
-        for item in obj:
-            out.append(sep)
-            sep = "," + inner
-            _write(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(obj, (dict, ArrayMap)):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        flat = _flat_arrays(obj)
-        if flat is not None:
-            out.append(_item_lines(*flat, inner))
-        else:
-            sep = inner
-            for key, value in sorted(obj.items()):
-                out.append(sep + _quote(_key_text(key)) + ": ")
-                sep = "," + inner
-                _write(value, inner, out)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+def _item_lines(keys: np.ndarray, values: np.ndarray, indent: str) -> str:
+    """`indent "key": value` for each entry, joined by ","."""
+    parts = [(indent + '"').encode("ascii"), keys, b'": ', _value_text(values), b","]
+    return _rows(parts, len(keys))[:-1]
 
 
 def write_report(report: Any, path: str | os.PathLike) -> str:
@@ -254,13 +211,16 @@ def read_report(path: str | os.PathLike) -> dict:
 
 
 def _cell(value: Any) -> str:
-    """One CSV cell; floats keep full repr so the projection stays exact."""
+    """One CSV cell; floats keep full repr so the projection stays exact,
+    and a list is its cells joined by ";"."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ";".join(map(_cell, value))
     return str(value)
 
 
@@ -280,84 +240,23 @@ def census_csv(payload: dict) -> str:
 
 
 def kgram_csv(payload: dict) -> str:
-    windows = payload["windows"]
-    complete, boundary, tail = (
-        dict(payload[name].items()) for name in ("complete_counts", "boundary_counts", "tail_counts")
-    )
-    lines = ["word,count,complete,boundary,tail,freq"]
-    for word, count in sorted(payload["counts"].items()):
-        freq = count / windows if windows else 0.0
-        lines.append(
-            ",".join(
-                [
-                    word,
-                    str(count),
-                    str(complete.get(word, 0)),
-                    str(boundary.get(word, 0)),
-                    str(tail.get(word, 0)),
-                    repr(freq),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _field_value_csv(payload: dict, fields: tuple[str, ...]) -> str:
-    lines = ["field,value"]
-    for name in fields:
-        lines.append(f"{name},{_cell(payload[name])}")
-    return "\n".join(lines) + "\n"
-
-
-def classification_csv(payload: dict) -> str:
-    return _field_value_csv(
-        payload, ("eps", "k", "g", "order", "limit", "bad_count", "bad_fraction")
-    )
-
-
-def growth_csv(payload: dict) -> str:
-    return _field_value_csv(
-        payload,
-        ("spec", "x", "sum_ratio", "max_ratio", "lower_reference", "upper_reference", "passes"),
-    )
-
-
-def block_repetition_csv(payload: dict) -> str:
-    out = dict(payload)
-    out["primes"] = ";".join(str(p) for p in payload["primes"])
-    return _field_value_csv(
-        out,
-        (
-            "primes",
-            "k",
-            "g",
-            "order",
-            "N",
-            "block",
-            "block_len",
-            "n",
-            "period_modulus",
-            "period_count",
-            "observed",
-            "normal_ceiling",
-            "separation",
-        ),
-    )
-
-
-def extremal_csv(payload: dict) -> str:
-    return _field_value_csv(
-        payload,
-        (
-            "x",
-            "min_phi_ratio",
-            "argmin_phi",
-            "max_sigma_ratio",
-            "argmax_sigma",
-            "e_neg_gamma",
-            "e_gamma",
-        ),
-    )
+    """One row per word of `counts`, from the aligned arrays: complete,
+    boundary and tail are 0 where the word is absent, and freq is
+    count / windows in float64, which rounds as Python's int / int
+    while both stay below 2^53."""
+    header = "word,count,complete,boundary,tail,freq\n"
+    if not payload["counts"]:
+        return header
+    words, counts = _flat_arrays(payload["counts"])
+    parts = [words, b",", _value_text(counts)]
+    for name in ("complete_counts", "boundary_counts", "tail_counts"):
+        aligned = np.zeros(len(words), dtype=np.int64)
+        if payload[name]:
+            keys, values = _flat_arrays(payload[name])
+            aligned[np.searchsorted(words, keys)] = values
+        parts += [b",", _value_text(aligned)]
+    parts += [b",", _value_text(counts / payload["windows"]), b"\n"]
+    return header + _rows(parts, len(words))
 
 
 def density_csv(payload: dict) -> str:
@@ -370,21 +269,35 @@ def density_csv(payload: dict) -> str:
 _PROJECTIONS = {
     "census-report": census_csv,
     "kgram-frequency-report": kgram_csv,
-    "classification-report": classification_csv,
-    "growth-report": growth_csv,
-    "block-repetition-report": block_repetition_csv,
-    "extremal-ratio-report": extremal_csv,
     "density-report": density_csv,
 }
 
-CSV_KINDS = tuple(_PROJECTIONS)
+# the kinds projected as one "field,value" line per field
+_FIELDS = {
+    "classification-report": ("eps", "k", "g", "order", "limit", "bad_count", "bad_fraction"),
+    "growth-report": (
+        "spec", "x", "sum_ratio", "max_ratio", "lower_reference", "upper_reference", "passes",
+    ),
+    "block-repetition-report": (
+        "primes", "k", "g", "order", "N", "block", "block_len", "n",
+        "period_modulus", "period_count", "observed", "normal_ceiling", "separation",
+    ),
+    "extremal-ratio-report": (
+        "x", "min_phi_ratio", "argmin_phi", "max_sigma_ratio", "argmax_sigma",
+        "e_neg_gamma", "e_gamma",
+    ),
+}
+
+CSV_KINDS = (*_PROJECTIONS, *_FIELDS)
 
 
 def to_csv(report: Any) -> str:
     """Project any report payload to CSV, dispatching on its "kind" tag."""
     payload = _payload(report)
     kind = payload.get("kind")
-    project = _PROJECTIONS.get(kind)
-    if project is None:
+    if kind in _FIELDS:
+        lines = [f"{name},{_cell(payload[name])}\n" for name in _FIELDS[kind]]
+        return "field,value\n" + "".join(lines)
+    if kind not in _PROJECTIONS:
         raise ValueError(f"no CSV projection for report kind {kind!r}")
-    return project(payload)
+    return _PROJECTIONS[kind](payload)

@@ -96,6 +96,12 @@ def normality_bounds(length: int, eps: float, k: int, g: int) -> tuple[Fraction,
     return ((center - e) * length, (center + e) * length)
 
 
+def check_eps(eps: float) -> None:
+    """The classifier's tolerance must be a finite number > 0."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+
+
 def is_eps_k_normal(
     n: int, eps: float, k: int, g: int = 10, order: DigitOrder = MSF
 ) -> bool:
@@ -108,8 +114,7 @@ def is_eps_k_normal(
     """
     if k < 1:
         raise ValueError("word length k must be >= 1")
-    if not 0 < eps:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     digs = digits_of(n, g, order)
     length = len(digs)
     lo, hi = normality_bounds(length, eps, k, g)
@@ -146,8 +151,7 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("word length k must be >= 1")
-    if not 0 < eps:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if g < 2:
         raise ValueError("base must be >= 2")
     values = np.asarray(values, dtype=np.int64)

@@ -245,6 +245,33 @@ def test_count_eps_across_block_edges(capsys, monkeypatch, threads, eps, k, base
     assert payload["bad_count"] == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no word is complete, so the classifier never sees the -1
+        ["count", "--domain", "prime-orders", "--base", "2", "--digits", "1", "--eps", "-1"],
+        ["count", "--digits", "100", "--eps", "inf"],
+        ["count", "--digits", "100", "--eps", "nan"],
+        ["classify", "--eps", "inf", "--limit", "10"],
+        ["classify", "--eps", "nan", "--limit", "10"],
+        ["classify", "--eps", "0", "--limit", "10"],
+    ],
+)
+def test_bad_eps_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "eps must be finite and > 0" in err
+
+
+def test_count_checks_eps_before_building_the_prefix(capsys, monkeypatch):
+    def no_prefix(*args, **kwargs):
+        raise AssertionError("the prefix was built")
+
+    monkeypatch.setattr(words, "truncate", no_prefix)
+    code, _, err = run(capsys, "count", "--digits", "100000000", "--eps", "-0.5")
+    assert code == 2 and "eps" in err
+
+
 # --- classify ---
 
 

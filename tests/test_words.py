@@ -6,6 +6,7 @@ Fraction bounds.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -187,9 +188,14 @@ def test_is_normal_order_invariant(n):
         )
 
 
+# eps must be finite and > 0
+BAD_EPS = (0.0, -0.5, -math.inf, math.inf, math.nan)
+
+
 def test_is_normal_validates():
-    with pytest.raises(ValueError):
-        words.is_eps_k_normal(5, 0.0, 1, 10)
+    for eps in BAD_EPS:
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            words.is_eps_k_normal(5, eps, 1, 10)
     with pytest.raises(ValueError):
         words.is_eps_k_normal(5, 0.1, 0, 10)
 
@@ -260,8 +266,8 @@ def test_eps_k_bad_mask_strict_at_exact_bounds():
 
 def test_eps_k_bad_mask_validates():
     one = np.array([5], dtype=np.int64)
-    for eps in (0.0, -0.5):
-        with pytest.raises(ValueError):
+    for eps in BAD_EPS:
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
             words.eps_k_bad_mask(one, eps, 1, 10)
     with pytest.raises(ValueError):
         words.eps_k_bad_mask(one, 0.1, 0, 10)
