@@ -38,7 +38,6 @@ from .arith import (
     sum_proper_divisors,
 )
 from .errors import (
-    CacheFormatError,
     CapacityError,
     DegenerateInputError,
     NormfreqError,
@@ -59,8 +58,6 @@ from .words import (
     digit_length,
     digits_of,
     is_eps_k_normal,
-    load_digits,
-    save_digits,
     truncate,
 )
 

@@ -20,8 +20,9 @@ from .errors import CapacityError, NotCoprimeError
 # Euler-Mascheroni constant, stored (never derived analytically here).
 EULER_GAMMA = 0.5772156649015329
 
-# Default ceiling for one SPF table (4 bytes per entry) or value table
-# (8 bytes per entry), in bytes.
+# Default ceiling, in bytes, for each array an engine caches over 0..limit:
+# the SPF sieve (4 bytes per entry), the prime sieve (1), a value or
+# ord_n(2) table (8) and the Omega table (1).
 DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 
 # factorize() grows the sieve on demand up to this many entries; anything
@@ -235,8 +236,10 @@ _TABLE_ROWS = {
     BaseTag.GSTAR: _TableRow(lambda p, e: p**e),
 }
 
-# the `_tables` keys of the ord_n(2) table, which backs the order domains,
-# and of the Omega table
+# the engine's cache keys besides the `BaseFn` of each value table; the
+# ord_n(2) table backs the order domains
+_SPF = "spf"
+_PRIMES = "primes"
 _ORDER_OF_TWO = "order-of-2"
 _BIG_OMEGA = "big-omega"
 
@@ -306,7 +309,7 @@ class CompositionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Smallest-prime-factor sieve
+# Sieves: smallest prime factors and primes
 # ---------------------------------------------------------------------------
 
 
@@ -330,6 +333,16 @@ def spf_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndar
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
     return spf
+
+
+def prime_sieve(limit: int) -> np.ndarray:
+    """The primes up to limit, ascending, as int64 (a bool Eratosthenes sieve)."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def _check_budget(what: str, limit: int, entry_bytes: int, memory_budget: int) -> None:
@@ -391,41 +404,44 @@ def is_prime(n: int) -> bool:
 class ArithEngine:
     """Shared context for factorization-backed evaluation.
 
-    The SPF table is grown on demand (never shrunk) and swapped in
-    atomically, so concurrent readers always see a consistent table.
-    Inputs beyond the auto-extend cap fall back to trial division.
+    Every sieve and table is kept in one cache, grown on demand (never
+    shrunk) and swapped in atomically, so concurrent readers always see
+    a consistent array.  Inputs to `factorize` beyond the auto-extend cap
+    fall back to trial division.
     """
 
-    def __init__(
-        self,
-        spf_limit: int = 0,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        auto_extend_cap: int = AUTO_EXTEND_CAP,
-    ):
+    def __init__(self, spf_limit: int = 0, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.memory_budget = memory_budget
-        self.auto_extend_cap = min(auto_extend_cap, memory_budget // 4 - 1)
         self._lock = threading.Lock()
-        self._spf: Optional[np.ndarray] = None
-        self._spf_limit = 1
-        self._primes = np.empty(0, dtype=np.int64)
-        self._prime_limit = 1
-        self._tables: dict[object, np.ndarray] = {}  # BaseFn, _ORDER_OF_TWO or _BIG_OMEGA
-        if spf_limit >= 2:
-            self.ensure_spf(spf_limit)
+        # key -> (limit, the array built for it); the empty SPF sieve
+        # answers requests below 2
+        self._cache: dict = {_SPF: (1, np.zeros(2, dtype=np.uint32))}
+        self._spf_upto(spf_limit)
+
+    def _grown(self, key, limit: int, what: str, entry_bytes: int, build) -> np.ndarray:
+        """The array cached under `key`, first built as `build(limit)` unless
+        the cached one covers `limit` already.
+
+        Raises CapacityError when entry_bytes * (limit + 1) passes the
+        budget.  The build runs outside the lock (a table build asks for
+        the primes), and its array is kept only if it is still the longest.
+        """
+        cached = self._cache.get(key)
+        if cached is None or cached[0] < limit:
+            _check_budget(what, limit, entry_bytes, self.memory_budget)
+            built = build(limit)
+            with self._lock:
+                cached = self._cache.get(key)
+                if cached is None or cached[0] < limit:
+                    cached = self._cache[key] = (limit, built)
+        return cached[1]
 
     @property
     def spf_limit(self) -> int:
-        return self._spf_limit
+        return self._cache[_SPF][0]
 
-    def ensure_spf(self, limit: int) -> None:
-        if limit <= self._spf_limit:
-            return
-        with self._lock:
-            if limit <= self._spf_limit:
-                return
-            spf = spf_table(limit, self.memory_budget)
-            self._spf = spf
-            self._spf_limit = limit
+    def _spf_upto(self, limit: int) -> np.ndarray:
+        return self._grown(_SPF, limit, "SPF table", 4, lambda n: spf_table(n, self.memory_budget))
 
     def factorize(self, n: int) -> Factorization:
         """Prime-exponent decomposition; total for all n >= 1."""
@@ -433,12 +449,12 @@ class ArithEngine:
             raise ValueError(f"cannot factorize {n}")
         if n == 1:
             return Factorization(1, ())
-        if n > self._spf_limit:
-            if n <= self.auto_extend_cap:
-                self.ensure_spf(min(max(2 * self._spf_limit, n, 1 << 16), self.auto_extend_cap))
-            else:
+        limit, spf = self._cache[_SPF]
+        if n > limit:
+            cap = min(AUTO_EXTEND_CAP, self.memory_budget // 4 - 1)
+            if n > cap:
                 return Factorization(n, _trial_division(n))
-        spf = self._spf
+            spf = self._spf_upto(min(max(2 * limit, n, 1 << 16), cap))
         factors = []
         m = n
         while m > 1:
@@ -452,37 +468,24 @@ class ArithEngine:
 
     # -- primes ------------------------------------------------------------
 
-    def _ensure_primes_upto(self, limit: int) -> None:
-        if limit <= self._prime_limit:
-            return
-        with self._lock:
-            if limit <= self._prime_limit:
-                return
-            mask = np.ones(limit + 1, dtype=bool)
-            mask[:2] = False
-            for p in range(2, math.isqrt(limit) + 1):
-                if mask[p]:
-                    mask[p * p :: p] = False
-            self._primes = np.flatnonzero(mask).astype(np.int64)
-            self._prime_limit = limit
+    def primes_upto(self, limit: int) -> np.ndarray:
+        primes = self._grown(_PRIMES, limit, "prime sieve", 1, prime_sieve)
+        return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
-    def _ensure_prime_count(self, count: int) -> None:
-        while len(self._primes) < count:
-            n = max(count, 16)
-            # p_n < n (ln n + ln ln n) for n >= 6
-            bound = int(n * (math.log(n) + math.log(math.log(n)))) + 16
-            self._ensure_primes_upto(max(bound, 2 * self._prime_limit))
+    def _first_primes(self, count: int) -> np.ndarray:
+        """The first `count` primes, from the cached sieve when it has them
+        and else from one sieve sized by p_n < n (ln n + ln ln n), n >= 6."""
+        primes = self._cache.get(_PRIMES, (0, ()))[1]
+        if len(primes) < count:
+            n = max(count, 6)
+            primes = self.primes_upto(int(n * (math.log(n) + math.log(math.log(n)))))
+        return primes[:count]
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (p_1 = 2)."""
         if n < 1:
             raise ValueError("prime index must be >= 1")
-        self._ensure_prime_count(n)
-        return int(self._primes[n - 1])
-
-    def primes_upto(self, limit: int) -> np.ndarray:
-        self._ensure_primes_upto(limit)
-        return self._primes[: int(np.searchsorted(self._primes, limit, side="right"))]
+        return int(self._first_primes(n)[n - 1])
 
     # -- multiplicative order ----------------------------------------------
 
@@ -533,10 +536,10 @@ class ArithEngine:
             return np.arange(1, count + 1, dtype=np.int64)
         if domain is ODD_ORDERS:
             return self._order_table(2 * count)[1 : 2 * count : 2].copy()
-        self._ensure_prime_count(count + 1)
+        primes = self._first_primes(count + 1)
         if domain is PRIMES:
-            return self._primes[:count].copy()
-        return self._order_table(int(self._primes[count]))[self._primes[1 : count + 1]]
+            return primes[:count].copy()
+        return self._order_table(int(primes[count]))[primes[1:]]
 
     def eval_composition(self, spec: CompositionSpec, index: int) -> int:
         """f(domain value at `index`), chain applied outermost-first."""
@@ -555,9 +558,8 @@ class ArithEngine:
         The table is cached per function and rebuilt only for a larger
         limit.  Raises CapacityError when it would not fit the byte budget.
         """
-        tab = self._tables.get(fn)
-        if tab is None or len(tab) <= limit:
-            _check_budget(f"{fn.describe()} table", limit, 8, self.memory_budget)
+
+        def build(limit: int) -> np.ndarray:
             proper = fn.tag is BaseTag.SUM_PROPER_DIVISORS
             row = _TABLE_ROWS[BaseTag.SIGMA if proper else fn.tag]
             primes = fn.primes if fn.tag is BaseTag.GSTAR else self.primes_upto(limit)
@@ -566,21 +568,21 @@ class ArithEngine:
                 tab -= np.arange(limit + 1, dtype=np.int64)
                 if limit >= 1:
                     tab[1] = 1
-            tab = self._keep_table(fn, tab)
-        return tab[: limit + 1]
+            return tab
+
+        return self._grown(fn, limit, f"{fn.describe()} table", 8, build)[: limit + 1]
 
     def _order_table(self, limit: int) -> np.ndarray:
         """ord_n(2) for odd 1 <= n <= limit; even entries hold the order
         of 2 modulo their odd part."""
-        tab = self._tables.get(_ORDER_OF_TWO)
-        if tab is None or len(tab) <= limit:
-            _check_budget("order-of-2 table", limit, 8, self.memory_budget)
+
+        def build(limit: int) -> np.ndarray:
             if limit >= 1 << 31:  # _pow_mod squares residues in int64
                 raise CapacityError(f"order-of-2 table for limit {limit} is past 2^31")
             primes = self.primes_upto(limit)[1:]
-            tab = self._prime_power_table(self._order_row(primes), primes, limit)
-            tab = self._keep_table(_ORDER_OF_TWO, tab)
-        return tab[: limit + 1]
+            return self._prime_power_table(self._order_row(primes), primes, limit)
+
+        return self._grown(_ORDER_OF_TWO, limit, "order-of-2 table", 8, build)[: limit + 1]
 
     def _order_row(self, primes: np.ndarray) -> _TableRow:
         """The lcm row of ord_{p^e}(2) over an int64 array of odd primes.
@@ -591,11 +593,11 @@ class ArithEngine:
         (mod p), as `mult_order` does for one p.
         """
         t = primes - 1
-        self.ensure_spf(int(t.max(initial=0)))
+        spf = self._spf_upto(int(t.max(initial=0)))
         rest = t.copy()  # the part of p - 1 whose factors are still to try
         live = np.flatnonzero(rest > 1)
         while len(live):
-            q = self._spf[rest[live]].astype(np.int64)
+            q = spf[rest[live]].astype(np.int64)
             rest[live] //= q
             cand = t[live] // q
             hit = _pow_mod(2, cand, primes[live]) == 1
@@ -612,13 +614,6 @@ class ArithEngine:
             return order
 
         return _TableRow(at, lcm=True)
-
-    def _keep_table(self, key, tab: np.ndarray) -> np.ndarray:
-        """Cache `tab` under `key` unless a longer table is there already."""
-        with self._lock:
-            if len(self._tables.get(key, ())) < len(tab):
-                self._tables[key] = tab
-            return self._tables[key]
 
     def _prime_power_table(self, row: _TableRow, primes, limit: int) -> np.ndarray:
         # Every n starts at 1; for each prime power q = p^e the multiples
@@ -646,14 +641,14 @@ class ArithEngine:
         """Omega(n), the prime factors of n counted with multiplicity, for
         0 <= n <= limit as uint8.  Cached and rebuilt like `value_table`;
         raises CapacityError over the budget."""
-        tab = self._tables.get(_BIG_OMEGA)
-        if tab is None or len(tab) <= limit:
-            _check_budget("Omega table", limit, 1, self.memory_budget)
+
+        def build(limit: int) -> np.ndarray:
             tab = np.zeros(limit + 1, dtype=np.uint8)
             for _, _, q in _prime_powers(self.primes_upto(limit), limit):
                 tab[q::q] += 1
-            tab = self._keep_table(_BIG_OMEGA, tab)
-        return tab[: limit + 1]
+            return tab
+
+        return self._grown(_BIG_OMEGA, limit, "Omega table", 1, build)[: limit + 1]
 
     def chain_values(self, chain: tuple[BaseFn, ...], args: np.ndarray) -> np.ndarray:
         """Evaluate a composition chain over an array of inputs.

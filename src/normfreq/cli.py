@@ -42,7 +42,7 @@ from .arith import (
     gstar,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .words import LSF, MSF, DigitOrder, save_digits, truncate, word_text
+from .words import LSF, MSF, DigitOrder, truncate, word_text
 
 _FN_TOKENS = {
     "phi": PHI,
@@ -190,11 +190,8 @@ def _int_list(text: str) -> list[int]:
 
 def _stream(got) -> None:
     spec = parse_chain(got["f"], _domain(got["domain"]))
-    order = _order(got["order"])
-    result = truncate(ArithEngine(), spec, got["digits"], got["base"], order)
+    result = truncate(ArithEngine(), spec, got["digits"], got["base"], _order(got["order"]))
     print(word_text(result.digits.tolist(), got["base"]))
-    if got["dump"]:
-        save_digits(got["dump"], result.digits, got["base"], order)
 
 
 def _count(got):
@@ -325,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     opts = declare(commands, "stream", _stream, "print the first N digits of a value stream",
                    report=False)
     _add_stream_options(opts)
-    opts.add("dump", help="also write the digits to FILE (raw dump with header)")
 
     opts = declare(commands, "count", _count, "exact k-gram census of a stream prefix")
     _add_stream_options(opts)
@@ -429,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(reports.canonical_json(report))
         return 0
     except (CapacityError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (NormfreqError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,3 @@ class CapacityError(NormfreqError):
 
 class UnknownFunctionError(NormfreqError):
     """A composition-chain token does not name a known base function."""
-
-
-class CacheFormatError(NormfreqError):
-    """A digit dump failed header or payload validation."""

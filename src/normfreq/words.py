@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,9 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .arith import ArithEngine, CompositionSpec
-from .errors import CacheFormatError
-
-DIGIT_DUMP_MAGIC = b"NFDG"
 
 
 class DigitOrder(enum.Enum):
@@ -31,9 +27,6 @@ class DigitOrder(enum.Enum):
 
 MSF = DigitOrder.MOST_SIGNIFICANT_FIRST
 LSF = DigitOrder.LEAST_SIGNIFICANT_FIRST
-
-_ORDER_FLAG = {MSF: 0, LSF: 1}
-_FLAG_ORDER = {0: MSF, 1: LSF}
 
 
 def word_text(digits: Sequence[int], g: int) -> str:
@@ -297,42 +290,3 @@ def truncate(
     return TruncationResult(
         digits, final + 1, final_length - overhang, final_length, lengths, values
     )
-
-
-# ---------------------------------------------------------------------------
-# Digit dump file
-# ---------------------------------------------------------------------------
-
-
-def save_digits(path, digits, g: int, order: DigitOrder) -> None:
-    """Write digits one byte each: magic, u32 base, u8 order flag, u64 count."""
-    if g < 2 or g > 256:
-        raise ValueError("digit dumps support 2 <= g <= 256")
-    arr = np.asarray(digits, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(DIGIT_DUMP_MAGIC)
-        fh.write(struct.pack("<IBQ", g, _ORDER_FLAG[order], len(arr)))
-        fh.write(arr.tobytes())
-
-
-def load_digits(path) -> tuple[np.ndarray, int, DigitOrder]:
-    """Read a digit dump, validating header and digit range."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(DIGIT_DUMP_MAGIC))
-        if magic != DIGIT_DUMP_MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r} in {path}")
-        header = fh.read(13)
-        if len(header) != 13:
-            raise CacheFormatError(f"truncated header in {path}")
-        g, flag, count = struct.unpack("<IBQ", header)
-        if g < 2 or g > 256:
-            raise CacheFormatError(f"invalid base {g} in {path}")
-        if flag not in _FLAG_ORDER:
-            raise CacheFormatError(f"invalid order flag {flag} in {path}")
-        payload = fh.read()
-    if len(payload) != count:
-        raise CacheFormatError(f"expected {count} digit bytes, got {len(payload)}")
-    digits = np.frombuffer(payload, dtype=np.uint8)
-    if len(digits) and int(digits.max()) >= g:
-        raise CacheFormatError(f"digit out of range for base {g} in {path}")
-    return digits, g, _FLAG_ORDER[flag]

@@ -6,6 +6,9 @@ by the library.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from normfreq import arith
 from normfreq.errors import CapacityError, NotCoprimeError
+from normfreq.ngrams import count_stream
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ def test_factorize_matches_oracle(engine):
 
 @pytest.mark.parametrize("n", [2**40, 3**20, 999_983 * 999_979, 10**12 + 39])
 def test_factorize_large_isolated(n):
-    eng = arith.ArithEngine(auto_extend_cap=10_000)
+    eng = arith.ArithEngine()
     fac = eng.factorize(n)
     assert fac.factors == oracle_factor(n)
     assert eng.spf_limit <= 10_000  # stayed on the trial-division path
@@ -129,6 +133,12 @@ def test_factorize_auto_extends():
     eng = arith.ArithEngine(spf_limit=100)
     assert eng.factorize(1_000_003).factors == ((1_000_003, 1),)
     assert eng.spf_limit >= 1_000_003
+    # a covered n reads the grown sieve as it is: no rebuild, same array
+    limit, spf = eng.spf_limit, eng._spf_upto(0)
+    assert eng.factorize(999_999).factors == oracle_factor(999_999)
+    assert eng.factorize(12).factors == ((2, 2), (3, 1))
+    assert eng.spf_limit == limit
+    assert eng._spf_upto(0) is spf
 
 
 def test_factorization_validates():
@@ -488,14 +498,87 @@ def test_big_omega_table_matches_pointwise(engine):
         assert int(tab[n]) == sum(e for _, e in oracle_factor(n))
 
 
-def test_big_omega_table_is_cached_until_a_larger_limit():
+@pytest.mark.parametrize(
+    "table",
+    [lambda eng, n: eng.value_table(arith.PHI, n), arith.ArithEngine.big_omega_table,
+     arith.ArithEngine.primes_upto],
+    ids=["phi", "big-omega", "primes"],
+)
+def test_big_omega_table_is_cached_until_a_larger_limit(table):
     eng = arith.ArithEngine()
-    small = eng.big_omega_table(1000)
-    assert np.shares_memory(eng.big_omega_table(500), small)
-    big = eng.big_omega_table(5000)
+    small = table(eng, 1000)
+    assert np.shares_memory(table(eng, 500), small)
+    big = table(eng, 5000)
     assert not np.shares_memory(big, small)
-    assert np.array_equal(big[:1001], small)
-    assert np.shares_memory(eng.big_omega_table(1000), big)
+    assert np.array_equal(big[: len(small)], small)
+    assert np.shares_memory(table(eng, 1000), big)
+
+
+def test_concurrent_growth_keeps_the_longest_table():
+    # builds run outside the engine lock, so threads race to store theirs;
+    # a shorter table stored over a longer one would be a lost update
+    eng = arith.ArithEngine()
+    want = arith.ArithEngine().value_table(arith.PHI, 8000)
+    limits = [[2000 * (1 + (i + j) % 4) for j in range(12)] for i in range(4)]
+    bad = []
+
+    def worker(mine):
+        for limit in mine:
+            if not np.array_equal(eng.value_table(arith.PHI, limit), want[: limit + 1]):
+                bad.append(limit)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(mine,)) for mine in limits]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+    assert len(eng.value_table(arith.PHI, 1).base) == 8001
+    assert eng.primes_upto(1).base[-1] == 7993  # the largest prime <= 8000
+
+
+def test_a_late_build_does_not_replace_a_longer_table(monkeypatch):
+    # while the phi table to 2000 is being built, the one to 8000 is built
+    # and stored, as another thread might do; the late, shorter one is dropped
+    eng = arith.ArithEngine()
+    kernel = arith.ArithEngine._prime_power_table
+
+    def racing(self, row, primes, limit):
+        if limit == 2000:
+            self.value_table(arith.PHI, 8000)
+        return kernel(self, row, primes, limit)
+
+    monkeypatch.setattr(arith.ArithEngine, "_prime_power_table", racing)
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(eng.value_table(arith.PHI, 2000)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()  # a build holding the engine lock deadlocks here
+    want = arith.ArithEngine().value_table(arith.PHI, 8000)
+    assert np.array_equal(got[0], want[:2001])
+    assert len(eng.value_table(arith.PHI, 1).base) == 8001
+
+
+def test_prime_sieve_budget_is_checked_before_the_sieve():
+    # 10^6 digits of the primes need a sieve far past a 64 KiB budget
+    eng = arith.ArithEngine(memory_budget=1 << 16)
+    spec = arith.CompositionSpec((), arith.PRIMES)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^prime sieve for limit \d+ needs \d+ bytes, budget is 65536$"):
+            count_stream(eng, spec, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before anything of that size was allocated
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from normfreq.arith import (
     phi,
 )
 from normfreq.errors import UnknownFunctionError
-from normfreq.words import LSF, digits_of, is_eps_k_normal, load_digits
+from normfreq.words import LSF, digits_of, is_eps_k_normal
 
 
 def run(capsys, *argv):
@@ -101,16 +101,6 @@ def test_stream_order_paper_is_least_significant_first(capsys):
 def test_stream_large_base_prints_dot_separated(capsys):
     code, out, _ = run(capsys, "stream", "--f", "id", "--base", "16", "--digits", "6")
     assert (code, out) == (0, "1.2.3.4.5.6\n")
-
-
-def test_stream_dump_round_trips(tmp_path, capsys):
-    path = tmp_path / "digits.nfdg"
-    code, out, _ = run(capsys, "stream", "--f", "id", "--digits", "10",
-                       "--dump", str(path))
-    assert code == 0
-    arr, g, order = load_digits(path)
-    assert "".join(map(str, arr.tolist())) == out.strip()
-    assert g == 10 and order.value == "msf"
 
 
 # --- count ---
@@ -344,6 +334,16 @@ def test_census_over_table_budget_exit_code(capsys):
     code, _, err = run(capsys, "experiment", "fps", "--limit", str(10**9))
     assert code == 3
     assert "budget" in err
+
+
+def test_memory_error_without_text_exit_code(capsys, monkeypatch):
+    # numpy and the interpreter may raise MemoryError with no message
+    def out_of_memory(got):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_count", out_of_memory)
+    code, out, err = run(capsys, "count", "--f", "id", "--digits", "10")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 def test_count_wide_window_codes_exit_code(capsys):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normfreq import arith, words
-from normfreq.errors import CacheFormatError
 from normfreq.words import LSF, MSF
 
 
@@ -441,54 +440,3 @@ def test_stream_base2(engine):
     assert res.digits.tolist() == [1, 1, 0, 1, 1, 1, 0, 0, 1]
     with pytest.raises(ValueError):
         words.truncate(engine, arith.CompositionSpec(), 9, 1)
-
-
-# ---------------------------------------------------------------------------
-# digit dump file
-# ---------------------------------------------------------------------------
-
-
-def test_digit_dump_roundtrip(tmp_path, engine):
-    res = words.truncate(engine, arith.CompositionSpec((arith.PHI,)), 400)
-    path = tmp_path / "digits.bin"
-    words.save_digits(path, res.digits, 10, MSF)
-    back, g, order = words.load_digits(path)
-    assert np.array_equal(back, res.digits)
-    assert g == 10 and order is MSF
-
-
-def test_digit_dump_order_flag(tmp_path):
-    path = tmp_path / "d.bin"
-    words.save_digits(path, [1, 0, 1], 2, LSF)
-    _, g, order = words.load_digits(path)
-    assert g == 2 and order is LSF
-
-
-def test_digit_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "d.bin"
-    path.write_bytes(b"ZZZZ" + b"\x00" * 20)
-    with pytest.raises(CacheFormatError):
-        words.load_digits(path)
-
-
-def test_digit_dump_rejects_truncation(tmp_path):
-    path = tmp_path / "d.bin"
-    words.save_digits(path, list(range(8)), 10, MSF)
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(CacheFormatError):
-        words.load_digits(path)
-
-
-def test_digit_dump_rejects_out_of_range_digit(tmp_path):
-    path = tmp_path / "d.bin"
-    words.save_digits(path, [0, 1, 7], 10, MSF)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (2).to_bytes(4, "little")  # claim base 2 over digit 7
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheFormatError):
-        words.load_digits(path)
-
-
-def test_digit_dump_base_range(tmp_path):
-    with pytest.raises(ValueError):
-        words.save_digits(tmp_path / "d.bin", [0], 300, MSF)
