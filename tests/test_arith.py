@@ -282,6 +282,14 @@ def test_nth_prime(engine):
         engine.nth_prime(0)
 
 
+def test_nth_prime_sizes_its_own_sieve():
+    # a fresh engine has no cached primes, so each call sieves to the
+    # bound p_n < n (ln n + ln ln n) alone; a shorter bound runs out
+    primes = oracle_primes(10_000)
+    for n in range(1, len(primes) + 1):
+        assert arith.ArithEngine().nth_prime(n) == primes[n - 1]
+
+
 def test_prime_stream_prefix(engine):
     got = engine.domain_values(arith.PRIMES, 10).tolist()
     assert got == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -336,6 +336,14 @@ def test_census_over_table_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_primes_past_the_sieve_budget_exit_code(capsys):
+    # 3*10^9 digits of the primes need a sieve to about 9.6*10^8, far past the default budget
+    code, out, err = run(capsys, "count", "--f", "id", "--domain", "primes",
+                         "--digits", str(3 * 10**9))
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: prime sieve for limit \d+ needs \d+ bytes, budget is \d+\n", err)
+
+
 def test_memory_error_without_text_exit_code(capsys, monkeypatch):
     # numpy and the interpreter may raise MemoryError with no message
     def out_of_memory(got):
