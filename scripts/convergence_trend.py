@@ -43,9 +43,9 @@ def main() -> int:
     for n_digits in decades:
         report = ngrams.count_stream(engine, spec, n_digits, g=args.base, k=args.k,
                                      threads=args.threads)
-        deviations.append({"N": n_digits, "max_dev": report.max_dev,
-                           "final_index": report.final_index})
-        print(f"N=10^{len(str(n_digits)) - 1}  max_dev={report.max_dev:.6f}",
+        deviations.append({"N": n_digits, "max_dev": report["max_dev"],
+                           "final_index": report["n"]})
+        print(f"N=10^{len(str(n_digits)) - 1}  max_dev={report['max_dev']:.6f}",
               file=sys.stderr)
 
     bad_counts = ngrams.classify_checkpoints(args.eps, args.k, args.classify_base,

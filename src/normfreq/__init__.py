@@ -44,12 +44,7 @@ from .errors import (
     NotCoprimeError,
     UnknownFunctionError,
 )
-from .ngrams import (
-    FrequencyReport,
-    classify_checkpoints,
-    count_stream,
-    fit_meager_exponent,
-)
+from .ngrams import classify_checkpoints, count_stream, fit_meager_exponent
 from .reports import canonical_json, read_report, to_csv, write_report
 from .words import (
     LSF,

@@ -380,20 +380,7 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    step = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += step
-        step = 6 - step
-    return True
+    return n >= 2 and _trial_division(n) == ((n, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +514,14 @@ class ArithEngine:
     def domain_values(self, domain: Domain, count: int) -> np.ndarray:
         """Domain inputs for index = 1, ..., count as an int64 array.
 
-        Naturals are an `arange` and primes one sieve; the order domains
-        read the ord_n(2) table at the odd n or at the primes p_2, p_3, ...
+        Naturals are an `arange`, checked against the memory budget, and
+        primes one sieve; the order domains read the ord_n(2) table at the
+        odd n or at the primes p_2, p_3, ...
         """
         if count < 0:
             raise ValueError("count must be >= 0")
         if domain is NATURALS:
+            _check_budget("domain values", count, 8, self.memory_budget)
             return np.arange(1, count + 1, dtype=np.int64)
         if domain is ODD_ORDERS:
             return self._order_table(2 * count)[1 : 2 * count : 2].copy()

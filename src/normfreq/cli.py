@@ -419,10 +419,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         got = args.opts.resolve(args)
         report = args.run(got)
-        if report is not None and got["report"]:
-            reports.write_report(report, got["report"])
-        elif report is not None:
-            sys.stdout.write(reports.canonical_json(report))
+        if report is not None:
+            text = reports.canonical_json(report)
+            # a k-gram report's arrays are freed before its text is encoded
+            # and written, which keeps them out of the command's peak memory
+            del report
+            if got["report"]:
+                Path(got["report"]).write_text(text, encoding="ascii", newline="\n")
+            else:
+                sys.stdout.write(text)
         return 0
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

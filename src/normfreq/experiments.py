@@ -4,14 +4,15 @@ Each census counts an exceptional set exactly and prints the matching
 closed-form bound next to it; bounds are always evaluated from their
 formula, never fitted to the data.  A table census builds one bool
 mask over 1..limit and reads every checkpoint count from it with
-`ngrams.checkpoint_counts`.
+`ngrams.checkpoint_counts`.  Every function here returns its report as
+the payload dict that `reports` writes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,11 +40,6 @@ def floored_log(x: float) -> float:
     return max(1.0, math.log(x))
 
 
-def floored_loglog(x: float) -> float:
-    """Iterated log, floored at 1 on both levels."""
-    return max(1.0, math.log(floored_log(x)))
-
-
 def default_checkpoints(limit: int) -> list[int]:
     """Powers of 10 from 100 up to the limit, limit always included."""
     if limit < 1:
@@ -59,62 +55,38 @@ def default_checkpoints(limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    x: int
-    count: int
-    bound: float
-    ratio: float
-    verdict: Optional[bool]
-    parts: Optional[dict[str, int]] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "x": self.x,
-            "count": self.count,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "verdict": self.verdict,
-        }
-        if self.parts is not None:
-            out["parts"] = dict(self.parts)
-        return out
+def _row(x: int, count: int, bound: float, verdict: bool = True, parts=None) -> dict:
+    """One checkpoint row.  With `verdict` the row says whether the count
+    stays within the bound; without it (a reference scale of unknown
+    constant) the verdict is None."""
+    row = {
+        "x": x,
+        "count": count,
+        "bound": bound,
+        "ratio": count / bound,
+        "verdict": count <= bound if verdict else None,
+    }
+    if parts is not None:
+        row["parts"] = parts
+    return row
 
 
-@dataclass(frozen=True)
-class CensusReport:
+def _census(experiment: str, label: str, bound_formula: str, params: dict, rows: list) -> dict:
     """Exact counts vs a closed-form bound at increasing checkpoints."""
-
-    experiment: str
-    label: str
-    bound_formula: str
-    params: dict
-    rows: tuple[CensusRow, ...]
-    note: str = DETERMINISM_NOTE
-
-    def __post_init__(self):
-        xs = [r.x for r in self.rows]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "census-report",
-            "schema": 1,
-            "experiment": self.experiment,
-            "label": self.label,
-            "bound_formula": self.bound_formula,
-            "params": dict(self.params),
-            "note": self.note,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-
-_TABLE_FNS = (BaseTag.PHI, BaseTag.SIGMA, BaseTag.LAMBDA)
+    return {
+        "kind": "census-report",
+        "schema": 1,
+        "experiment": experiment,
+        "label": label,
+        "bound_formula": bound_formula,
+        "params": params,
+        "note": DETERMINISM_NOTE,
+        "rows": rows,
+    }
 
 
 def _require_table_fn(a: BaseFn) -> None:
-    if a.tag not in _TABLE_FNS:
+    if a.tag not in (BaseTag.PHI, BaseTag.SIGMA, BaseTag.LAMBDA):
         raise ValueError(f"census supports phi/sigma/lambda, got {a.describe()}")
 
 
@@ -123,7 +95,7 @@ def _require_table_fn(a: BaseFn) -> None:
 # ---------------------------------------------------------------------------
 
 
-def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> CensusReport:
+def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> dict:
     """Count n <= x whose unit-group exponent is below sqrt(n).
 
     The comparison is exact (lambda(n)^2 < n, i.e. lambda(n) <=
@@ -133,17 +105,8 @@ def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> Cens
     limit = cps[-1]
     lam = engine.value_table(LAMBDA, limit)
     counts = checkpoint_counts(lam[1:] <= _nested_isqrt(limit, 1), cps)
-    rows = []
-    for x, count in zip(cps, counts):
-        bound = x / math.exp(floored_log(x) ** (1.0 / 3.0))
-        rows.append(CensusRow(x, count, bound, count / bound, count <= bound))
-    return CensusReport(
-        experiment="fps",
-        label="n <= x with lambda(n) < sqrt(n)",
-        bound_formula="x / exp((log x)^(1/3))",
-        params={},
-        rows=tuple(rows),
-    )
+    rows = [_row(x, c, x / math.exp(floored_log(x) ** (1.0 / 3.0))) for x, c in zip(cps, counts)]
+    return _census("fps", "n <= x with lambda(n) < sqrt(n)", "x / exp((log x)^(1/3))", {}, rows)
 
 
 def divisor_preimage_census(
@@ -151,7 +114,7 @@ def divisor_preimage_census(
     a: BaseFn,
     d: int,
     checkpoints: Sequence[int],
-) -> CensusReport:
+) -> dict:
     """Count n <= x with d | a(n) against (x/d) * (8 l (log x)^2)^l."""
     _require_table_fn(a)
     if d < 1:
@@ -161,16 +124,15 @@ def divisor_preimage_census(
     tab = engine.value_table(a, limit)
     ell = big_omega(engine.factorize(d))
     counts = checkpoint_counts(tab[1:] % d == 0, cps)
-    rows = []
-    for x, count in zip(cps, counts):
-        bound = (x / d) * (8.0 * ell * floored_log(x) ** 2) ** ell
-        rows.append(CensusRow(x, count, bound, count / bound, count <= bound))
-    return CensusReport(
-        experiment="divisor",
-        label=f"n <= x with {d} | {a.describe()}(n)",
-        bound_formula="(x/d) * (8*l*(log x)^2)^l with l = Omega(d)",
-        params={"a": a.describe(), "d": d, "l": ell},
-        rows=tuple(rows),
+    rows = [
+        _row(x, c, (x / d) * (8.0 * ell * floored_log(x) ** 2) ** ell) for x, c in zip(cps, counts)
+    ]
+    return _census(
+        "divisor",
+        f"n <= x with {d} | {a.describe()}(n)",
+        "(x/d) * (8*l*(log x)^2)^l with l = Omega(d)",
+        {"a": a.describe(), "d": d, "l": ell},
+        rows,
     )
 
 
@@ -179,7 +141,7 @@ def omega_tail_census(
     a: BaseFn,
     big_k: int,
     checkpoints: Sequence[int],
-) -> CensusReport:
+) -> dict:
     """Count n <= x with Omega(a(n)) > K^2.
 
     The reference scale (K/2^K) x (log x)^3 carries an unspecified
@@ -195,16 +157,16 @@ def omega_tail_census(
     omega = engine.big_omega_table(int(tab.max()))
     threshold = big_k * big_k
     counts = checkpoint_counts(omega[tab[1:]] > threshold, cps)
-    rows = []
-    for x, count in zip(cps, counts):
-        scale = (big_k / 2.0**big_k) * x * floored_log(x) ** 3
-        rows.append(CensusRow(x, count, scale, count / scale, None))
-    return CensusReport(
-        experiment="omega-tail",
-        label=f"n <= x with Omega({a.describe()}(n)) > {threshold}",
-        bound_formula="(K/2^K) * x * (log x)^3 (reference scale; implied constant unknown)",
-        params={"a": a.describe(), "K": big_k},
-        rows=tuple(rows),
+    scale = big_k / 2.0**big_k
+    rows = [
+        _row(x, c, scale * x * floored_log(x) ** 3, verdict=False) for x, c in zip(cps, counts)
+    ]
+    return _census(
+        "omega-tail",
+        f"n <= x with Omega({a.describe()}(n)) > {threshold}",
+        "(K/2^K) * x * (log x)^3 (reference scale; implied constant unknown)",
+        {"a": a.describe(), "K": big_k},
+        rows,
     )
 
 
@@ -243,7 +205,7 @@ def small_value_census(
     spec: CompositionSpec,
     checkpoints: Sequence[int],
     theta: float = 1.0 / 3.0,
-) -> CensusReport:
+) -> dict:
     """Count n <= x with f(n) < n^(1/2^j), j the chain depth.
 
     The comparison runs in exact integers (`_nested_isqrt`); thinness
@@ -258,16 +220,13 @@ def small_value_census(
     vals = engine.chain_values(spec.chain, np.arange(1, limit + 1, dtype=np.int64))
     power = 2**spec.depth
     counts = checkpoint_counts(vals <= _nested_isqrt(limit, spec.depth), cps)
-    rows = []
-    for x, count in zip(cps, counts):
-        bound = x / math.exp(floored_log(x) ** theta)
-        rows.append(CensusRow(x, count, bound, count / bound, count <= bound))
-    return CensusReport(
-        experiment="small-value",
-        label=f"n <= x with {spec.describe()}(n) < n^(1/{power})",
-        bound_formula="x / exp((log x)^theta)",
-        params={"spec": spec.describe(), "j": spec.depth, "theta": theta},
-        rows=tuple(rows),
+    rows = [_row(x, c, x / math.exp(floored_log(x) ** theta)) for x, c in zip(cps, counts)]
+    return _census(
+        "small-value",
+        f"n <= x with {spec.describe()}(n) < n^(1/{power})",
+        "x / exp((log x)^theta)",
+        {"spec": spec.describe(), "j": spec.depth, "theta": theta},
+        rows,
     )
 
 
@@ -335,7 +294,7 @@ def thin_preimage_census(
     a: BaseFn,
     thin_set: ThinSetSpec,
     checkpoints: Sequence[int],
-) -> CensusReport:
+) -> dict:
     """Census of {n <= x : a(n) in E} with the proof's partition.
 
     Per checkpoint the counted n split by a(n): e1 has a(n) <= x^(1/3),
@@ -364,22 +323,13 @@ def thin_preimage_census(
         e3 = upto - e1 - e2
         assert upto == total
         bound = x / math.exp(floored_log(x) ** thin_set.theta)
-        rows.append(
-            CensusRow(
-                x,
-                total,
-                bound,
-                total / bound,
-                total <= bound,
-                parts={"e1": e1, "e2": e2, "e3": e3},
-            )
-        )
-    return CensusReport(
-        experiment="thin-preimage",
-        label=f"n <= x with {a.describe()}(n) in {thin_set.label}",
-        bound_formula="x / exp((log x)^theta)",
-        params={"a": a.describe(), "set": thin_set.label, "theta": thin_set.theta},
-        rows=tuple(rows),
+        rows.append(_row(x, total, bound, parts={"e1": e1, "e2": e2, "e3": e3}))
+    return _census(
+        "thin-preimage",
+        f"n <= x with {a.describe()}(n) in {thin_set.label}",
+        "x / exp((log x)^theta)",
+        {"a": a.describe(), "set": thin_set.label, "theta": thin_set.theta},
+        rows,
     )
 
 
@@ -388,38 +338,10 @@ def thin_preimage_census(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Polynomial-growth ratios of a composition over 1..x."""
-
-    spec: str
-    x: int
-    sum_ratio: float  # sum of log f(m) over x log x
-    max_ratio: float  # max of log f(m) / log m
-    lower_reference: float
-    upper_reference: float
-
-    @property
-    def passes(self) -> bool:
-        return self.sum_ratio >= self.lower_reference and self.max_ratio <= self.upper_reference
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "growth-report",
-            "schema": 1,
-            "spec": self.spec,
-            "x": self.x,
-            "sum_ratio": self.sum_ratio,
-            "max_ratio": self.max_ratio,
-            "lower_reference": self.lower_reference,
-            "upper_reference": self.upper_reference,
-            "passes": self.passes,
-            "note": DETERMINISM_NOTE,
-        }
-
-
-def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) -> GrowthReport:
-    """Report sum log f(m) / (x log x) and max log f(m) / log m over m <= x."""
+def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) -> dict:
+    """Polynomial-growth ratios of a composition over m <= x: the mean
+    ratio sum log f(m) / (x log x) and the pointwise max log f(m) / log m,
+    each against its reference."""
     if x < 2:
         raise ValueError("x must be >= 2")
     if spec.domain is not NATURALS:
@@ -427,67 +349,26 @@ def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) 
     vals = engine.chain_values(spec.chain, np.arange(1, x + 1, dtype=np.int64))
     logf = np.maximum(1.0, np.log(vals.astype(np.float64)))
     logm = np.maximum(1.0, np.log(np.arange(1, x + 1, dtype=np.float64)))
-    return GrowthReport(
-        spec=spec.describe(),
-        x=x,
-        sum_ratio=float(logf.sum() / (x * floored_log(x))),
-        max_ratio=float((logf / logm).max()),
-        lower_reference=0.5 ** (spec.depth + 1),
-        upper_reference=2.0,
-    )
+    sum_ratio = float(logf.sum() / (x * floored_log(x)))
+    max_ratio = float((logf / logm).max())
+    lower, upper = 0.5 ** (spec.depth + 1), 2.0
+    return {
+        "kind": "growth-report",
+        "schema": 1,
+        "spec": spec.describe(),
+        "x": x,
+        "sum_ratio": sum_ratio,
+        "max_ratio": max_ratio,
+        "lower_reference": lower,
+        "upper_reference": upper,
+        "passes": sum_ratio >= lower and max_ratio <= upper,
+        "note": DETERMINISM_NOTE,
+    }
 
 
 # ---------------------------------------------------------------------------
 # block repetition demonstration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockRepetitionReport:
-    """Occurrences of the repeating leading block in a stream prefix.
-
-    The value sequence of a prime-supported multiplicative part repeats
-    its first 2^k - 1 entries with period M^k, so the concatenated block
-    recurs far more often than the g^-len ceiling a normal stream
-    allows.
-    """
-
-    primes: tuple[int, ...]
-    k: int
-    g: int
-    order: str
-    num_digits: int
-    block: str
-    block_len: int
-    final_index: int
-    period_modulus: int
-    period_count: int
-    observed: int
-    normal_ceiling: float
-
-    @property
-    def separation(self) -> float:
-        return self.observed / self.normal_ceiling
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "block-repetition-report",
-            "schema": 1,
-            "primes": list(self.primes),
-            "k": self.k,
-            "g": self.g,
-            "order": self.order,
-            "N": self.num_digits,
-            "block": self.block,
-            "block_len": self.block_len,
-            "n": self.final_index,
-            "period_modulus": self.period_modulus,
-            "period_count": self.period_count,
-            "observed": self.observed,
-            "normal_ceiling": self.normal_ceiling,
-            "separation": self.separation,
-            "note": DETERMINISM_NOTE,
-        }
 
 
 def count_overlapping(haystack: bytes, needle: bytes) -> int:
@@ -509,8 +390,14 @@ def non_normality_demo(
     g: int = 10,
     num_digits: int = 10**5,
     order: DigitOrder = MSF,
-) -> BlockRepetitionReport:
-    """Count the block f(1)...f(2^k - 1) inside the first N stream digits."""
+) -> dict:
+    """Count the block f(1)...f(2^k - 1) inside the first N stream digits.
+
+    The value sequence of a prime-supported multiplicative part repeats
+    its first 2^k - 1 entries with period M^k, so the concatenated block
+    recurs far more often than the g^-len ceiling a normal stream
+    allows; `separation` is observed / ceiling.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 2 <= g <= 256:
@@ -526,20 +413,25 @@ def non_normality_demo(
     observed = count_overlapping(res.digits.tobytes(), bytes(block_digits))
     n = res.final_index
     period_count = max(0, (n - (2**k - 1)) // modulus + 1) if n >= 2**k - 1 else 0
-    return BlockRepetitionReport(
-        primes=tuple(sorted(fn.primes)),
-        k=k,
-        g=g,
-        order=order.value,
-        num_digits=num_digits,
-        block=word_text(block_digits, g),
-        block_len=len(block_digits),
-        final_index=n,
-        period_modulus=modulus,
-        period_count=period_count,
-        observed=observed,
-        normal_ceiling=num_digits * float(g) ** (-len(block_digits)),
-    )
+    ceiling = num_digits * float(g) ** (-len(block_digits))
+    return {
+        "kind": "block-repetition-report",
+        "schema": 1,
+        "primes": sorted(fn.primes),
+        "k": k,
+        "g": g,
+        "order": order.value,
+        "N": num_digits,
+        "block": word_text(block_digits, g),
+        "block_len": len(block_digits),
+        "n": n,
+        "period_modulus": modulus,
+        "period_count": period_count,
+        "observed": observed,
+        "normal_ceiling": ceiling,
+        "separation": observed / ceiling,
+        "note": DETERMINISM_NOTE,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -547,39 +439,13 @@ def non_normality_demo(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremalRatioReport:
-    """Finite-x extremes of phi(m) loglog(m)/m and sigma(m)/(m loglog m).
+def extremal_ratio_report(engine: ArithEngine, x: int) -> dict:
+    """Scan 2 <= m <= x for the extremes of phi(m) loglog(m)/m and
+    sigma(m)/(m loglog m).
 
     The displayed e^(-gamma) and e^gamma limits are qualitative
     references; finite scans need not approach them.
     """
-
-    x: int
-    min_phi_ratio: float
-    argmin_phi: int
-    max_sigma_ratio: float
-    argmax_sigma: int
-    e_neg_gamma: float
-    e_gamma: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "extremal-ratio-report",
-            "schema": 1,
-            "x": self.x,
-            "min_phi_ratio": self.min_phi_ratio,
-            "argmin_phi": self.argmin_phi,
-            "max_sigma_ratio": self.max_sigma_ratio,
-            "argmax_sigma": self.argmax_sigma,
-            "e_neg_gamma": self.e_neg_gamma,
-            "e_gamma": self.e_gamma,
-            "note": DETERMINISM_NOTE,
-        }
-
-
-def extremal_ratio_report(engine: ArithEngine, x: int) -> ExtremalRatioReport:
-    """Scan 2 <= m <= x for the totient and divisor-sum extremes."""
     if x < 10:
         raise ValueError("x must be >= 10")
     phi = engine.value_table(PHI, x)
@@ -590,15 +456,18 @@ def extremal_ratio_report(engine: ArithEngine, x: int) -> ExtremalRatioReport:
     sigma_ratio = sigma[2 : x + 1] / (m * ll)
     i = int(np.argmin(phi_ratio))
     j = int(np.argmax(sigma_ratio))
-    return ExtremalRatioReport(
-        x=x,
-        min_phi_ratio=float(phi_ratio[i]),
-        argmin_phi=i + 2,
-        max_sigma_ratio=float(sigma_ratio[j]),
-        argmax_sigma=j + 2,
-        e_neg_gamma=round(math.exp(-EULER_GAMMA), 4),
-        e_gamma=round(math.exp(EULER_GAMMA), 4),
-    )
+    return {
+        "kind": "extremal-ratio-report",
+        "schema": 1,
+        "x": x,
+        "min_phi_ratio": float(phi_ratio[i]),
+        "argmin_phi": i + 2,
+        "max_sigma_ratio": float(sigma_ratio[j]),
+        "argmax_sigma": j + 2,
+        "e_neg_gamma": round(math.exp(-EULER_GAMMA), 4),
+        "e_gamma": round(math.exp(EULER_GAMMA), 4),
+        "note": DETERMINISM_NOTE,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -606,55 +475,27 @@ def extremal_ratio_report(engine: ArithEngine, x: int) -> ExtremalRatioReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityRow:
-    x: int
-    count: int
-    floor: float
-    passes: bool
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "count": self.count, "floor": self.floor, "passes": self.passes}
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Checks that S meets [1, x] in more than x/(log x)^B points."""
-
-    label: str
-    exponent: float
-    rows: tuple[DensityRow, ...]
-    note: str = DETERMINISM_NOTE
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "density-report",
-            "schema": 1,
-            "label": self.label,
-            "B": self.exponent,
-            "note": self.note,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-    @property
-    def passes(self) -> bool:
-        return all(r.passes for r in self.rows)
-
-
 def restricted_domain_check(
     member: Callable[[np.ndarray], np.ndarray],
     label: str,
     exponent: float,
     checkpoints: Sequence[int],
-) -> DensityReport:
-    """Verify the density floor for an array membership predicate, which
-    maps an int64 array of n to the bool mask of those in the set."""
+) -> dict:
+    """Check that S meets [1, x] in more than x/(log x)^B points at each
+    checkpoint x.  `member` maps an int64 array of n to the bool mask of
+    those in S."""
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     mask = np.asarray(member(np.arange(1, limit + 1, dtype=np.int64)), dtype=bool)
-    counts = checkpoint_counts(mask, cps)
     rows = []
-    for x, count in zip(cps, counts):
+    for x, count in zip(cps, checkpoint_counts(mask, cps)):
         floor = x / floored_log(x) ** exponent
-        rows.append(DensityRow(x, count, floor, count > floor))
-    return DensityReport(label=label, exponent=exponent, rows=tuple(rows))
+        rows.append({"x": x, "count": count, "floor": floor, "passes": count > floor})
+    return {
+        "kind": "density-report",
+        "schema": 1,
+        "label": label,
+        "B": exponent,
+        "note": DETERMINISM_NOTE,
+        "rows": rows,
+    }

@@ -21,6 +21,7 @@ from __future__ import annotations
 from concurrent import futures
 from dataclasses import dataclass
 from itertools import starmap
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -31,11 +32,12 @@ from .errors import CapacityError, DegenerateInputError
 from .reports import ArrayMap
 from .words import MSF, DigitOrder, word_texts
 
-# dense count tables are used while g^k stays at or below this
-DENSE_LIMIT = 1 << 24
-
 # windows per block of the `count_stream` tally
 _CHUNK = 1 << 20
+
+# dense count tables are used while g^k stays at or below this: a
+# table then has no more entries than a chunk has windows
+DENSE_LIMIT = _CHUNK
 
 # integers (or stream values) per block of the classifier
 _BLOCK = 1 << 16
@@ -68,59 +70,22 @@ def blocked_map(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
-    """Exact k-gram census of an N-digit stream prefix; each tally maps a
-    word's text to its count."""
+class _KGramPayload(dict):
+    """The k-gram report payload, a plain dict to every reader.
+    `perfbench/tracing.py` reads the window count and the four tallies
+    as attributes, so those five are properties too."""
 
-    spec: str
-    g: int
-    k: int
-    order: str
-    num_digits: int
-    final_index: int
-    consumed_of_final: int
-    flush: bool
-    window_count: int
-    counts: ArrayMap
-    complete_counts: ArrayMap
-    boundary_counts: ArrayMap
-    tail_counts: ArrayMap
-    boundary_total: int
-    tail_total: int
-    max_dev: float
-    eps: Optional[float] = None
-    bad_count: Optional[int] = None
+    window_count = property(itemgetter("windows"))
+    counts = property(itemgetter("counts"))
+    complete_counts = property(itemgetter("complete_counts"))
+    boundary_counts = property(itemgetter("boundary_counts"))
+    tail_counts = property(itemgetter("tail_counts"))
 
-    def freqs(self) -> ArrayMap:
-        """count / windows for each word.  Counts and windows stay below
-        2^53, so float64 division rounds exactly as Python's int / int."""
-        return ArrayMap(self.counts.key_text, self.counts.value_array / self.window_count)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "kgram-frequency-report",
-            "schema": 1,
-            "spec": self.spec,
-            "g": self.g,
-            "k": self.k,
-            "order": self.order,
-            "N": self.num_digits,
-            "n": self.final_index,
-            "consumed_of_final": self.consumed_of_final,
-            "flush": self.flush,
-            "windows": self.window_count,
-            "max_dev": self.max_dev,
-            "boundary": self.boundary_total,
-            "tail": self.tail_total,
-            "eps": self.eps,
-            "bad_count": self.bad_count,
-            "freqs": self.freqs(),
-            "counts": self.counts,
-            "complete_counts": self.complete_counts,
-            "boundary_counts": self.boundary_counts,
-            "tail_counts": self.tail_counts,
-        }
+def frequencies(counts: ArrayMap, windows: int) -> ArrayMap:
+    """count / windows for each word.  Counts and windows stay below
+    2^53, so float64 division rounds exactly as Python's int / int."""
+    return ArrayMap(counts.key_text, counts.value_array / windows)
 
 
 def count_stream(
@@ -132,8 +97,9 @@ def count_stream(
     order: DigitOrder = MSF,
     eps: Optional[float] = None,
     threads: int = 1,
-) -> FrequencyReport:
-    """Census every k-gram window of the first `num_digits` digits.
+) -> dict:
+    """Census every k-gram window of the first `num_digits` digits; each
+    tally maps a word's text to its count.
 
     The result is independent of `threads`: the window range is chunked,
     and with `eps` the complete words are classified in blocks, by
@@ -152,8 +118,7 @@ def count_stream(
     if eps is not None:
         words_mod.check_eps(eps)
     res = words_mod.truncate(engine, spec, num_digits, g, order)
-    digits, lengths, final_index = res.digits, res.lengths, res.final_index
-    flush = res.flush
+    digits, lengths, final_index, flush = res.digits, res.lengths, res.final_index, res.flush
     windows = max(0, num_digits - k + 1)
     dense = size <= DENSE_LIMIT
     powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -228,25 +193,29 @@ def count_stream(
         complete_words = final_index if flush else final_index - 1
         bad_count = sum(blocked_map(bad_in, complete_words, _BLOCK, threads))
 
-    return FrequencyReport(
+    counts = ArrayMap(labels, total)  # every code in `codes` occurs
+    return _KGramPayload(
+        kind="kgram-frequency-report",
+        schema=1,
         spec=spec.describe(),
         g=g,
         k=k,
         order=order.value,
-        num_digits=num_digits,
-        final_index=final_index,
+        N=num_digits,
+        n=final_index,
         consumed_of_final=res.consumed_of_final,
         flush=flush,
-        window_count=windows,
-        counts=tally(total),
+        windows=windows,
+        max_dev=max_dev,
+        boundary=int(boundary.sum()),
+        tail=int(tail.sum()),
+        eps=eps,
+        bad_count=bad_count,
+        freqs=frequencies(counts, windows),
+        counts=counts,
         complete_counts=tally(complete),
         boundary_counts=tally(boundary),
         tail_counts=tally(tail),
-        boundary_total=int(boundary.sum()),
-        tail_total=int(tail.sum()),
-        max_dev=max_dev,
-        eps=eps,
-        bad_count=bad_count,
     )
 
 

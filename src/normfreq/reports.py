@@ -1,8 +1,8 @@
 """Canonical JSON emission and CSV projections for report payloads.
 
-Every report in this package serializes through `to_dict()` into a dict
-tagged with a "kind" key, whose values are JSON scalars, lists, dicts and,
-for the k-gram tallies, `ArrayMap`s.  This module owns the byte layout:
+Every report in this package is its payload: a dict tagged with a "kind"
+key, whose values are JSON scalars, lists, dicts and, for the k-gram
+tallies, `ArrayMap`s.  This module owns the byte layout:
 JSON is written with sorted keys, two-space indent, ASCII escapes and a
 trailing newline, so equal payloads produce equal files.  One writer,
 `canonical_json`, produces it: `json.dumps` writes everything except the
@@ -90,16 +90,13 @@ class ArrayMap(Mapping):
 
 
 def _payload(report: Any) -> dict:
-    if isinstance(report, dict):
-        return report
-    to_dict = getattr(report, "to_dict", None)
-    if to_dict is None:
+    if not isinstance(report, dict):
         raise TypeError(f"not a report payload: {type(report).__name__}")
-    return to_dict()
+    return report
 
 
-def canonical_json(report: Any) -> str:
-    """Deterministic JSON text for a report object or payload dict.
+def canonical_json(report: dict) -> str:
+    """Deterministic JSON text for a report payload dict.
 
     The bytes are those of `json.dumps(payload, sort_keys=True, indent=2,
     ensure_ascii=True)` plus a newline, with each `ArrayMap` written as
@@ -137,27 +134,28 @@ def _dumps(value: Any) -> str:
 
 
 def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
-    """Escaped key bytes and int64 or float64 values, in key order, of a
-    str -> int (within int64) or str -> finite float map; None for any
-    other map.  A float map holding 0.0 or -0.0 is also None: the two are
-    one distinct value with two texts."""
-    if isinstance(obj, ArrayMap):
-        keys, values = obj.key_text, obj.value_array
-    else:
+    """Key bytes and int64 or float64 values, in key order, of an `ArrayMap`
+    or of a plain str -> int (within int64) or str -> finite float dict
+    whose keys an `ArrayMap` accepts; None for any other map.  A float
+    map holding 0.0 or -0.0 is also None: the two are one distinct value
+    with two texts."""
+    if not isinstance(obj, ArrayMap):
         if set(map(type, obj)) != {str}:
             return None
         value_types = set(map(type, obj.values()))
-        if value_types == {int}:
-            if not -(1 << 63) <= min(obj.values()) <= max(obj.values()) < 1 << 63:
-                return None
-            dtype = np.int64
-        elif value_types == {float}:
-            dtype = np.float64
-        else:
+        if value_types not in ({int}, {float}):
             return None
-        items = sorted(obj.items())
-        keys = np.array([_quote(key)[1:-1] for key, _ in items], dtype="S")
-        values = np.array([value for _, value in items], dtype=dtype)
+        # an `S` array drops a key's trailing NUL, so no key may hold one
+        if "\0" in "".join(obj):
+            return None
+        try:
+            obj = ArrayMap(
+                np.array(list(obj), dtype="S"),
+                np.array(list(obj.values()), dtype=np.int64 if int in value_types else np.float64),
+            )
+        except (ValueError, OverflowError):  # a key or a count ArrayMap cannot hold
+            return None
+    keys, values = obj.key_text, obj.value_array
     if values.dtype == np.float64 and not (values.all() and np.isfinite(values).all()):
         return None
     return keys, values
@@ -239,6 +237,13 @@ def census_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tally_arrays(tally: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray]:
+    flat = _flat_arrays(tally)
+    if flat is None:
+        raise ValueError("a k-gram tally must map plain ASCII words to int64 counts")
+    return flat
+
+
 def kgram_csv(payload: dict) -> str:
     """One row per word of `counts`, from the aligned arrays: complete,
     boundary and tail are 0 where the word is absent, and freq is
@@ -247,12 +252,12 @@ def kgram_csv(payload: dict) -> str:
     header = "word,count,complete,boundary,tail,freq\n"
     if not payload["counts"]:
         return header
-    words, counts = _flat_arrays(payload["counts"])
+    words, counts = _tally_arrays(payload["counts"])
     parts = [words, b",", _value_text(counts)]
     for name in ("complete_counts", "boundary_counts", "tail_counts"):
         aligned = np.zeros(len(words), dtype=np.int64)
         if payload[name]:
-            keys, values = _flat_arrays(payload[name])
+            keys, values = _tally_arrays(payload[name])
             aligned[np.searchsorted(words, keys)] = values
         parts += [b",", _value_text(aligned)]
     parts += [b",", _value_text(counts / payload["windows"]), b"\n"]

@@ -93,7 +93,7 @@ def census_grid(engine):
 
 def test_02_census_equals_naive_recount(census_grid):
     runs, elapsed = census_grid
-    bad = [label for label, g, k, report, naive in runs if report.counts != dict(naive)]
+    bad = [label for label, g, k, report, naive in runs if report["counts"] != dict(naive)]
     ok = not bad and len(runs) == 108 and elapsed < 60.0
     record(2, ok, f"runs={len(runs)} mismatches={bad[:3]} elapsed={elapsed:.1f}s")
 
@@ -102,14 +102,14 @@ def test_03_counter_conservation(census_grid):
     runs, _ = census_grid
     bad = []
     for label, g, k, report, _ in runs:
-        if sum(report.counts.values()) != GRID_N - k + 1:
+        if sum(report["counts"].values()) != GRID_N - k + 1:
             bad.append(label + " (total)")
             continue
-        for w, c in report.counts.items():
+        for w, c in report["counts"].items():
             parts = (
-                report.complete_counts.get(w, 0)
-                + report.boundary_counts.get(w, 0)
-                + report.tail_counts.get(w, 0)
+                report["complete_counts"].get(w, 0)
+                + report["boundary_counts"].get(w, 0)
+                + report["tail_counts"].get(w, 0)
             )
             if parts != c:
                 bad.append(label + f" (decomposition at {w!r})")
@@ -230,17 +230,17 @@ def test_06_totient_digit_convergence(engine):
     small_oracle = totient_digit_recount(10**3)
     big_oracle = totient_digit_recount(10**7)
     recounted = all(
-        report.counts == {str(d): int(c) for d, c in enumerate(oracle) if c}
+        report["counts"] == {str(d): int(c) for d, c in enumerate(oracle) if c}
         for report, oracle in ((small, small_oracle), (big, big_oracle))
     )
     oracle_dev = float(np.abs(big_oracle / 10**7 - 1 / 10).max())
-    dev_match = big.max_dev == oracle_dev
-    shrinking = big.max_dev < small.max_dev
-    pinned = big.counts.get("0") == 1551186
+    dev_match = big["max_dev"] == oracle_dev
+    shrinking = big["max_dev"] < small["max_dev"]
+    pinned = big["counts"].get("0") == 1551186
     detail = (
-        f"max_dev(1e3)={small.max_dev:.4f} max_dev(1e7)={big.max_dev:.6f} "
+        f"max_dev(1e3)={small['max_dev']:.4f} max_dev(1e7)={big['max_dev']:.6f} "
         f"oracle={oracle_dev:.6f} recounted={recounted} shrinking={shrinking} "
-        f"zeros(1e7)={big.counts.get('0')} elapsed={elapsed:.0f}s"
+        f"zeros(1e7)={big['counts'].get('0')} elapsed={elapsed:.0f}s"
     )
     # The paper proves normality only in the limit, with no rate, so no
     # fixed ceiling on max_dev at 1e7 is implied.  Trailing zeros bias
@@ -261,7 +261,7 @@ def test_06_totient_digit_convergence(engine):
 def test_07_small_lambda_census(engine):
     t0 = time.perf_counter()
     report = experiments.small_lambda_census(engine, [10**2, 10**3, 10**4, 10**5, 10**6])
-    last = report.rows[-1]
+    last = report["rows"][-1]
     # independent route: lambda from per-n factorization, not the sieve DP
     recount = sum(
         1 for n in range(1, 10**6 + 1) if engine.eval_base_value(LAMBDA, n) ** 2 < n
@@ -269,15 +269,16 @@ def test_07_small_lambda_census(engine):
     elapsed = time.perf_counter() - t0
     closed_form = 10**6 / math.exp(math.log(10**6) ** (1.0 / 3.0))
     ok = (
-        last.count == recount == 24755
-        and last.bound == closed_form
-        and last.count <= last.bound
+        last["count"] == recount == 24755
+        and last["bound"] == closed_form
+        and last["count"] <= last["bound"]
         and elapsed <= 120.0
     )
     record(
         7,
         ok,
-        f"count={last.count} recount={recount} bound={last.bound:.1f} elapsed={elapsed:.0f}s",
+        f"count={last['count']} recount={recount} bound={last['bound']:.1f} "
+        f"elapsed={elapsed:.0f}s",
     )
 
 
@@ -289,11 +290,11 @@ def test_08_divisor_preimage_bounds(engine):
     for fn in (PHI, SIGMA, LAMBDA):
         for d in (2, 3, 4, 6, 12):
             report = experiments.divisor_preimage_census(engine, fn, d, [10**5])
-            row = report.rows[-1]
+            row = report["rows"][-1]
             ell = arith.big_omega(engine.factorize(d))
             formula = (10**5 / d) * (8 * ell * experiments.floored_log(10**5) ** 2) ** ell
-            if row.bound != formula or not row.verdict:
-                failures.append((fn.describe(), d, row.count, row.bound))
+            if row["bound"] != formula or not row["verdict"]:
+                failures.append((fn.describe(), d, row["count"], row["bound"]))
     record(8, not failures, f"combos=15 x=1e5 failures={failures[:3]}")
 
 
@@ -304,8 +305,8 @@ def test_09_small_value_censuses(engine):
     checkpoints = [10**2, 10**3, 10**4, 10**5]
     sigma_rows = experiments.small_value_census(
         engine, CompositionSpec((SIGMA,)), checkpoints
-    ).rows
-    sigma_zero = all(r.count == 0 for r in sigma_rows)
+    )["rows"]
+    sigma_zero = all(r["count"] == 0 for r in sigma_rows)
 
     phi_report = experiments.small_value_census(engine, CompositionSpec((PHI,)), checkpoints)
     phi2_report = experiments.small_value_census(
@@ -325,8 +326,8 @@ def test_09_small_value_censuses(engine):
     phi_counts = [sum(1 for n in phi_hits if n <= x) for x in checkpoints]
     phi2_counts = [sum(1 for n in phi2_hits if n <= x) for x in checkpoints]
 
-    phi_match = [r.count for r in phi_report.rows] == phi_counts
-    phi2_match = [r.count for r in phi2_report.rows] == phi2_counts
+    phi_match = [r["count"] for r in phi_report["rows"]] == phi_counts
+    phi2_match = [r["count"] for r in phi2_report["rows"]] == phi2_counts
     ok = sigma_zero and phi_match and phi2_match and phi_hits == [2, 6] and len(phi2_hits) == 5
     record(
         9,
@@ -343,18 +344,18 @@ def test_10_block_repetition_separation(engine):
     t0 = time.perf_counter()
     report = experiments.non_normality_demo(engine, (2,), 5, g=10, num_digits=10**6)
     elapsed = time.perf_counter() - t0
-    floor = 100 * 10**6 * 10.0 ** (-report.block_len)
+    floor = 100 * 10**6 * 10.0 ** (-report["block_len"])
     ok = (
-        report.block == "12141218121412116121412181214121"
-        and report.block_len == 32
-        and report.observed == 29168
-        and report.observed >= floor
+        report["block"] == "12141218121412116121412181214121"
+        and report["block_len"] == 32
+        and report["observed"] == 29168
+        and report["observed"] >= floor
         and elapsed <= 60.0
     )
     record(
         10,
         ok,
-        f"block_len={report.block_len} observed={report.observed} "
+        f"block_len={report['block_len']} observed={report['observed']} "
         f"floor={floor:.1e} elapsed={elapsed:.0f}s",
     )
 

@@ -589,6 +589,20 @@ def test_prime_sieve_budget_is_checked_before_the_sieve():
     assert peak < 1 << 16  # refused before anything of that size was allocated
 
 
+def test_naturals_domain_values_budget_is_checked():
+    eng = arith.ArithEngine(memory_budget=8 * 1001)
+    assert eng.domain_values(arith.NATURALS, 1000).tolist() == list(range(1, 1001))
+    with pytest.raises(CapacityError, match=r"^domain values for limit 1001 needs 8016 bytes, budget is 8008$"):
+        eng.domain_values(arith.NATURALS, 1001)
+
+
+def test_is_prime_matches_factoring_oracle():
+    assert [n for n in range(-3, 30) if arith.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for n in range(30, 5000):
+        assert arith.is_prime(n) == (oracle_factor(n) == ((n, 1),))
+    assert arith.is_prime(2**31 - 1) and not arith.is_prime(2**31 + 1)
+
+
 @pytest.mark.parametrize(
     "chain",
     [(arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.RADICAL,), (arith.TWO_SQUARES,),

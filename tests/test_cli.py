@@ -139,7 +139,7 @@ def test_count_report_bytes_match_json_dumps(tmp_path, chain, domain, k, digits)
     assert cli.main(["count", "--f", chain, "--domain", domain, "--k", str(k),
                      "--digits", str(digits), "--report", str(path)]) == 0
     spec = cli.parse_chain(chain, {"naturals": NATURALS, "primes": PRIMES}[domain])
-    payload = ngrams.count_stream(ArithEngine(), spec, digits, k=k).to_dict()
+    payload = ngrams.count_stream(ArithEngine(), spec, digits, k=k)
     plain = {key: dict(value) if isinstance(value, reports.ArrayMap) else value
              for key, value in payload.items()}
     want = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
@@ -342,6 +342,13 @@ def test_primes_past_the_sieve_budget_exit_code(capsys):
                          "--digits", str(3 * 10**9))
     assert (code, out) == (3, "")
     assert re.fullmatch(r"error: prime sieve for limit \d+ needs \d+ bytes, budget is \d+\n", err)
+
+
+def test_naturals_past_the_domain_budget_exit_code(capsys):
+    # 10^10 digits of the naturals start from 10^10/64 domain values, 1.25 GB of int64
+    code, out, err = run(capsys, "count", "--f", "id", "--digits", str(10**10))
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: domain values for limit \d+ needs \d+ bytes, budget is \d+\n", err)
 
 
 def test_memory_error_without_text_exit_code(capsys, monkeypatch):

@@ -92,6 +92,8 @@ def test_writer_matches_json_dumps(payload):
 @settings(max_examples=300, deadline=None)
 @example({"counts": {"1": 2, "0": 1}, "flags": {"a": True, "b": 1}, "zeros": {"a": 0.0, "b": -0.0}})
 @example({"freqs": {"a": math.nan, "b": math.inf, "c": -math.inf, "d": 1e16, "e": 1e-5}})
+@example({"nul": {"a\x00": 1}, "inner": {"a\x00b": 2}, "both": {"a": 1, "a\x00": 2}})
+@example({"wide": {"a": 2**63, "b": 1}, "low": {"a": -(2**63) - 1}, "quoted": {'"': 1, "\\": 2}})
 @example({"empty": {}, "list": [], "tuple": (), "nested": [{}, [[]], ({"x": ()},)]})
 @example({"counts": array_map({"1.10": 3, "1.2": 2**63 - 1, "": -(2**63)}, np.int64)})
 @example({"freqs": array_map({"b": 0.5, "a": -0.0, "c": math.inf}, np.float64), "e": array_map({}, np.float64)})
