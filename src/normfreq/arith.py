@@ -1,8 +1,20 @@
 """Arithmetic functions, factorization, and composition specs.
 
 Everything here is exact integer arithmetic.  Pointwise evaluation goes
-through `Factorization`; bulk evaluation over a range [1, limit] goes
-through numpy value tables built by one prime-power sieve.
+through `Factorization`; bulk evaluation over a range [0, limit] goes
+through numpy tables built by one block kernel, `_block_table`.
+
+The kernel is the segmented sieve of Bays and Hudson (BIT 1977).  It
+fills the table in fixed blocks of `_BLOCK` entries.  Each block keeps
+`rem`, its own n (uint32 below 2^32), and loops over the primes
+p <= sqrt(limit) only: for each power q = p^e it updates the entries at
+the multiples of q, as the table row says, and divides their `rem` by p.
+What is left in `rem` above 1 is then one prime p > sqrt(limit) to the
+first power, and one vectorized step applies the row's f(p) there.  So
+the Python loop runs once per block and power of a prime p <= sqrt(limit),
+not once per prime power up to the limit, and the memory beyond the
+table itself is one block's `rem` and leftovers: a value table still
+takes 8 bytes per entry of the budget, and the Omega table 1.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -218,23 +230,95 @@ def eval_base(fn: BaseFn, fac: Factorization) -> int:
 
 
 class _TableRow(NamedTuple):
-    """A function as the table kernel sees it: f(p^e) for e >= 1, and
-    whether the prime-power parts of n combine by lcm instead of product."""
+    """A function as the table kernel sees it: f(p^e) for a prime power
+    with e >= 1, f(p) over an int64 array of primes, and the ufunc that
+    combines the prime-power parts of n (product, lcm or sum)."""
 
     at: Callable[[int, int], int]
-    lcm: bool = False
+    prime: Callable[[np.ndarray], np.ndarray]
+    combine: np.ufunc = np.multiply
 
 
-# s is sigma minus n and has no row of its own; gstar's row is applied to
-# its own primes only.
+# s is sigma minus n and has no row of its own; gstar's row is built
+# for its primes by `_gstar_row`
 _TABLE_ROWS = {
-    BaseTag.PHI: _TableRow(lambda p, e: p ** (e - 1) * (p - 1)),
-    BaseTag.SIGMA: _TableRow(lambda p, e: (p ** (e + 1) - 1) // (p - 1)),
-    BaseTag.LAMBDA: _TableRow(_lambda_prime_power, lcm=True),
-    BaseTag.RADICAL: _TableRow(lambda p, e: p),
-    BaseTag.TWO_SQUARES: _TableRow(lambda p, e: p ** (e - e % 2) if p % 4 == 3 else p**e),
-    BaseTag.GSTAR: _TableRow(lambda p, e: p**e),
+    BaseTag.PHI: _TableRow(lambda p, e: p ** (e - 1) * (p - 1), lambda p: p - 1),
+    BaseTag.SIGMA: _TableRow(lambda p, e: (p ** (e + 1) - 1) // (p - 1), lambda p: p + 1),
+    BaseTag.LAMBDA: _TableRow(_lambda_prime_power, lambda p: p - 1, np.lcm),
+    BaseTag.RADICAL: _TableRow(lambda p, e: p, lambda p: p),
+    BaseTag.TWO_SQUARES: _TableRow(
+        lambda p, e: p ** (e - e % 2) if p % 4 == 3 else p**e,
+        lambda p: np.where(p % 4 == 3, 1, p),
+    ),
 }
+
+# Omega(n) adds the exponents; its table is uint8
+_OMEGA_ROW = _TableRow(lambda p, e: e, lambda p: 1, np.add)
+
+
+def _gstar_row(primes: frozenset[int]) -> _TableRow:
+    """The row of gstar: p^e on its own primes, 1 on every other."""
+    keep = np.array(sorted(primes), dtype=np.int64)
+    return _TableRow(
+        lambda p, e: p**e if p in primes else 1, lambda p: np.where(np.isin(p, keep), p, 1)
+    )
+
+
+# entries per block of `_block_table`
+_BLOCK = 1 << 18
+
+
+def _block_table(row: _TableRow, primes: np.ndarray, limit: int, dtype=np.int64) -> np.ndarray:
+    """f(n) for 0 <= n <= limit (f(0) = 0), filled block by block.
+
+    `primes` must hold every prime up to sqrt(limit); larger ones are
+    ignored.
+    """
+    out = np.empty(limit + 1, dtype=dtype)
+    small = primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))]
+    for lo in range(0, limit + 1, _BLOCK):
+        _fill_block(row, small, lo, out[lo : lo + _BLOCK])
+    return out
+
+
+def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """Write f(n) for lo <= n < lo + len(out) into `out`, looping over the
+    given primes; each of those n may have at most one prime factor
+    outside them, to the first power."""
+    at, prime, combine = row
+    hi = lo + len(out)
+    unit = 0 if combine is np.add else 1  # f(1), and f(p^0) of every p
+    out[:] = unit
+    if lo == 0:
+        out[0] = 0
+    rem = np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
+    for p in map(int, primes):
+        if p >= hi:
+            break
+        # for each power q = p^e the multiples of q move from f(p^(e-1)) to
+        # f(p^e): a product row divides the old part out exactly, and an
+        # lcm row needs no division because its f(p^(e-1)) divides f(p^e)
+        q, e, prev = p, 1, unit
+        while q < hi:
+            start = max(q, lo + -lo % q) - lo  # the first multiple of q past 0
+            cur = at(p, e)
+            if cur != prev:
+                seg = out[start::q]
+                if combine is np.lcm:
+                    np.lcm(seg, cur, out=seg)
+                elif combine is np.add:
+                    seg += cur - prev
+                else:
+                    if prev != 1:
+                        seg //= prev
+                    seg *= cur
+            rem[start::q] //= p
+            prev = cur
+            q *= p
+            e += 1
+    big = np.flatnonzero(rem > 1)
+    out[big] = combine(out[big], prime(rem[big].astype(np.int64)))
+
 
 # the engine's cache keys besides the `BaseFn` of each value table; the
 # ord_n(2) table backs the order domains
@@ -253,18 +337,6 @@ def _pow_mod(a: int, exps: np.ndarray, mods: np.ndarray) -> np.ndarray:
         base = base * base % mods
         exps = exps >> 1
     return out
-
-
-def _prime_powers(primes, limit: int) -> Iterator[tuple[int, int, int]]:
-    """(p, e, p^e) for every power p^e <= limit of each given prime."""
-    # one Python int at a time: a list of every prime would leave its
-    # memory fragmented after the table is built
-    for p in map(int, primes):
-        q, e = p, 1
-        while q <= limit:
-            yield p, e, q
-            q *= p
-            e += 1
 
 
 class Domain(enum.Enum):
@@ -550,9 +622,11 @@ class ArithEngine:
 
         def build(limit: int) -> np.ndarray:
             proper = fn.tag is BaseTag.SUM_PROPER_DIVISORS
-            row = _TABLE_ROWS[BaseTag.SIGMA if proper else fn.tag]
-            primes = fn.primes if fn.tag is BaseTag.GSTAR else self.primes_upto(limit)
-            tab = self._prime_power_table(row, primes, limit)
+            if fn.tag is BaseTag.GSTAR:
+                row = _gstar_row(fn.primes)
+            else:
+                row = _TABLE_ROWS[BaseTag.SIGMA if proper else fn.tag]
+            tab = _block_table(row, self.primes_upto(math.isqrt(limit)), limit)
             if proper:
                 tab -= np.arange(limit + 1, dtype=np.int64)
                 if limit >= 1:
@@ -568,13 +642,15 @@ class ArithEngine:
         def build(limit: int) -> np.ndarray:
             if limit >= 1 << 31:  # _pow_mod squares residues in int64
                 raise CapacityError(f"order-of-2 table for limit {limit} is past 2^31")
-            primes = self.primes_upto(limit)[1:]
-            return self._prime_power_table(self._order_row(primes), primes, limit)
+            primes = self.primes_upto(limit)
+            return _block_table(self._order_row(primes), primes, limit)
 
         return self._grown(_ORDER_OF_TWO, limit, "order-of-2 table", 8, build)[: limit + 1]
 
     def _order_row(self, primes: np.ndarray) -> _TableRow:
-        """The lcm row of ord_{p^e}(2) over an int64 array of odd primes.
+        """The lcm row of ord_{p^e}(2) over an ascending int64 array of
+        primes, which holds every prime its f(p) is asked for.  The row is
+        1 at p = 2, so even n get the order modulo their odd part.
 
         ord_p(2) comes for all the primes at once: t starts at p - 1, and
         each round takes the next prime factor q of p - 1 (smallest first,
@@ -592,39 +668,18 @@ class ArithEngine:
             hit = _pow_mod(2, cand, primes[live]) == 1
             t[live[hit]] = cand[hit]
             live = live[rest[live] > 1]
-        first = dict(zip(primes.tolist(), t.tolist()))
 
         def at(p: int, e: int) -> int:
+            if p == 2:
+                return 1
             # ord_{p^e}(2) is ord_p(2) p^j for the least j with 2^that = 1
             # (mod p^e); j is 0 at p^2 for the Wieferich primes 1093 and 3511
-            order = first[p]
+            order = int(t[np.searchsorted(primes, p)])
             while e > 1 and pow(2, order, p**e) != 1:
                 order *= p
             return order
 
-        return _TableRow(at, lcm=True)
-
-    def _prime_power_table(self, row: _TableRow, primes, limit: int) -> np.ndarray:
-        # Every n starts at 1; for each prime power q = p^e the multiples
-        # of q move from f(p^(e-1)) to f(p^e).  A product row divides the
-        # old part out exactly, and an lcm row needs no division because
-        # its f(p^(e-1)) divides f(p^e).
-        at, lcm = row
-        out = np.ones(limit + 1, dtype=np.int64)
-        out[0] = 0
-        for p, e, q in _prime_powers(primes, limit):
-            prev = 1 if e == 1 else cur
-            cur = at(p, e)
-            if cur == prev:
-                continue
-            seg = out[q::q]
-            if lcm:
-                np.lcm(seg, cur, out=seg)
-            else:
-                if prev != 1:
-                    seg //= prev
-                seg *= cur
-        return out
+        return _TableRow(at, lambda p: t[np.searchsorted(primes, p)], np.lcm)
 
     def big_omega_table(self, limit: int) -> np.ndarray:
         """Omega(n), the prime factors of n counted with multiplicity, for
@@ -632,10 +687,7 @@ class ArithEngine:
         raises CapacityError over the budget."""
 
         def build(limit: int) -> np.ndarray:
-            tab = np.zeros(limit + 1, dtype=np.uint8)
-            for _, _, q in _prime_powers(self.primes_upto(limit), limit):
-                tab[q::q] += 1
-            return tab
+            return _block_table(_OMEGA_ROW, self.primes_upto(math.isqrt(limit)), limit, np.uint8)
 
         return self._grown(_BIG_OMEGA, limit, "Omega table", 1, build)[: limit + 1]
 

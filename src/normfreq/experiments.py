@@ -408,12 +408,17 @@ def non_normality_demo(
     block_digits = []
     for i in range(1, 2**k):
         block_digits.extend(digits_of(engine.eval_base_value(fn, i), g, order))
+    ceiling = num_digits * float(g) ** (-len(block_digits))
+    if ceiling == 0.0 or num_digits / ceiling == math.inf:
+        raise ValueError(
+            f"the {len(block_digits)}-digit block's normal ceiling {num_digits} * {g}^-"
+            f"{len(block_digits)} is out of float range; use a smaller k"
+        )
     spec = CompositionSpec((fn,))
     res = truncate(engine, spec, num_digits, g, order)
     observed = count_overlapping(res.digits.tobytes(), bytes(block_digits))
     n = res.final_index
     period_count = max(0, (n - (2**k - 1)) // modulus + 1) if n >= 2**k - 1 else 0
-    ceiling = num_digits * float(g) ** (-len(block_digits))
     return {
         "kind": "block-repetition-report",
         "schema": 1,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from concurrent import futures
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -54,13 +54,16 @@ def blocked_map(
     time, for every command that takes one."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
-    if threads == 1 or len(bounds) <= 1:
-        return starmap(work, bounds)
+    # one thread takes its blocks from the ranges as it goes (10^12 values
+    # are 15M blocks); the pool's map submits them all up front
+    los = range(0, total, block)
+    his = chain(los[1:], (total,))
+    if threads == 1 or len(los) <= 1:
+        return map(work, los, his)
 
     def pooled():
         with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(work, *zip(*bounds))
+            yield from pool.map(work, los, his)
 
     return pooled()
 

@@ -398,12 +398,14 @@ def test_order_table_matches_mult_order():
 
 def test_order_row_at_wieferich_primes(engine):
     # 2^(p-1) = 1 (mod p^2) for p = 1093, 3511, so the order does not grow
-    # at e = 2; the row runs over just the primes dividing these n
+    # at e = 2; each one-entry block loops over just the primes dividing n
     assert engine.mult_order(2, 1093**2) == engine.mult_order(2, 1093)
-    primes = np.array([3, 1093, 3511])
-    tab = engine._prime_power_table(engine._order_row(primes), primes, 3511**2)
+    primes = np.array([2, 3, 1093, 3511])
+    row = engine._order_row(primes)
     for n in (1093**2, 3511**2, 1093 * 3511, 3 * 1093**2, 9 * 3511):
-        assert int(tab[n]) == engine.mult_order(2, n), n
+        got = np.empty(1, dtype=np.int64)
+        arith._fill_block(row, primes, n, got)
+        assert int(got[0]) == engine.mult_order(2, n), n
 
 
 def test_order_table_refuses_moduli_past_int64_squares():
@@ -446,6 +448,22 @@ def test_value_table_matches_eval_base(engine, fn):
     tab = engine.value_table(fn, 1500)
     for n in range(1, 1501):
         assert int(tab[n]) == arith.eval_base(fn, engine.factorize(n))
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 63, 64, 65, 20_000])
+def test_tables_match_the_oracles_across_block_edges(monkeypatch, limit):
+    # 64-entry blocks: an n past the last block edge, or a leftover prime
+    # in a later block, must come out as the pointwise path has it
+    monkeypatch.setattr(arith, "_BLOCK", 64)
+    eng = arith.ArithEngine()
+    facs = [eng.factorize(n) for n in range(1, limit + 1)]
+    for fn in BASE_FNS + [arith.gstar([2, 5]), arith.gstar([3, 1009])]:
+        want = [0] + [arith.eval_base(fn, fac) for fac in facs]
+        assert eng.value_table(fn, limit).tolist() == want, fn.describe()
+    assert eng.big_omega_table(limit).tolist() == [0] + [arith.big_omega(f) for f in facs]
+    # even n hold the order of 2 modulo their odd part
+    want = [0] + [eng.mult_order(2, n // (n & -n)) for n in range(1, limit + 1)]
+    assert eng._order_table(limit).tolist() == want
 
 
 def test_phi_table_matches_pointwise(engine):
@@ -548,21 +566,21 @@ def test_concurrent_growth_keeps_the_longest_table():
     assert not any(t.is_alive() for t in threads)
     assert bad == []
     assert len(eng.value_table(arith.PHI, 1).base) == 8001
-    assert eng.primes_upto(1).base[-1] == 7993  # the largest prime <= 8000
+    assert eng.primes_upto(1).base[-1] == 89  # the largest prime <= isqrt(8000)
 
 
 def test_a_late_build_does_not_replace_a_longer_table(monkeypatch):
     # while the phi table to 2000 is being built, the one to 8000 is built
     # and stored, as another thread might do; the late, shorter one is dropped
     eng = arith.ArithEngine()
-    kernel = arith.ArithEngine._prime_power_table
+    kernel = arith._block_table
 
-    def racing(self, row, primes, limit):
+    def racing(row, primes, limit):
         if limit == 2000:
-            self.value_table(arith.PHI, 8000)
-        return kernel(self, row, primes, limit)
+            eng.value_table(arith.PHI, 8000)
+        return kernel(row, primes, limit)
 
-    monkeypatch.setattr(arith.ArithEngine, "_prime_power_table", racing)
+    monkeypatch.setattr(arith, "_block_table", racing)
     got = []
     worker = threading.Thread(
         target=lambda: got.append(eng.value_table(arith.PHI, 2000)), daemon=True

@@ -475,6 +475,19 @@ def test_experiment_non_normal_refuses_base(capsys, monkeypatch, base):
     assert "the non-normal demo supports 2 <= g <= 256" in err
 
 
+def test_experiment_non_normal_refuses_a_ceiling_out_of_float_range(capsys, monkeypatch):
+    # 2^-2036 underflows to 0.0, and the separation used to divide by it
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the ceiling was checked")
+
+    monkeypatch.setattr(experiments, "truncate", no_work)
+    code, out, err = run(capsys, "experiment", "non-normal", "--k", "10", "--base", "2",
+                         "--digits", "1000")
+    assert (code, out) == (2, "")
+    assert "the 2036-digit block's normal ceiling 1000 * 2^-2036 is out of float range" in err
+    assert "Traceback" not in err
+
+
 def test_experiment_extremal(capsys):
     _, out, _ = run(capsys, "experiment", "extremal", "--limit", "10000")
     payload = json.loads(out)

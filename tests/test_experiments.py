@@ -212,13 +212,13 @@ def test_omega_tail_builds_the_omega_table_once(monkeypatch):
     cps = [100, 1000, 5000]
     engine.value_table(SIGMA, cps[-1])  # warm, so only the Omega table sieves below
     limits = []
-    prime_powers = arith._prime_powers
+    kernel = arith._block_table
 
-    def counted(primes, limit):
+    def counted(row, primes, limit, *dtype):
         limits.append(limit)
-        return prime_powers(primes, limit)
+        return kernel(row, primes, limit, *dtype)
 
-    monkeypatch.setattr(arith, "_prime_powers", counted)
+    monkeypatch.setattr(arith, "_block_table", counted)
     cached = [experiments.omega_tail_census(engine, SIGMA, k, cps) for k in (1, 2, 3)]
     assert len(limits) == 1
     monkeypatch.undo()

@@ -185,6 +185,19 @@ def test_blocked_map_yields_blocks_in_order(threads):
     assert list(ngrams.blocked_map(work, 0, 5, threads)) == []
 
 
+def test_blocked_map_takes_single_thread_blocks_lazily():
+    # 10^15 one-entry blocks: a list of their edges would never fit
+    tracemalloc.start()
+    try:
+        blocks = ngrams.blocked_map(lambda lo, hi: (lo, hi), 10**15, 1, 1)
+        first = [next(blocks) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, 1), (1, 2), (2, 3)]
+    assert peak < 1 << 16
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_blocked_map_checks_threads_at_call_time(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
