@@ -628,7 +628,10 @@ class ArithEngine:
                 row = _TABLE_ROWS[BaseTag.SIGMA if proper else fn.tag]
             tab = _block_table(row, self.primes_upto(math.isqrt(limit)), limit)
             if proper:
-                tab -= np.arange(limit + 1, dtype=np.int64)
+                # one block's arange at a time keeps s inside its budget
+                for lo in range(0, limit + 1, _BLOCK):
+                    seg = tab[lo : lo + _BLOCK]
+                    seg -= np.arange(lo, lo + len(seg), dtype=np.int64)
                 if limit >= 1:
                     tab[1] = 1
             return tab

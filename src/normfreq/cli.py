@@ -336,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     opts.add("k", convert=int, default=1, help="word length")
     opts.add("base", convert=int, default=10, help="digit base g >= 2")
     opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
-    opts.add("limit", convert=int, required=True, help="classify all n up to this bound")
+    opts.add("limit", convert=int, required=True,
+             help="classify all n up to this bound (at most 2^63 - 1; 10^9 for k >= 2)")
     opts.add("threads", convert=parse_threads, default=1,
-             help="worker threads (any value, same output)")
+             help="worker threads for k >= 2 (any value, same output)")
 
     experiment = commands.add_parser("experiment", help="run one census/report experiment")
     operations = experiment.add_subparsers(metavar="OP", required=True)

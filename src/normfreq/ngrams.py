@@ -9,7 +9,8 @@ windows, and when the cut falls inside the final word its windows are a
 suffix of the window range.  All tallies are integers.  Every loop that
 takes a `threads` argument runs through `blocked_map`, which cuts its
 range into fixed blocks: the window chunks of `count_stream`, and the
-value blocks of its `eps` classifier and of `classify_checkpoints`.
+value blocks of its `eps` classifier and of `classify_checkpoints` at
+k >= 2 (at k = 1 it counts by a digit DP instead).
 Chunked and threaded runs therefore reproduce the single-pass result
 bit for bit.  `checkpoint_counts` reads the checkpoint counts of one
 flag mask; the censuses of `experiments` call it once on a whole-range
@@ -18,6 +19,7 @@ mask.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
 from itertools import chain
@@ -42,6 +44,12 @@ DENSE_LIMIT = _CHUNK
 # integers (or stream values) per block of the classifier
 _BLOCK = 1 << 16
 
+# the most integers `classify_checkpoints` tests one at a time: about
+# 8 minutes at 0.5 s per 10^6 on one core
+ENUMERATION_CAP = 10**9
+
+_INT64_MAX = (1 << 63) - 1
+
 
 def blocked_map(
     work: Callable[[int, int], object], total: int, block: int, threads: int
@@ -54,8 +62,8 @@ def blocked_map(
     time, for every command that takes one."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    # one thread takes its blocks from the ranges as it goes (10^12 values
-    # are 15M blocks); the pool's map submits them all up front
+    # the blocks come from ranges as they are needed (10^12 values are
+    # 15M blocks), and a pool holds at most 2 * threads of them at once
     los = range(0, total, block)
     his = chain(los[1:], (total,))
     if threads == 1 or len(los) <= 1:
@@ -63,7 +71,17 @@ def blocked_map(
 
     def pooled():
         with futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(work, los, his)
+            pending = deque()
+            try:
+                for lo, hi in zip(los, his):
+                    pending.append(pool.submit(work, lo, hi))
+                    if len(pending) == 2 * threads:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            finally:
+                for future in pending:  # when the caller stops early
+                    future.cancel()
 
     return pooled()
 
@@ -250,9 +268,31 @@ def classify_checkpoints(
     eps: float, k: int, g: int, checkpoints: Sequence[int], threads: int = 1
 ) -> list[int]:
     """How many m <= c fail the strict (eps, k) block-count test, for each
-    checkpoint c; one `eps_k_bad_mask` per fixed block of 1..max.  The
-    verdict does not depend on the digit order."""
+    checkpoint c.  The verdict does not depend on the digit order.
+
+    For k = 1 each count is c minus `eps_1_normal_count(c)`, an exact
+    digit DP with no per-integer work, so `threads` goes unused.  For
+    k >= 2 every m <= max is enumerated, one `eps_k_bad_mask` per fixed
+    block through `blocked_map`.  Checkpoints past int64 raise
+    CapacityError, and so does an enumeration past `ENUMERATION_CAP`,
+    before any work.
+    """
+    if k < 1:
+        raise ValueError("word length k must be >= 1")
+    if g < 2:
+        raise ValueError("base must be >= 2")
+    words_mod.check_eps(eps)
     cps = validate_checkpoints(checkpoints)
+    limit = cps[-1]
+    if limit > _INT64_MAX:
+        raise CapacityError(f"classify limit {limit} is past the int64 range ({_INT64_MAX})")
+    if k == 1:
+        return [c - words_mod.eps_1_normal_count(c, eps, g) for c in cps]
+    if limit > ENUMERATION_CAP:
+        raise CapacityError(
+            f"classify limit {limit} at k = {k} would test every integer, past the "
+            f"enumeration cap of {ENUMERATION_CAP}; only k = 1 is counted without enumeration"
+        )
 
     def work(start, stop):
         # the block holds m = start + 1 .. stop
@@ -262,7 +302,7 @@ def classify_checkpoints(
 
     counts = []
     running = 0
-    for edges, total in blocked_map(work, cps[-1], _BLOCK, threads):
+    for edges, total in blocked_map(work, limit, _BLOCK, threads):
         counts.extend(running + e for e in edges)
         running += total
     return counts

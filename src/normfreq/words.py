@@ -89,6 +89,22 @@ def normality_bounds(length: int, eps: float, k: int, g: int) -> tuple[Fraction,
     return ((center - e) * length, (center + e) * length)
 
 
+def count_band(length: int, eps: float, k: int, g: int) -> tuple[int, int]:
+    """The window counts least..most that each of the g^k words may have
+    in a word of `length` digits: the integers strictly inside
+    `normality_bounds`, clipped to 0..windows (length - k + 1, or 0).
+
+    The band is empty (least > most) when lo >= 0 and there are more
+    words than windows, since some word is then absent; so with no
+    windows it is 0..0 when lo < 0 and empty otherwise.
+    """
+    lo, hi = normality_bounds(length, eps, k, g)
+    width = max(length - k + 1, 0)
+    if g**k > width and lo >= 0:
+        return 1, 0
+    return max(math.floor(lo) + 1, 0), min(math.ceil(hi) - 1, width)
+
+
 def check_eps(eps: float) -> None:
     """The classifier's tolerance must be a finite number > 0."""
     if not 0 < eps < math.inf:
@@ -133,12 +149,11 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
     array, as one bool array.
 
     Values are grouped by digit length L, with L - k + 1 windows per
-    word and the exact `normality_bounds` (lo, hi) of L.  With no
-    windows, a row is bad iff lo >= 0; so is every row when lo >= 0 and
-    g^k exceeds the windows, since some word is then absent.  Otherwise
-    the rows' window codes come from their digit matrix, and every
-    count, absent words at 0 included, must be one of the integers
-    floor(lo) + 1 .. ceil(hi) - 1.  With k <= L a code is at most the
+    word and the allowed counts `count_band(L, eps, k, g)`.  Every row
+    is bad when the band is empty, and every row passes when there are
+    no windows and it is not.  Otherwise the rows' window codes come
+    from their digit matrix, and every count, absent words at 0
+    included, must lie in the band.  With k <= L a code is at most the
     value itself, so it fits int64.  The digit matrix of each length is
     built whole, so callers hand in one block of values at a time.
     """
@@ -157,16 +172,14 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
     size = g**k
     for length in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
-        lo, hi = normality_bounds(length, eps, k, g)
+        least, most = count_band(length, eps, k, g)
         width = length - k + 1  # windows per word
-        if width < 1 or (size > width and lo >= 0):
-            bad[rows] = lo >= 0
+        if least > most or width < 1:
+            bad[rows] = least > most
             continue
-        # counts lie in 0..width, so the allowed range is clipped to it;
-        # the dense table holds absent words, and the sorted runs need not,
-        # since they are used only when size > width and so lo < 0
-        least = min(max(math.floor(lo) + 1, 0), width + 1)
-        most = max(min(math.ceil(hi) - 1, width), -1)
+        # the dense table holds absent words, and the sorted runs need not:
+        # they are used only when size > width, so a nonempty band has
+        # least = 0
         n = len(rows)
         digits = _expand_digits(values[rows], np.full(n, length), g, MSF).reshape(n, length)
         if k == 1:
@@ -187,6 +200,91 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
             off = (runs < least) | (runs > most)
             bad[rows] = np.bincount(first[off] // width, minlength=n) > 0
     return bad
+
+
+def eps_1_normal_count(x: int, eps: float, g: int = 10) -> int:
+    """How many n in 1..x are (eps, 1)-normal in base g, counted exactly
+    by a digit DP with no per-integer work.
+
+    A word of L digits passes when each of the g digit counts lies in
+    `count_band(L, eps, 1, g)`.  Each length below that of x adds its
+    passing words whole: g - 1 leading digits, each with the same
+    completions of the other L - 1 positions.  The words of x's length
+    are counted as the DP walks the digits of x: each digit c below x's
+    digit at a position fixes a prefix, whose completions are added.
+    Digits not yet seen complete alike, so they are added as one group.
+    """
+    check_eps(eps)
+    if g < 2:
+        raise ValueError("base must be >= 2")
+    if x < 1:
+        return 0
+    digits = digits_of(x, g)
+    top = len(digits)
+    total = 0
+    for length in range(1, top):
+        total += (g - 1) * _completions(length - 1, [1], g, count_band(length, eps, 1, g))
+    band = count_band(top, eps, 1, g)
+    seen: dict[int, int] = {}  # digit -> its count in x's digits so far
+    for i, d in enumerate(digits):
+        rest = top - 1 - i
+        below = range(1 if i == 0 else 0, d)  # the digits that branch below x here
+        unseen = len(below)
+        for c in seen:
+            if c in below:
+                unseen -= 1
+                used = [n + 1 if e == c else n for e, n in seen.items()]
+                total += _completions(rest, used, g, band)
+        if unseen:
+            total += unseen * _completions(rest, [*seen.values(), 1], g, band)
+        seen[d] = seen.get(d, 0) + 1
+    return total + _completions(0, list(seen.values()), g, band)  # x itself
+
+
+def _completions(rest: int, used: list[int], g: int, band: tuple[int, int]) -> int:
+    """How many words of `rest` digits, appended to digits in which some
+    digits occur `used` times each and the other g - len(used) not at
+    all, leave every digit count in least..most.
+
+    This is rest! [t^rest] of the product, over the g digits, of
+    sum t^m / m! over the m that keep that digit in the band; the
+    product is taken in exact integers by binomial convolution, and the
+    unseen digits, all alike, by repeated squaring.
+    """
+    least, most = band
+
+    def allowed(have: int) -> list[int]:
+        return [int(least <= have + m <= most) for m in range(rest + 1)]
+
+    factors = [allowed(u) for u in used]
+    if len(used) < g:
+        factors.append(_binomial_power(allowed(0), g - len(used)))
+    ways, *inner, last = factors  # used is nonempty and g >= 2: two factors at least
+    for factor in inner:
+        ways = _binomial_product(ways, factor)
+    return sum(math.comb(rest, m) * last[m] * ways[rest - m] for m in range(rest + 1) if last[m])
+
+
+def _binomial_product(u: list[int], v: list[int]) -> list[int]:
+    """w[n] = sum of C(n, m) u[m] v[n - m]: the words of length n over two
+    disjoint alphabets, whose letters of each alphabet form a word that
+    u, resp. v, counts."""
+    live = [m for m, um in enumerate(u) if um]
+    return [
+        sum(math.comb(n, m) * u[m] * v[n - m] for m in live if m <= n) for n in range(len(u))
+    ]
+
+
+def _binomial_power(u: list[int], times: int) -> list[int]:
+    """u multiplied `times` >= 1 times by `_binomial_product`."""
+    out = None
+    while True:
+        if times & 1:
+            out = u if out is None else _binomial_product(out, u)
+        times >>= 1
+        if not times:
+            return out
+        u = _binomial_product(u, u)
 
 
 # ---------------------------------------------------------------------------

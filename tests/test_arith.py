@@ -517,6 +517,23 @@ def test_value_table_memory_budget():
         eng.big_omega_table(8008)
 
 
+def test_s_table_builds_within_its_budget():
+    # s = sigma - n subtracts one block of n at a time, so its build peaks
+    # where the sigma table's does; a whole-table arange added 7.6 MiB
+    peaks = {}
+    for fn in (arith.SIGMA, arith.SUM_PROPER):
+        eng = arith.ArithEngine()
+        eng.primes_upto(1000)
+        tracemalloc.start()
+        try:
+            tab = eng.value_table(fn, 10**6)
+            peaks[fn] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tab[1] == 1 and tab[999_999] == arith.eval_base(fn, eng.factorize(999_999))
+    assert peaks[arith.SUM_PROPER] < peaks[arith.SIGMA] + (1 << 20)
+
+
 def test_big_omega_table_matches_pointwise(engine):
     tab = engine.big_omega_table(3000)
     assert tab[0] == 0

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,46 @@ def test_memory_error_without_text_exit_code(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
+def no_classifier_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("classifier work started")
+
+    monkeypatch.setattr(words, "eps_k_bad_mask", no_work)
+    monkeypatch.setattr(words, "eps_1_normal_count", no_work)
+
+
+@pytest.mark.parametrize(
+    "k,limit,message",
+    [
+        # enumerating 10^9 + 1 integers would take about 8 minutes
+        (2, 10**9 + 1, "classify limit 1000000001 at k = 2 would test every integer, "
+                       "past the enumeration cap of 1000000000"),
+        (1, 2**63, "classify limit 9223372036854775808 is past the int64 range "
+                   "(9223372036854775807)"),
+        (3, 2**63, "classify limit 9223372036854775808 is past the int64 range"),
+    ],
+)
+def test_classify_past_its_range_exit_code(capsys, monkeypatch, k, limit, message):
+    no_classifier_work(monkeypatch)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "classify", "--eps", "0.05", "--base", "2",
+                             "--k", str(k), "--limit", str(limit))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: " + message)
+    assert peak < 1 << 20  # refused before any block or mask was allocated
+
+
+def test_classify_k1_far_past_enumeration(capsys):
+    code, out, _ = run(capsys, "classify", "--eps", "0.05", "--k", "1", "--base", "2",
+                       "--limit", str(10**18))
+    assert code == 0
+    assert json.loads(out)["bad_count"] == 415_002_687_332_098_442
+
+
 def test_count_wide_window_codes_exit_code(capsys):
     code, _, err = run(capsys, "count", "--f", "id", "--digits", "200", "--k", "20")
     assert code == 3
@@ -555,6 +596,7 @@ def test_threads_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, so
 
     monkeypatch.setattr(words, "truncate", no_work)
     monkeypatch.setattr(words, "eps_k_bad_mask", no_work)
+    monkeypatch.setattr(words, "eps_1_normal_count", no_work)
     if source == "flag":
         argv = argv + ["--threads", "0"]
     else:

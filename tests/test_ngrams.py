@@ -198,6 +198,21 @@ def test_blocked_map_takes_single_thread_blocks_lazily():
     assert peak < 1 << 16
 
 
+def test_blocked_map_keeps_few_pooled_blocks_in_flight():
+    # the twin of the test above: a pool of 2 submits a few blocks ahead
+    # of the caller; submitting all 10^5 at once held 156 MiB
+    tracemalloc.start()
+    try:
+        blocks = ngrams.blocked_map(lambda lo, hi: (lo, hi), 10**5, 1, 2)
+        first = [next(blocks) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+        blocks.close()
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, 1), (1, 2), (2, 3)]
+    assert peak < 1 << 16
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_blocked_map_checks_threads_at_call_time(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
@@ -385,9 +400,10 @@ def test_classify_checkpoints_cumulative():
 
 
 def test_classify_checkpoints_threads_equivalent():
+    # k = 2, so the integers are enumerated through blocked_map
     cps = [7, 99, 250, 613]
-    one = ngrams.classify_checkpoints(0.3, 1, 2, cps, threads=1)
-    many = ngrams.classify_checkpoints(0.3, 1, 2, cps, threads=5)
+    one = ngrams.classify_checkpoints(0.3, 2, 2, cps, threads=1)
+    many = ngrams.classify_checkpoints(0.3, 2, 2, cps, threads=5)
     assert one == many
 
 
@@ -402,6 +418,33 @@ def test_classify_checkpoints_threads_across_block_edge():
     assert ngrams.classify_checkpoints(0.1, 2, 2, [10, 65537]) == [want[0], want[-1]]
 
 
+def test_classify_checkpoints_counts_k1_without_the_kernel(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("k = 1 enumerated")
+
+    monkeypatch.setattr(words, "eps_k_bad_mask", no_kernel)
+    cps = [10**2, 10**3, 10**4, 10**5, 10**6, 10**18]
+    got = ngrams.classify_checkpoints(0.05, 1, 2, cps)
+    assert got == [86, 825, 6775, 69118, 596265, 415_002_687_332_098_442]
+
+
+def test_classify_checkpoints_refuses_past_its_range(monkeypatch):
+    monkeypatch.setattr(ngrams, "ENUMERATION_CAP", 100)
+    want = sum(not words.is_eps_k_normal(m, 0.3, 2, 2) for m in range(1, 101))
+    assert ngrams.classify_checkpoints(0.3, 2, 2, [100]) == [want]
+    with pytest.raises(CapacityError, match=r"limit 101 at k = 2 .* enumeration cap of 100;"):
+        ngrams.classify_checkpoints(0.3, 2, 2, [50, 101])
+    # k = 1 is counted, not enumerated, so the cap does not apply
+    assert ngrams.classify_checkpoints(0.3, 1, 2, [101]) == [
+        sum(not words.is_eps_k_normal(m, 0.3, 1, 2) for m in range(1, 102))
+    ]
+    # the accepted range ends at int64 for every k
+    assert 0 < ngrams.classify_checkpoints(0.3, 1, 2, [2**63 - 1])[0] < 2**63 - 1
+    for k in (1, 2):
+        with pytest.raises(CapacityError, match=r"limit 9223372036854775808 is past the int64"):
+            ngrams.classify_checkpoints(0.3, k, 2, [2**63])
+
+
 def test_classify_checkpoints_validates():
     with pytest.raises(ValueError):
         ngrams.classify_checkpoints(0.2, 1, 2, [])
@@ -409,6 +452,10 @@ def test_classify_checkpoints_validates():
         ngrams.classify_checkpoints(0.2, 1, 2, [10, 10])
     with pytest.raises(ValueError):
         ngrams.classify_checkpoints(0.2, 1, 2, [5, 3])
+    # a bad k, base or eps is a usage error even past the enumeration cap
+    for eps, k, g in ((0.2, 0, 2), (0.2, 2, 1), (0.0, 2, 2), (float("nan"), 1, 2)):
+        with pytest.raises(ValueError):
+            ngrams.classify_checkpoints(eps, k, g, [10**10])
 
 
 def test_fit_meager_exponent_recovers_power_law():

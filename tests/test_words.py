@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normfreq import arith, words
+from normfreq import arith, ngrams, words
 from normfreq.words import LSF, MSF
 
 
@@ -275,6 +275,76 @@ def test_eps_k_bad_mask_validates():
     with pytest.raises(ValueError):
         words.eps_k_bad_mask(one, 0.1, 1, 1)
     assert words.eps_k_bad_mask(np.empty(0, dtype=np.int64), 0.1, 1, 10).tolist() == []
+
+
+def test_count_band_is_the_kernels_rule():
+    # the exact ties: eps = 1/4, L = 4, base 2 leaves counts 2..2
+    assert words.count_band(4, 0.25, 1, 2) == (2, 2)
+    # a negative lower bound clips to 0; the top clips to the windows
+    assert words.count_band(5, 0.7, 1, 2) == (0, 5)
+    # lo = 0 with more words than windows: empty, so every word is bad
+    assert words.count_band(2, 0.25, 2, 2) == (1, 0)
+    # no windows: 0..0 below lo = 0, empty from it on
+    assert words.count_band(2, 0.05, 3, 10) == (0, 0)
+    assert words.count_band(2, 0.0005, 3, 10) == (1, 0)
+
+
+def bad_upto(top, eps, g):
+    """The cumulative count of m <= x failing the (eps, 1) test, for every
+    x in 0..top, from blocked `eps_k_bad_mask` calls."""
+    masks = ngrams.blocked_map(
+        lambda lo, hi: words.eps_k_bad_mask(np.arange(lo + 1, hi + 1), eps, 1, g), top, 1 << 16, 1
+    )
+    return np.concatenate([[0], np.cumsum(np.concatenate(list(masks)))])
+
+
+# eps = 0.7 puts the lower bound below 0 in every base; 0.25 in base 2
+# puts both bounds on integers at L = 4 (the ties above)
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.5, 0.7])
+def test_eps_1_normal_count_matches_every_prefix(g, eps):
+    bad = bad_upto(2000, eps, g)
+    passing = 0
+    for x in range(1, 2001):
+        passing += words.is_eps_k_normal(x, eps, 1, g)
+        assert words.eps_1_normal_count(x, eps, g) == x - bad[x] == passing, x
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 10, 16])
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.25, 1 / 3, 0.7])
+def test_eps_1_normal_count_around_powers_of_the_base(g, eps):
+    top = 70_000
+    bad = bad_upto(top + 1, eps, g)
+    length = 1
+    while g**length < top:
+        for x in (g**length - 1, g**length, g**length + 1):
+            assert words.eps_1_normal_count(x, eps, g) == x - bad[x], x
+        length += 1
+    assert words.eps_1_normal_count(top, eps, g) == top - bad[top]
+
+
+@given(
+    st.sampled_from([2, 3, 5, 10, 16, 300]),
+    KERNEL_EPS,
+    st.integers(min_value=1, max_value=20_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_eps_1_normal_count_matches_the_kernel_random(g, eps, x):
+    assert words.eps_1_normal_count(x, eps, g) == x - bad_upto(x, eps, g)[x]
+
+
+def test_eps_1_normal_count_pins_far_past_enumeration():
+    assert 10**18 - words.eps_1_normal_count(10**18, 0.05, 2) == 415_002_687_332_098_442
+    assert 10**18 - words.eps_1_normal_count(10**18, 0.05, 10) == 998_614_927_652_078_080
+
+
+def test_eps_1_normal_count_validates():
+    for eps in BAD_EPS:
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            words.eps_1_normal_count(10, eps, 10)
+    with pytest.raises(ValueError):
+        words.eps_1_normal_count(10, 0.1, 1)
+    assert words.eps_1_normal_count(0, 0.1, 10) == 0
 
 
 # ---------------------------------------------------------------------------
