@@ -10,7 +10,8 @@ Subcommands:
 
 `build_parser` declares each subcommand once, with its options and a
 runner; `main` resolves the options, calls the runner and writes the
-report it returns to stdout or to ``--report FILE``.
+report it returns, chunk by chunk as it is built, to stdout or to
+``--report FILE`` (which is replaced only once the report is complete).
 
 Options may also come from a ``--config FILE`` of plain ``key=value``
 lines whose keys are long flag names; explicit flags win on conflict,
@@ -280,11 +281,17 @@ def _domain_density(got, cps):
 
 def _report(got) -> None:
     payload = reports.read_report(got["in"])
-    text = reports.to_csv(payload) if got["format"] == "csv" else reports.canonical_json(payload)
     if got["out"]:
-        Path(got["out"]).write_text(text, encoding="ascii")
+        reports.write_report(payload, got["out"], got["format"])
+    elif got["format"] == "csv":
+        sys.stdout.write(reports.to_csv(payload))
     else:
-        sys.stdout.write(text)
+        _print_json(payload)
+
+
+def _print_json(report) -> None:
+    for chunk in reports.json_chunks(report):
+        sys.stdout.write(chunk.decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +427,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         got = args.opts.resolve(args)
         report = args.run(got)
-        if report is not None:
-            text = reports.canonical_json(report)
-            # a k-gram report's arrays are freed before its text is encoded
-            # and written, which keeps them out of the command's peak memory
-            del report
-            if got["report"]:
-                Path(got["report"]).write_text(text, encoding="ascii", newline="\n")
-            else:
-                sys.stdout.write(text)
+        if report is not None and got["report"]:
+            reports.write_report(report, got["report"])
+        elif report is not None:
+            _print_json(report)
         return 0
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

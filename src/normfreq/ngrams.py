@@ -106,7 +106,7 @@ class _KGramPayload(dict):
 def frequencies(counts: ArrayMap, windows: int) -> ArrayMap:
     """count / windows for each word.  Counts and windows stay below
     2^53, so float64 division rounds exactly as Python's int / int."""
-    return ArrayMap(counts.key_text, counts.value_array / windows)
+    return counts.with_values(counts.value_array / windows)
 
 
 def count_stream(
@@ -142,7 +142,6 @@ def count_stream(
     digits, lengths, final_index, flush = res.digits, res.lengths, res.final_index, res.flush
     windows = max(0, num_digits - k + 1)
     dense = size <= DENSE_LIMIT
-    powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
     # a window starting `back` digits before a word end crosses it; a
     # start before the word's own first digit is set by an earlier end
     ends = np.cumsum(lengths)
@@ -151,31 +150,39 @@ def count_stream(
         starts = ends[lengths >= back] - back  # sorted
         crosses[starts[: np.searchsorted(starts, windows)]] = True
     del ends
-    # the tail is the windows inside the cut final word: a suffix
+    # the tail is the windows inside the cut final word: a suffix, which
+    # no window crossing a word end reaches
     cut = num_digits if flush else num_digits - res.consumed_of_final
 
     def tally_chunk(start, stop):
-        codes = np.lib.stride_tricks.sliding_window_view(digits, k)[start:stop] @ powers
+        """The complete, boundary and tail tallies of windows [start, stop)."""
         cross = crosses[start:stop]
         split = max(cut - start, 0)
-        out = []
-        for sel in (codes[:split][~cross[:split]], codes[cross], codes[split:]):
-            if dense:
-                out.append(np.bincount(sel, minlength=size))
-            else:
-                uniq, cnt = np.unique(sel, return_counts=True)
-                out.append((uniq, cnt))
-        return out
+        if dense:
+            # the window's class (0 complete, 1 boundary, 2 tail) leads
+            # its code, so one bincount fills the three tables
+            codes = cross.astype(np.int64)
+            codes[split:] = 2
+        else:
+            codes = np.zeros(stop - start, dtype=np.int64)
+        for j in range(k):  # Horner over the window's digits
+            codes *= g
+            codes += digits[start + j : stop + j]
+        if dense:
+            return np.bincount(codes, minlength=3 * size).reshape(3, size)
+        return [
+            np.unique(sel, return_counts=True)
+            for sel in (codes[:split][~cross[:split]], codes[cross], codes[split:])
+        ]
 
     def merge(chunks):
         """Sum the chunk tallies in chunk order into one sorted code array
         and three aligned tallies."""
         if dense:
-            tables = np.zeros((3, size), dtype=np.int64)
+            tables = next(chunks, np.zeros((3, size), dtype=np.int64))
             for chunk in chunks:  # folded as it arrives
-                for table, part in zip(tables, chunk):
-                    table += part
-            codes = np.flatnonzero(tables.sum(axis=0))
+                tables += chunk
+            codes = np.flatnonzero(tables.any(axis=0))
             return codes, tables[:, codes]
         pieces = [(i, uniq, cnt) for chunk in chunks for i, (uniq, cnt) in enumerate(chunk)]
         codes, slot = np.unique(
@@ -190,13 +197,14 @@ def count_stream(
         return codes, tables
 
     codes, tables = merge(blocked_map(tally_chunk, windows, _CHUNK, threads))
+    labels = word_texts(codes, g, k)
+    if g > 10:  # dot-joined labels do not sort as their codes do
+        by_label = np.argsort(labels, kind="stable")
+        labels, tables = labels[by_label], tables[:, by_label]
     complete, boundary, tail = tables
     total = tables.sum(axis=0)
-    labels = word_texts(codes, g, k)
-
-    def tally(table):
-        live = table > 0
-        return ArrayMap(labels[live], table[live])
+    # every code in `codes` occurs; each tally keeps the label order
+    counts = ArrayMap(labels, total)
 
     max_dev = 0.0
     if windows > 0:
@@ -214,7 +222,6 @@ def count_stream(
         complete_words = final_index if flush else final_index - 1
         bad_count = sum(blocked_map(bad_in, complete_words, _BLOCK, threads))
 
-    counts = ArrayMap(labels, total)  # every code in `codes` occurs
     return _KGramPayload(
         kind="kgram-frequency-report",
         schema=1,
@@ -234,9 +241,9 @@ def count_stream(
         bad_count=bad_count,
         freqs=frequencies(counts, windows),
         counts=counts,
-        complete_counts=tally(complete),
-        boundary_counts=tally(boundary),
-        tail_counts=tally(tail),
+        complete_counts=counts.with_values(complete, complete > 0),
+        boundary_counts=counts.with_values(boundary, boundary > 0),
+        tail_counts=counts.with_values(tail, tail > 0),
     )
 
 

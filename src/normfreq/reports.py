@@ -5,9 +5,12 @@ key, whose values are JSON scalars, lists, dicts and, for the k-gram
 tallies, `ArrayMap`s.  This module owns the byte layout:
 JSON is written with sorted keys, two-space indent, ASCII escapes and a
 trailing newline, so equal payloads produce equal files.  One writer,
-`canonical_json`, produces it: `json.dumps` writes everything except the
-top-level flat maps, whose lines come from one array row builder, the
-same one that writes the k-gram CSV rows.  CSV is a lossy projection of
+`json_chunks`, produces it as consecutive byte chunks: `json.dumps`
+writes everything except the top-level flat maps, whose lines come from
+one array row builder a block of rows at a time, the same one that
+writes the k-gram CSV rows.  `canonical_json` joins the chunks into the
+text, and `write_report` streams them into a file, which it replaces
+only once the report is complete.  CSV is a lossy projection of
 the JSON (headers per kind below); round-tripping through a JSON file
 and projecting gives the same bytes as projecting the live object.
 """
@@ -29,7 +32,7 @@ class ArrayMap(Mapping):
     `key_text` is an `S` array of keys made of bytes that JSON writes
     unescaped, unique and in increasing byte order (which is str order);
     `value_array` is int64 or float64.  Construction sorts keys that are
-    not yet sorted.  At the top level of a payload, `canonical_json`
+    not yet sorted.  At the top level of a payload, `json_chunks`
     writes the map from the arrays, without a Python object per entry.
     """
 
@@ -37,11 +40,9 @@ class ArrayMap(Mapping):
 
     def __init__(self, keys: np.ndarray, values: np.ndarray):
         keys = np.ascontiguousarray(keys)
-        values = np.asarray(values)
-        if keys.dtype.kind != "S" or keys.ndim != 1 or keys.shape != values.shape:
+        if keys.dtype.kind != "S" or keys.ndim != 1:
             raise ValueError("keys must be a 1-d bytes array aligned with the values")
-        if values.dtype != np.int64 and values.dtype != np.float64:
-            raise TypeError(f"values must be int64 or float64, not {values.dtype}")
+        values = _checked_values(values, keys)
         # keys hold only the bytes JSON writes unescaped: printable ASCII
         # other than the quote and the backslash.  numpy pads short keys
         # with NUL, so a NUL may be followed only by NUL within a key.
@@ -59,6 +60,16 @@ class ArrayMap(Mapping):
                 raise ValueError("keys must be unique")
         self.key_text = keys
         self.value_array = values
+
+    def with_values(self, values: np.ndarray, keep: np.ndarray | None = None) -> ArrayMap:
+        """The map from these keys to the aligned `values`, limited to the
+        entries where the boolean `keep` is set.  The keys are not checked
+        again: any ordered selection of valid keys is valid."""
+        values = _checked_values(values, self.key_text)
+        out = ArrayMap.__new__(ArrayMap)
+        out.key_text = self.key_text if keep is None else self.key_text[keep]
+        out.value_array = values if keep is None else values[keep]
+        return out
 
     def __getitem__(self, key: str) -> int | float:
         if isinstance(key, str) and key.isascii():
@@ -89,38 +100,55 @@ class ArrayMap(Mapping):
         return f"ArrayMap({dict(zip(self, self.value_array.tolist()))!r})"
 
 
+def _checked_values(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    values = np.asarray(values)
+    if keys.shape != values.shape:
+        raise ValueError("keys must be a 1-d bytes array aligned with the values")
+    if values.dtype != np.int64 and values.dtype != np.float64:
+        raise TypeError(f"values must be int64 or float64, not {values.dtype}")
+    return values
+
+
 def _payload(report: Any) -> dict:
     if not isinstance(report, dict):
         raise TypeError(f"not a report payload: {type(report).__name__}")
     return report
 
 
-def canonical_json(report: dict) -> str:
-    """Deterministic JSON text for a report payload dict.
+def json_chunks(report: dict) -> Iterator[bytes]:
+    """The canonical JSON bytes of a report payload, as consecutive chunks.
 
     The bytes are those of `json.dumps(payload, sort_keys=True, indent=2,
     ensure_ascii=True)` plus a newline, with each `ArrayMap` written as
     the dict it equals.  json writes everything except the top-level
     flat maps (str to int64 or to finite nonzero float, array-backed or
-    plain), whose lines come from the array row builder.
+    plain), whose lines come from the array row builder a block of rows
+    at a time, so no chunk holds a whole map.
     """
     payload = _payload(report)
     if not all(isinstance(key, str) for key in payload):
-        return _dumps(payload) + "\n"
-    out = []
+        yield (_dumps(payload) + "\n").encode("ascii")
+        return
     sep = "{"
     for key in sorted(payload):
         value = payload[key]
-        out.append(f"{sep}\n  {_quote(key)}: ")
+        yield f"{sep}\n  {_quote(key)}: ".encode("ascii")
         sep = ","
         flat = _flat_arrays(value) if isinstance(value, (dict, ArrayMap)) and value else None
         if flat is not None:
-            out += ["{", _item_lines(*flat, "\n    "), "\n  }"]
+            yield b"{"
+            yield from _item_lines(*flat, b"\n    ")
+            yield b"\n  }"
         else:
             # ASCII JSON holds no raw newline, so every one starts a line
-            out.append(_dumps(value).replace("\n", "\n  "))
-    out.append("\n}\n" if out else "{}\n")
-    return "".join(out)
+            yield _dumps(value).replace("\n", "\n  ").encode("ascii")
+    yield b"{}\n" if sep == "{" else b"\n}\n"
+
+
+def canonical_json(report: dict) -> str:
+    """Deterministic JSON text for a report payload dict: the joined
+    `json_chunks`."""
+    return b"".join(json_chunks(report)).decode("ascii")
 
 
 def _as_dict(value: Any) -> dict:
@@ -161,43 +189,83 @@ def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
     return keys, values
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(values, return_inverse=True)`; int64 values whose range
+    is narrower than their count are told apart by one bincount over that
+    range instead of a sort."""
+    if values.dtype == np.int64 and len(values):
+        low = int(values.min())
+        if int(values.max()) - low < len(values):
+            offsets = values - low  # exact: no offset reaches the count
+            seen = np.bincount(offsets) > 0
+            return np.flatnonzero(seen) + low, (np.cumsum(seen) - 1)[offsets]
+    return np.unique(values, return_inverse=True)
+
+
 def _value_text(values: np.ndarray) -> np.ndarray:
     """The `S` text of each int64 or finite float64 value, as json writes
     it; each distinct value is formatted once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct, inverse = _distinct(values)
     text = int.__repr__ if values.dtype == np.int64 else float.__repr__
     return np.array([text(value) for value in distinct.tolist()], dtype="S")[inverse]
 
 
-def _rows(parts: list, count: int) -> str:
+# rows per chunk of `_rows`
+_ROW_BLOCK = 1 << 14
+
+
+def _rows(parts: list, count: int) -> Iterator[bytes]:
     """`count` rows, each the concatenation of `parts`: `S` arrays of
-    `count` entries and byte constants.  The rows are built as one
-    NUL-padded byte block; the text holds no NUL byte, so dropping every
-    NUL leaves it."""
-    widths = [part.itemsize if isinstance(part, np.ndarray) else len(part) for part in parts]
-    block = np.zeros((count, sum(widths)), dtype=np.uint8)
-    col = 0
-    for part, width in zip(parts, widths):
-        if isinstance(part, np.ndarray):
-            part = part.view(np.uint8).reshape(count, width)
-        else:
-            part = np.frombuffer(part, dtype=np.uint8)
-        block[:, col : col + width] = part
-        col += width
-    return str(block[block != 0].data, "ascii")
+    `count` entries and byte constants, as the bytes of consecutive
+    blocks of rows.  A block is a record array with one NUL-padded field
+    per part, the constants filled once; the text holds no NUL byte, so
+    dropping every NUL leaves it."""
+    fields = [
+        (str(i), f"S{part.itemsize if isinstance(part, np.ndarray) else len(part)}")
+        for i, part in enumerate(parts)
+    ]
+    block = np.empty(min(count, _ROW_BLOCK), dtype=fields)
+    for (name, _), part in zip(fields, parts):
+        if not isinstance(part, np.ndarray):
+            block[name] = part
+    for lo in range(0, count, _ROW_BLOCK):
+        rows = block[: min(count - lo, _ROW_BLOCK)]
+        for (name, _), part in zip(fields, parts):
+            if isinstance(part, np.ndarray):
+                rows[name] = part[lo : lo + len(rows)]
+        raw = rows.view(np.uint8)
+        yield raw[raw != 0].tobytes()
 
 
-def _item_lines(keys: np.ndarray, values: np.ndarray, indent: str) -> str:
-    """`indent "key": value` for each entry, joined by ","."""
-    parts = [(indent + '"').encode("ascii"), keys, b'": ', _value_text(values), b","]
-    return _rows(parts, len(keys))[:-1]
+def _item_lines(keys: np.ndarray, values: np.ndarray, indent: bytes) -> Iterator[bytes]:
+    """`indent "key": value` for each of the (one or more) entries,
+    joined by ","."""
+    rows = _rows([indent + b'"', keys, b'": ', _value_text(values), b","], len(keys))
+    chunk = next(rows)
+    for following in rows:
+        yield chunk
+        chunk = following
+    yield chunk[:-1]  # the last entry takes no comma
 
 
-def write_report(report: Any, path: str | os.PathLike) -> str:
-    text = canonical_json(report)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    return text
+def write_report(report: Any, path: str | os.PathLike, fmt: str = "json") -> None:
+    """Write a report's canonical JSON, or with fmt="csv" its CSV
+    projection, to `path`.  The JSON is written chunk by chunk as it is
+    built, into a temporary file beside `path` that replaces `path` only
+    once complete: an error leaves `path` as it was and no temporary
+    file behind."""
+    chunks = [to_csv(report).encode("ascii")] if fmt == "csv" else json_chunks(report)
+    head, name = os.path.split(os.fspath(path))
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(temporary, "xb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def read_report(path: str | os.PathLike) -> dict:
@@ -261,7 +329,7 @@ def kgram_csv(payload: dict) -> str:
             aligned[np.searchsorted(words, keys)] = values
         parts += [b",", _value_text(aligned)]
     parts += [b",", _value_text(counts / payload["windows"]), b"\n"]
-    return header + _rows(parts, len(words))
+    return header + b"".join(_rows(parts, len(words))).decode("ascii")
 
 
 def density_csv(payload: dict) -> str:

@@ -38,10 +38,15 @@ def word_texts(codes: np.ndarray, g: int, k: int) -> np.ndarray:
     """`word_text` of each k-digit word code (most significant digit first)
     as an array of ASCII bytes (`S` dtype), with no per-word Python work
     for g <= 10."""
-    codes = np.asarray(codes, dtype=np.int64)
-    digits = codes[:, None] // g ** np.arange(k - 1, -1, -1, dtype=np.int64) % g
+    rest = np.array(codes, dtype=np.int64)
+    digit = np.empty_like(rest)
+    digits = np.empty((len(rest), k), dtype=np.uint8 if g <= 256 else np.int64)
+    for j in range(k - 1, -1, -1):  # the last digit first
+        np.divmod(rest, g, out=(rest, digit))
+        digits[:, j] = digit
     if g <= 10:
-        return (digits.astype(np.uint8) + 48).view(f"S{k}").ravel()
+        digits += 48
+        return digits.view(f"S{k}").ravel()
     return np.array([word_text(row, g) for row in digits.tolist()], dtype="S")
 
 

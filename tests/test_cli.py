@@ -178,6 +178,30 @@ def test_count_report_file_equals_stdout(tmp_path, capsys):
     assert stored == stdout_text
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_count_report_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch, existing):
+    # the report streams into a temporary file that replaces the target
+    # only once complete; an error part way removes it
+    real_rows = reports._rows
+
+    def failing_rows(parts, count):
+        rows = real_rows(parts, count)
+        yield next(rows)
+        raise MemoryError("row builder failed")
+
+    monkeypatch.setattr(reports, "_ROW_BLOCK", 4)
+    monkeypatch.setattr(reports, "_rows", failing_rows)
+    path = tmp_path / "count.json"
+    if existing:
+        path.write_text("an earlier report\n")
+    code, out, err = run(capsys, "count", "--f", "phi", "--k", "2", "--digits", "500",
+                         "--report", str(path))
+    assert code == 3 and out == "" and "row builder failed" in err
+    if existing:
+        assert path.read_text() == "an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["count.json"] if existing else [])
+
+
 def test_count_reruns_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -656,6 +680,15 @@ def test_report_out_file(census_file, tmp_path, capsys):
                        "--format", "csv", "--out", str(dest))
     assert code == 0 and out == ""
     assert dest.read_text().startswith("x,count,bound,ratio,verdict\n")
+
+
+def test_report_json_out_file(census_file, tmp_path, capsys):
+    dest = tmp_path / "again.json"
+    code, out, _ = run(capsys, "report", "--in", str(census_file),
+                       "--format", "json", "--out", str(dest))
+    assert code == 0 and out == ""
+    assert dest.read_bytes() == census_file.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.json", "fps.json"]
 
 
 def test_report_kgram_projection(tmp_path, capsys):

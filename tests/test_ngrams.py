@@ -366,6 +366,28 @@ def test_count_stream_long_words_match_literal_windows(engine):
     assert rep["counts"] == want
 
 
+@pytest.mark.parametrize("g, k", [(2, 63), (16, 15)])
+def test_count_stream_codes_at_the_int64_edge(engine, g, k):
+    # g^k = 2^63 is the largest code range accepted, and 16^15 = 2^60
+    digits = []
+    m = 1
+    while len(digits) < 300:
+        word = []
+        n = m
+        while n:
+            n, digit = divmod(n, g)
+            word.append(digit)
+        digits += word[::-1]
+        m += 1
+    want = {}
+    for i in range(300 - k + 1):
+        label = words.word_text(digits[i : i + k], g)
+        want[label] = want.get(label, 0) + 1
+    rep = ngrams.count_stream(engine, arith.CompositionSpec(), 300, g=g, k=k)
+    assert rep["windows"] == 300 - k + 1
+    assert rep["counts"] == want
+
+
 def test_count_stream_validates(engine):
     with pytest.raises(ValueError):
         ngrams.count_stream(engine, arith.CompositionSpec(), 0)

@@ -169,3 +169,50 @@ def test_writer_subclasses_follow_json():
 
     same_as_oracle({Key("b"): Count(3), "a": {Key("x"): Share(0.5), "y": Count(7)}})
     same_as_oracle({"m": {"a": Share(0.5), "b": Share(0.5)}})
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_writer_rows_span_blocks(monkeypatch, block):
+    # the row builder writes a map a block of rows at a time
+    monkeypatch.setattr(reports, "_ROW_BLOCK", block)
+    counts = {f"w{i:02d}": (i * 7919) % 23 - 5 for i in range(20)}
+    freqs = {f"f{i}": 1 / (i + 1) for i in range(10)}
+    same_as_oracle({"counts": counts, "freqs": array_map(freqs, np.float64), "one": {"a": 1}})
+    payload = {
+        "kind": "kgram-frequency-report",
+        "windows": 40,
+        "counts": {"0": 30, "1": 10},
+        "complete_counts": {"0": 25},
+        "boundary_counts": {"0": 5, "1": 8},
+        "tail_counts": {"1": 2},
+    }
+    assert reports.to_csv(payload) == (
+        "word,count,complete,boundary,tail,freq\n0,30,25,5,0,0.75\n1,10,0,8,2,0.25\n"
+    )
+
+
+def spy(monkeypatch, name):
+    """The list of calls to numpy's `name` while the test runs."""
+    calls = []
+    real = getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_value_text_range_guard(monkeypatch):
+    # int values whose range is below their count are told apart by a
+    # bincount over the range, any others by a sort, with no table over
+    # their range (2^62 entries for "wide")
+    bincounts, uniques = spy(monkeypatch, "bincount"), spy(monkeypatch, "unique")
+    same_as_oracle({"narrow": {"a": -5, "b": -3, "c": -5, "d": -4}})
+    assert len(bincounts) == 1 and not uniques
+    for values in ({"a": -5, "b": 0, "c": 3}, {"a": 1, "b": 2**62}):
+        bincounts.clear()
+        uniques.clear()
+        same_as_oracle({"wide": values})
+        assert not bincounts and len(uniques) == 1

@@ -119,6 +119,25 @@ def test_word_texts_match_word_text(g, k):
     assert words.word_texts(np.empty(0, dtype=np.int64), g, k).tolist() == []
 
 
+@pytest.mark.parametrize("g", [2, 7, 10])
+@pytest.mark.parametrize("k", [1, 6, 18])
+def test_word_texts_match_word_text_on_long_words(g, k):
+    # both ends of the code range and a seeded spread; 10^18 codes fit int64
+    size = g**k
+    spread = np.random.default_rng(100 * g + k).integers(0, size, 300, dtype=np.int64)
+    codes = [0, size - 1, *spread.tolist()]
+
+    def decode(code):
+        word = []
+        for _ in range(k):
+            code, digit = divmod(code, g)
+            word.append(digit)
+        return word[::-1]
+
+    got = words.word_texts(np.array(codes, dtype=np.int64), g, k)
+    assert got.tolist() == [words.word_text(decode(c), g).encode("ascii") for c in codes]
+
+
 def test_digits_of_rejects_zero():
     with pytest.raises(ValueError):
         words.digits_of(0)
