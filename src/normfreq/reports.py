@@ -240,12 +240,9 @@ def _rows(parts: list, count: int) -> Iterator[bytes]:
 def _item_lines(keys: np.ndarray, values: np.ndarray, indent: bytes) -> Iterator[bytes]:
     """`indent "key": value` for each of the (one or more) entries,
     joined by ","."""
-    rows = _rows([indent + b'"', keys, b'": ', _value_text(values), b","], len(keys))
-    chunk = next(rows)
-    for following in rows:
-        yield chunk
-        chunk = following
-    yield chunk[:-1]  # the last entry takes no comma
+    rows = _rows([b",", indent + b'"', keys, b'": ', _value_text(values)], len(keys))
+    yield next(rows)[1:]  # no comma before the first entry
+    yield from rows
 
 
 def write_report(report: Any, path: str | os.PathLike, fmt: str = "json") -> None:
