@@ -217,7 +217,7 @@ def small_value_census(
         raise ValueError("theta must lie in (0, 1]")
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    vals = engine.chain_values(spec.chain, np.arange(1, limit + 1, dtype=np.int64))
+    vals = engine.chain_values(spec.chain, engine.domain_values(NATURALS, limit))
     power = 2**spec.depth
     counts = checkpoint_counts(vals <= _nested_isqrt(limit, spec.depth), cps)
     rows = [_row(x, c, x / math.exp(floored_log(x) ** theta)) for x, c in zip(cps, counts)]
@@ -346,7 +346,7 @@ def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) 
         raise ValueError("x must be >= 2")
     if spec.domain is not NATURALS:
         raise ValueError("growth check runs over the naturals")
-    vals = engine.chain_values(spec.chain, np.arange(1, x + 1, dtype=np.int64))
+    vals = engine.chain_values(spec.chain, engine.domain_values(NATURALS, x))
     logf = np.maximum(1.0, np.log(vals.astype(np.float64)))
     logm = np.maximum(1.0, np.log(np.arange(1, x + 1, dtype=np.float64)))
     sum_ratio = float(logf.sum() / (x * floored_log(x)))
@@ -491,7 +491,7 @@ def restricted_domain_check(
     those in S."""
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    mask = np.asarray(member(np.arange(1, limit + 1, dtype=np.int64)), dtype=bool)
+    mask = np.asarray(member(ArithEngine().domain_values(NATURALS, limit)), dtype=bool)
     rows = []
     for x, count in zip(cps, checkpoint_counts(mask, cps)):
         floor = x / floored_log(x) ** exponent

@@ -34,16 +34,36 @@ def word_text(digits: Sequence[int], g: int) -> str:
     return ("" if g <= 10 else ".").join(map(str, digits))
 
 
+def fixed_digits(values, length: int, g: int) -> np.ndarray:
+    """The last `length` base-g digits of each value >= 0 as an
+    (n, length) matrix, most significant first: `length` in-place
+    `divmod`s, the last digit first.  uint8 for g <= 256, int64 above."""
+    rest = np.array(values, dtype=np.int64)  # a copy, divided in place
+    digit = np.empty_like(rest)
+    digits = np.empty((len(rest), length), dtype=np.uint8 if g <= 256 else np.int64)
+    for j in range(length - 1, -1, -1):
+        np.divmod(rest, g, out=(rest, digit))
+        digits[:, j] = digit
+    return digits
+
+
+def window_codes(digits: np.ndarray, k: int, g: int, codes: np.ndarray) -> np.ndarray:
+    """The code of each length-k window along the last axis of `digits`,
+    by k in-place Horner steps into the int64 array `codes`, one entry
+    per window.  `codes` arrives holding each window's leading code and
+    leaves holding lead * g^k + the window's code; it is returned."""
+    width = codes.shape[-1]
+    for j in range(k):
+        codes *= g
+        codes += digits[..., j : j + width]
+    return codes
+
+
 def word_texts(codes: np.ndarray, g: int, k: int) -> np.ndarray:
     """`word_text` of each k-digit word code (most significant digit first)
     as an array of ASCII bytes (`S` dtype), with no per-word Python work
     for g <= 10."""
-    rest = np.array(codes, dtype=np.int64)
-    digit = np.empty_like(rest)
-    digits = np.empty((len(rest), k), dtype=np.uint8 if g <= 256 else np.int64)
-    for j in range(k - 1, -1, -1):  # the last digit first
-        np.divmod(rest, g, out=(rest, digit))
-        digits[:, j] = digit
+    digits = fixed_digits(codes, k, g)
     if g <= 10:
         digits += 48
         return digits.view(f"S{k}").ravel()
@@ -158,9 +178,10 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
     is bad when the band is empty, and every row passes when there are
     no windows and it is not.  Otherwise the rows' window codes come
     from their digit matrix, and every count, absent words at 0
-    included, must lie in the band.  With k <= L a code is at most the
-    value itself, so it fits int64.  The digit matrix of each length is
-    built whole, so callers hand in one block of values at a time.
+    included, must lie in the band.  The dense table's codes lead with
+    their row, so they stay below n * g^k <= 2 * n * windows in int64.
+    The digit matrix of each length is built whole, so callers hand in
+    one block of values at a time.
     """
     if k < 1:
         raise ValueError("word length k must be >= 1")
@@ -186,17 +207,14 @@ def eps_k_bad_mask(values, eps: float, k: int, g: int = 10) -> np.ndarray:
         # they are used only when size > width, so a nonempty band has
         # least = 0
         n = len(rows)
-        digits = _expand_digits(values[rows], np.full(n, length), g, MSF).reshape(n, length)
-        if k == 1:
-            codes = digits.astype(np.int64)
-        else:
-            powers = g ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            codes = np.lib.stride_tricks.sliding_window_view(digits, k, axis=1) @ powers
+        digits = fixed_digits(values[rows], length, g)
         if size <= 2 * width:
-            codes += np.arange(0, n * size, size, dtype=np.int64)[:, None]
+            lead = np.arange(n, dtype=np.int64)[:, None].repeat(width, axis=1)  # row numbers
+            codes = window_codes(digits, k, g, lead)
             counts = np.bincount(codes.ravel(), minlength=n * size).reshape(n, size)
             bad[rows] = ((counts < least) | (counts > most)).any(axis=1)
         else:
+            codes = window_codes(digits, k, g, np.zeros((n, width), dtype=np.int64))
             codes.sort(axis=1)
             starts = np.ones(codes.shape, dtype=bool)
             np.not_equal(codes[:, 1:], codes[:, :-1], out=starts[:, 1:])
@@ -331,28 +349,6 @@ def _digit_lengths(values: np.ndarray, g: int) -> np.ndarray:
     return np.searchsorted(np.array(powers, dtype=np.int64), values, side="right") + 1
 
 
-def _expand_digits(
-    values: np.ndarray, lengths: np.ndarray, g: int, order: DigitOrder
-) -> np.ndarray:
-    """Concatenated base-g words of `values`, whose digit counts are `lengths`.
-
-    One floor-div/mod pass per digit position, from the most significant
-    down; every power used is at most the largest value, so nothing wraps.
-    """
-    ends = np.cumsum(lengths)
-    out = np.empty(int(ends[-1]), dtype=np.uint8 if g <= 256 else np.int64)
-    rest = values
-    for j in range(int(lengths.max()) - 1, -1, -1):  # digit j has weight g^j
-        digit, rest = np.divmod(rest, g**j)
-        live = np.flatnonzero(lengths > j)
-        if order is MSF:
-            pos = ends[live] - 1 - j
-        else:
-            pos = ends[live] - lengths[live] + j
-        out[pos] = digit[live]
-    return out
-
-
 def truncate(
     engine: ArithEngine,
     spec: CompositionSpec,
@@ -388,7 +384,12 @@ def truncate(
     values = values[: final + 1].copy()
     lengths = lengths[: final + 1].copy()
     final_length = int(lengths[final])
-    digits = _expand_digits(values, lengths, g, order)[:num_digits]
+    top = int(lengths.max())  # every word padded to the longest, the padding masked off
+    digits = fixed_digits(values, top, g)
+    if order is MSF:
+        digits = digits[np.arange(top) >= top - lengths[:, None]][:num_digits]
+    else:
+        digits = digits[:, ::-1][np.arange(top) < lengths[:, None]][:num_digits]
     lengths[final] -= overhang
     return TruncationResult(
         digits, final + 1, final_length - overhang, final_length, lengths, values

@@ -6,6 +6,7 @@ goes through a real subprocess to make sure the module entry point is
 wired up.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -374,6 +375,22 @@ def test_naturals_past_the_domain_budget_exit_code(capsys):
     code, out, err = run(capsys, "count", "--f", "id", "--digits", str(10**10))
     assert (code, out) == (3, "")
     assert re.fullmatch(r"error: domain values for limit \d+ needs \d+ bytes, budget is \d+\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("small-value", "--limit", "10000"),  # the identity chain builds no table
+    ("growth", "--limit", "10000"),
+    ("domain-density", "--set", "odd", "--limit", "10000"),
+])
+def test_census_inputs_past_the_domain_budget_exit_code(capsys, monkeypatch, argv):
+    # 10^4 inputs need 80,008 bytes, past an 8,000-byte budget: refused
+    # before the input array is built
+    small = functools.partial(ArithEngine, memory_budget=8000)
+    monkeypatch.setattr(cli, "ArithEngine", small)
+    monkeypatch.setattr(experiments, "ArithEngine", small)
+    code, out, err = run(capsys, "experiment", *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: domain values for limit 10000 needs 80008 bytes, budget is 8000\n"
 
 
 def test_memory_error_without_text_exit_code(capsys, monkeypatch):

@@ -308,17 +308,22 @@ def test_count_stream_max_dev_recomputable(engine):
     assert rep["max_dev"] == pytest.approx(max(devs))
 
 
-def test_count_stream_bad_count(engine):
+# base 10 has more words than twice the windows of phi's values here (at
+# most 3 digits), so its classifier takes the sorted-runs branch; base 2
+# takes the dense table, and at k = 3 both
+@pytest.mark.parametrize("g", [2, 10])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_stream_bad_count(engine, k, g):
     spec = arith.CompositionSpec((arith.PHI,))
-    rep = ngrams.count_stream(engine, spec, 400, g=10, k=1, eps=0.2)
+    rep = ngrams.count_stream(engine, spec, 400, g=g, k=k, eps=0.2)
     complete = rep["n"] - (0 if rep["flush"] else 1)
     want = 0
     for m in range(1, complete + 1):
         v = arith.phi(engine.factorize(m))
-        if not words.is_eps_k_normal(v, 0.2, 1, 10):
+        if not words.is_eps_k_normal(v, 0.2, k, g):
             want += 1
     assert rep["bad_count"] == want
-    assert ngrams.count_stream(engine, spec, 400, k=1)["bad_count"] is None
+    assert ngrams.count_stream(engine, spec, 400, g=g, k=k)["bad_count"] is None
 
 
 def test_count_stream_report_json_stable(engine):

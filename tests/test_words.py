@@ -231,7 +231,7 @@ def kernel_cases(draw):
     """(g, k, eps, values) with values over several digit lengths, short
     lengths (below k among them) drawn as often as any."""
     g = draw(st.sampled_from([2, 3, 10, 16, 300]))
-    k = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=6))
     top = words.digit_length(2**63 - 1, g)
     lengths = st.one_of(st.integers(1, k + 2), st.integers(1, top))
     values = st.lists(
