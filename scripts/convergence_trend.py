@@ -70,12 +70,11 @@ def main() -> int:
             "delta": fit.delta,
         },
     }
-    text = reports.canonical_json(payload)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        reports.write_report(payload, args.out)
     else:
-        sys.stdout.write(text)
+        for chunk in reports.json_chunks(payload):
+            sys.stdout.write(chunk.decode("ascii"))
     return 0
 
 

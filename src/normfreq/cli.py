@@ -8,15 +8,19 @@ Subcommands:
     experiment  the census/report battery (fps, divisor, omega-tail, ...)
     report      project a stored JSON report to CSV (or re-emit JSON)
 
-`build_parser` declares each subcommand once, with its options and a
-runner; `main` resolves the options, calls the runner and writes the
-report it returns, chunk by chunk as it is built, to stdout or to
-``--report FILE`` (which is replaced only once the report is complete).
+`build_parser` declares each subcommand once, with its options (their
+defaults, required flags and choices) and a runner; `main` parses the
+options, calls the runner and writes the report it returns, chunk by
+chunk as it is built, to stdout or to ``--report FILE`` (which is
+replaced only once the report is complete).  Flags match by their full
+name only.
 
 Options may also come from a ``--config FILE`` of plain ``key=value``
-lines whose keys are long flag names; explicit flags win on conflict,
-and keys that do not belong to the active subcommand are ignored so one
-file can drive a whole pipeline.
+lines whose keys are long flag names.  `main` reads each line as the
+flag ``--key=value``, placed ahead of the command line's own flags, so
+argparse checks both alike and an explicit flag wins on conflict.  Keys
+that the active subcommand does not take are ignored, so one file can
+drive a whole pipeline.
 
 Exit codes: 0 success, 2 usage error, 3 capacity/overflow.
 """
@@ -26,7 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import experiments, ngrams, reports
 from .arith import (
@@ -43,7 +47,7 @@ from .arith import (
     gstar,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .words import LSF, MSF, DigitOrder, truncate, word_text
+from .words import LSF, MSF, truncate, word_text
 
 _FN_TOKENS = {
     "phi": PHI,
@@ -91,23 +95,6 @@ def parse_chain(text: Optional[str], domain: Domain = NATURALS) -> CompositionSp
     return CompositionSpec(tuple(chain), domain)
 
 
-def _choose(table: dict, token: str, what: str):
-    """table[token]; argparse checks choices on the command line, this
-    also checks values read from a --config file."""
-    try:
-        return table[token]
-    except KeyError:
-        raise ValueError(f"unknown {what} {token!r} (choose from {', '.join(table)})") from None
-
-
-def _domain(token: str) -> Domain:
-    return _choose(_DOMAIN_TOKENS, token, "domain")
-
-
-def _order(token: str) -> DigitOrder:
-    return _choose(_ORDER_TOKENS, token, "digit order")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -127,48 +114,15 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-class _OptionSet:
-    """Declares a subcommand's value options once, for both argv and config.
-
-    argparse sees every option with default None; after parsing,
-    `resolve` fills unset options from the --config file and then from
-    the declared defaults, so explicit flags always win.
-    """
-
-    def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
-        self.options: dict[str, tuple[Callable, object]] = {}
-        parser.add_argument("--config", metavar="FILE", help="key=value defaults file")
-
-    def add(self, name, *, convert=str, default=None, required=False, choices=None, help=""):
-        if default is not None:
-            help = f"{help} (default: {default})" if help else f"default: {default}"
-        self.parser.add_argument(
-            f"--{name}",
-            dest=name.replace("-", "_"),
-            type=convert,
-            choices=choices,
-            default=None,
-            help=help,
-        )
-        self.options[name] = (convert, default, required)
-
-    def resolve(self, args: argparse.Namespace) -> dict:
-        file_pairs: dict[str, str] = {}
-        if args.config:
-            file_pairs = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-        out = {}
-        for name, (convert, default, required) in self.options.items():
-            dest = name.replace("-", "_")
-            value = getattr(args, dest)
-            if value is None and name in file_pairs:
-                value = convert(file_pairs[name])
-            if value is None:
-                value = default
-            if value is None and required:
-                raise ValueError(f"missing required option --{name}")
-            out[dest] = value
-        return out
+def _config_flags(argv: list[str]) -> list[str]:
+    """The lines of the ``--config`` file named in argv, as ``--key=value`` flags."""
+    config = argparse.ArgumentParser(prog="normfreq", add_help=False, allow_abbrev=False)
+    config.add_argument("--config", metavar="FILE")
+    path = config.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    pairs = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return [f"--{key}={value}" for key, value in pairs.items()]
 
 
 def parse_threads(text: str) -> int:
@@ -190,19 +144,21 @@ def _int_list(text: str) -> list[int]:
 
 
 def _stream(got) -> None:
-    spec = parse_chain(got["f"], _domain(got["domain"]))
-    result = truncate(ArithEngine(), spec, got["digits"], got["base"], _order(got["order"]))
-    print(word_text(result.digits.tolist(), got["base"]))
+    g = got["base"]
+    spec = parse_chain(got["f"], _DOMAIN_TOKENS[got["domain"]])
+    digits = truncate(ArithEngine(), spec, got["digits"], g, _ORDER_TOKENS[got["order"]]).digits
+    # for g <= 10 the text is one ASCII byte per uint8 digit, as in `words.word_texts`
+    print((digits + 48).tobytes().decode("ascii") if g <= 10 else word_text(digits.tolist(), g))
 
 
 def _count(got):
     return ngrams.count_stream(
         ArithEngine(),
-        parse_chain(got["f"], _domain(got["domain"])),
+        parse_chain(got["f"], _DOMAIN_TOKENS[got["domain"]]),
         got["digits"],
         g=got["base"],
         k=got["k"],
-        order=_order(got["order"]),
+        order=_ORDER_TOKENS[got["order"]],
         eps=got["eps"],
         threads=got["threads"],
     )
@@ -217,7 +173,7 @@ def _classify(got) -> dict:
         "eps": eps,
         "k": k,
         "g": g,
-        "order": _order(got["order"]).value,
+        "order": _ORDER_TOKENS[got["order"]].value,
         "limit": limit,
         "bad_count": bad,
         "bad_fraction": bad / limit,
@@ -251,7 +207,7 @@ def _small_value(got, cps):
 
 
 def _thin_preimage(got, cps):
-    thin = _choose(experiments.THIN_SETS, got["set"], "thin set")
+    thin = experiments.THIN_SETS[got["set"]]
     return experiments.thin_preimage_census(ArithEngine(), _single_fn(got["f"]), thin, cps)
 
 
@@ -266,7 +222,7 @@ def _non_normal(got):
         got["k"],
         g=got["base"],
         num_digits=got["digits"],
-        order=_order(got["order"]),
+        order=_ORDER_TOKENS[got["order"]],
     )
 
 
@@ -275,7 +231,7 @@ def _extremal(got):
 
 
 def _domain_density(got, cps):
-    member = _choose(experiments.DENSITY_SETS, got["set"], "set")
+    member = experiments.DENSITY_SETS[got["set"]]
     return experiments.restricted_domain_check(member, got["set"], got["exponent"], cps)
 
 
@@ -299,143 +255,166 @@ def _print_json(report) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_stream_options(opts: _OptionSet) -> None:
-    opts.add("f", default="id", help="function chain, outermost first (e.g. phi.sigma)")
-    opts.add("domain", default="naturals", choices=sorted(_DOMAIN_TOKENS),
-             help="index set the chain runs over")
-    opts.add("base", convert=int, default=10, help="digit base g >= 2")
-    opts.add("order", default="msf", choices=["msf", "lsf", "paper"],
-             help="digit order inside each value: most significant first, "
-                  "or least significant first (lsf; 'paper' is an alias)")
-    opts.add("digits", convert=int, required=True, help="number of stream digits N")
+class _DefaultsHelp(argparse.HelpFormatter):
+    """Ends an option's help with its default, where it has one."""
+
+    def _get_help_string(self, action):
+        if action.default is None or action.default is argparse.SUPPRESS:
+            return action.help
+        return f"{action.help} (default: %(default)s)"
+
+
+def _add_stream_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--f", default="id", help="function chain, outermost first (e.g. phi.sigma)")
+    sub.add_argument("--domain", default="naturals", choices=sorted(_DOMAIN_TOKENS),
+                     help="index set the chain runs over")
+    sub.add_argument("--base", type=int, default=10, help="digit base g >= 2")
+    sub.add_argument("--order", default="msf", choices=_ORDER_TOKENS,
+                     help="digit order inside each value: most significant first, "
+                          "or least significant first (lsf; 'paper' is an alias)")
+    sub.add_argument("--digits", type=int, required=True, help="number of stream digits N")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normfreq",
         description="Digit streams of arithmetic-function values and their block statistics.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def declare(container, name, run, help, *, report=True) -> _OptionSet:
-        """One subcommand: `main` resolves its options and calls `run`."""
-        sub = container.add_parser(name, help=help, description=help)
-        opts = _OptionSet(sub)
-        sub.set_defaults(run=run, opts=opts)
+    def declare(container, name, run, help, *, report=True) -> argparse.ArgumentParser:
+        """One subcommand: `main` calls `run` with its parsed options."""
+        sub = container.add_parser(name, help=help, description=help, allow_abbrev=False,
+                                   formatter_class=_DefaultsHelp)
+        sub.set_defaults(run=run)
+        sub.add_argument("--config", metavar="FILE",
+                         help="key=value lines read as flags; the command line's own flags win")
         if report:
-            opts.add("report", help="write the JSON report here instead of stdout")
-        return opts
+            sub.add_argument("--report", help="write the JSON report here instead of stdout")
+        return sub
 
-    opts = declare(commands, "stream", _stream, "print the first N digits of a value stream",
-                   report=False)
-    _add_stream_options(opts)
+    sub = declare(commands, "stream", _stream, "print the first N digits of a value stream",
+                  report=False)
+    _add_stream_options(sub)
 
-    opts = declare(commands, "count", _count, "exact k-gram census of a stream prefix")
-    _add_stream_options(opts)
-    opts.add("k", convert=int, default=1, help="word length")
-    opts.add("eps", convert=float, help="also classify each concatenated value at this eps")
-    opts.add("threads", convert=parse_threads, default=1,
-             help="worker threads (any value, same output)")
+    sub = declare(commands, "count", _count, "exact k-gram census of a stream prefix")
+    _add_stream_options(sub)
+    sub.add_argument("--k", type=int, default=1, help="word length")
+    sub.add_argument("--eps", type=float, help="also classify each concatenated value at this eps")
+    sub.add_argument("--threads", type=parse_threads, default=1,
+                     help="worker threads (any value, same output)")
 
-    opts = declare(commands, "classify", _classify,
-                   "count n <= limit failing the strict (eps, k) block test")
-    opts.add("eps", convert=float, required=True, help="deviation tolerance")
-    opts.add("k", convert=int, default=1, help="word length")
-    opts.add("base", convert=int, default=10, help="digit base g >= 2")
-    opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
-    opts.add("limit", convert=int, required=True,
-             help="classify all n up to this bound (at most 2^63 - 1; 10^9 for k >= 2)")
-    opts.add("threads", convert=parse_threads, default=1,
-             help="worker threads for k >= 2 (any value, same output)")
+    sub = declare(commands, "classify", _classify,
+                  "count n <= limit failing the strict (eps, k) block test")
+    sub.add_argument("--eps", type=float, required=True, help="deviation tolerance")
+    sub.add_argument("--k", type=int, default=1, help="word length")
+    sub.add_argument("--base", type=int, default=10, help="digit base g >= 2")
+    sub.add_argument("--order", default="msf", choices=_ORDER_TOKENS, help="digit order")
+    sub.add_argument("--limit", type=int, required=True,
+                     help="classify all n up to this bound (at most 2^63 - 1; 10^9 for k >= 2)")
+    sub.add_argument("--threads", type=parse_threads, default=1,
+                     help="worker threads for k >= 2 (any value, same output)")
 
-    experiment = commands.add_parser("experiment", help="run one census/report experiment")
+    experiment = commands.add_parser("experiment", help="run one census/report experiment",
+                                     allow_abbrev=False)
     operations = experiment.add_subparsers(metavar="OP", required=True)
 
-    def census(name, run, help) -> _OptionSet:
+    def census(name, run, help) -> argparse.ArgumentParser:
         """A census at checkpoints: `run(got, checkpoints)` makes its report."""
         def at_checkpoints(got):
             return run(got, got["checkpoints"] or experiments.default_checkpoints(got["limit"]))
 
-        opts = declare(operations, name, at_checkpoints, help)
-        opts.add("limit", convert=int, required=True, help="largest checkpoint x")
-        opts.add("checkpoints", convert=_int_list,
-                 help="comma-separated checkpoints (default: powers of 10 up to limit)")
-        return opts
+        sub = declare(operations, name, at_checkpoints, help)
+        sub.add_argument("--limit", type=int, required=True, help="largest checkpoint x")
+        sub.add_argument("--checkpoints", type=_int_list,
+                         help="comma-separated checkpoints (default: powers of 10 up to limit)")
+        return sub
 
     census("fps", _fps, "census of n with a small unit-group exponent: lambda(n) < sqrt(n)")
 
-    opts = census("divisor", _divisor,
-                  "census of n with d | a(n), against the divisor-preimage bound")
-    opts.add("f", required=True, help="one of phi, sigma, lambda")
-    opts.add("d", convert=int, required=True, help="required divisor of a(n)")
+    sub = census("divisor", _divisor,
+                 "census of n with d | a(n), against the divisor-preimage bound")
+    sub.add_argument("--f", required=True, help="one of phi, sigma, lambda")
+    sub.add_argument("--d", type=int, required=True, help="required divisor of a(n)")
 
-    opts = census("omega-tail", _omega_tail,
-                  "census of n with Omega(a(n)) > K^2 (ratio only, no verdict)")
-    opts.add("f", required=True, help="one of phi, sigma, lambda")
-    opts.add("big-k", convert=int, required=True, help="threshold root K")
+    sub = census("omega-tail", _omega_tail,
+                 "census of n with Omega(a(n)) > K^2 (ratio only, no verdict)")
+    sub.add_argument("--f", required=True, help="one of phi, sigma, lambda")
+    sub.add_argument("--big-k", type=int, required=True, help="threshold root K")
 
-    opts = census("small-value", _small_value,
-                  "census of n with f(n) < n^(1/2^j), j the chain depth")
-    opts.add("f", default="id", help="function chain, outermost first")
-    opts.add("theta", convert=float, default=1.0 / 3.0,
-             help="thinness exponent in x/exp((log x)^theta)")
+    sub = census("small-value", _small_value,
+                 "census of n with f(n) < n^(1/2^j), j the chain depth")
+    sub.add_argument("--f", default="id", help="function chain, outermost first")
+    sub.add_argument("--theta", type=float, default=1.0 / 3.0,
+                     help="thinness exponent in x/exp((log x)^theta)")
 
-    opts = census("thin-preimage", _thin_preimage,
-                  "census of n with a(n) in a thin set, split by the proof's partition")
-    opts.add("f", required=True, help="one of phi, sigma, lambda")
-    opts.add("set", default="powers-of-two", choices=sorted(experiments.THIN_SETS),
-             help="which thin set to census")
+    sub = census("thin-preimage", _thin_preimage,
+                 "census of n with a(n) in a thin set, split by the proof's partition")
+    sub.add_argument("--f", required=True, help="one of phi, sigma, lambda")
+    sub.add_argument("--set", default="powers-of-two", choices=sorted(experiments.THIN_SETS),
+                     help="which thin set to census")
 
-    opts = declare(operations, "growth", _growth,
-                   "average and pointwise growth ratios of log f(m) against log m")
-    opts.add("f", default="id", help="function chain, outermost first")
-    opts.add("limit", convert=int, required=True, help="largest m scanned")
+    sub = declare(operations, "growth", _growth,
+                  "average and pointwise growth ratios of log f(m) against log m")
+    sub.add_argument("--f", default="id", help="function chain, outermost first")
+    sub.add_argument("--limit", type=int, required=True, help="largest m scanned")
 
-    opts = declare(operations, "non-normal", _non_normal,
-                   "count the repeating leading block of a prime-part stream")
-    opts.add("primes", convert=_int_list, default=(2,),
-             help="comma-separated primes defining the kept part")
-    opts.add("k", convert=int, required=True, help="block covers f(1)..f(2^k - 1)")
-    opts.add("base", convert=int, default=10, help="digit base g >= 2")
-    opts.add("digits", convert=int, default=10**5, help="stream digits scanned N")
-    opts.add("order", default="msf", choices=["msf", "lsf", "paper"], help="digit order")
+    sub = declare(operations, "non-normal", _non_normal,
+                  "count the repeating leading block of a prime-part stream")
+    sub.add_argument("--primes", type=_int_list, default=(2,),
+                     help="comma-separated primes defining the kept part")
+    sub.add_argument("--k", type=int, required=True, help="block covers f(1)..f(2^k - 1)")
+    sub.add_argument("--base", type=int, default=10, help="digit base g >= 2")
+    sub.add_argument("--digits", type=int, default=10**5, help="stream digits scanned N")
+    sub.add_argument("--order", default="msf", choices=_ORDER_TOKENS, help="digit order")
 
-    opts = declare(operations, "extremal", _extremal,
-                   "extremes of phi(m) loglog m / m and sigma(m) / (m loglog m)")
-    opts.add("limit", convert=int, required=True, help="largest m scanned")
+    sub = declare(operations, "extremal", _extremal,
+                  "extremes of phi(m) loglog m / m and sigma(m) / (m loglog m)")
+    sub.add_argument("--limit", type=int, required=True, help="largest m scanned")
 
-    opts = census("domain-density", _domain_density,
-                  "check #(S intersect [1,x]) > x/(log x)^B for a named set S")
-    opts.add("set", required=True, choices=sorted(experiments.DENSITY_SETS),
-             help="which set S to check")
-    opts.add("exponent", convert=float, default=1.0, help="density exponent B")
+    sub = census("domain-density", _domain_density,
+                 "check #(S intersect [1,x]) > x/(log x)^B for a named set S")
+    sub.add_argument("--set", required=True, choices=sorted(experiments.DENSITY_SETS),
+                     help="which set S to check")
+    sub.add_argument("--exponent", type=float, default=1.0, help="density exponent B")
 
-    opts = declare(commands, "report", _report,
-                   "project a stored JSON report to CSV (or re-emit canonical JSON)", report=False)
-    opts.add("in", required=True, help="JSON report file to read")
-    opts.add("format", default="csv", choices=["csv", "json"], help="output format")
-    opts.add("out", help="write here instead of stdout")
+    sub = declare(commands, "report", _report,
+                  "project a stored JSON report to CSV (or re-emit canonical JSON)", report=False)
+    sub.add_argument("--in", required=True, help="JSON report file to read")
+    sub.add_argument("--format", default="csv", choices=["csv", "json"], help="output format")
+    sub.add_argument("--out", help="write here instead of stdout")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its message
-        return int(exc.code or 0)
-    try:
-        got = args.opts.resolve(args)
-        report = args.run(got)
+        from_file = _config_flags(argv)
+        # after the subcommand words and ahead of the command line's own
+        # flags: argparse keeps an option's last value, so explicit flags win
+        words = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+        args, unknown = parser.parse_known_args(argv[:words] + from_file + argv[words:])
+        for token in from_file:
+            if token in unknown:  # a key of another subcommand
+                unknown.remove(token)
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        got = vars(args)
+        report = got["run"](got)
         if report is not None and got["report"]:
             reports.write_report(report, got["report"])
         elif report is not None:
             _print_json(report)
         return 0
+    except SystemExit as exc:  # argparse already printed its message
+        return int(exc.code or 0)
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (NormfreqError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (NormfreqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -393,9 +393,12 @@ def test_12_threads_do_not_change_report_bytes(tmp_path):
     cases = {
         "count": (["count", "--f", "phi.sigma", "--domain", "primes", "--base", "16",
                    "--k", "3", "--digits", str(10**4)], threaded),
-        # 16 classifier blocks
+        # k = 1 counts by the digit DP, which runs no blocks
         "classify": (["classify", "--eps", "0.05", "--base", "2",
                       "--limit", str(10**6)], threaded),
+        # 16 classifier blocks
+        "classify-k2": (["classify", "--eps", "0.05", "--k", "2", "--base", "2",
+                         "--limit", str(10**6)], threaded),
         # no --threads option: two runs must still agree
         "fps": (["experiment", "fps", "--limit", str(10**6)], ([], [])),
         "non-normal": (["experiment", "non-normal", "--primes", "2", "--k", "5",

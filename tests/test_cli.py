@@ -30,7 +30,7 @@ from normfreq.arith import (
     phi,
 )
 from normfreq.errors import UnknownFunctionError
-from normfreq.words import LSF, digits_of, is_eps_k_normal
+from normfreq.words import LSF, MSF, digits_of, is_eps_k_normal
 
 
 def run(capsys, *argv):
@@ -103,6 +103,18 @@ def test_stream_order_paper_is_least_significant_first(capsys):
 def test_stream_large_base_prints_dot_separated(capsys):
     code, out, _ = run(capsys, "stream", "--f", "id", "--base", "16", "--digits", "6")
     assert (code, out) == (0, "1.2.3.4.5.6\n")
+
+
+@pytest.mark.parametrize("order", ["msf", "lsf"])
+@pytest.mark.parametrize("base", [2, 10, 16])
+def test_stream_text_matches_word_text(capsys, base, order):
+    # g <= 10 prints the digit bytes in one pass; the text is word_text's
+    code, out, _ = run(capsys, "stream", "--f", "phi", "--base", str(base),
+                       "--order", order, "--digits", "5000")
+    assert code == 0
+    spec = CompositionSpec((PHI,))
+    result = words.truncate(ArithEngine(), spec, 5000, base, MSF if order == "msf" else LSF)
+    assert out == words.word_text(result.digits.tolist(), base) + "\n"
 
 
 # --- count ---
@@ -649,9 +661,16 @@ def test_threads_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, so
     assert "threads must be >= 1" in err
 
 
-def test_experiment_unknown_set(capsys):
-    code, _, err = run(capsys, "experiment", "domain-density", "--set", "evens",
-                       "--limit", "100")
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_experiment_unknown_set(tmp_path, capsys, source):
+    argv = ["experiment", "domain-density", "--limit", "100"]
+    if source == "flag":
+        argv += ["--set", "evens"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("set=evens\n")
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert "evens" in err
 
@@ -746,6 +765,20 @@ def test_missing_required_option_exits_2(capsys):
     code, _, err = run(capsys, "count", "--f", "phi")
     assert code == 2
     assert "--digits" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--dig", "7"], "the following arguments are required: --digits"),
+        (["--digits", "7", "--bas", "16"], "unrecognized arguments: --bas 16"),
+    ],
+)
+def test_abbreviated_flag_exits_2(capsys, argv, message):
+    # flags match by their full name only
+    code, out, err = run(capsys, "count", "--f", "phi", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -522,14 +522,25 @@ def run_trend(*argv):
                           text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
-def test_convergence_trend_is_deterministic_across_runs_and_threads():
-    # at 10^5 the classifier runs two fixed blocks, so two threads split the work
-    runs = [run_trend("--max", "5", "--threads", t) for t in ("1", "1", "2")]
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_convergence_trend_is_deterministic_across_runs_and_threads(k):
+    # at k = 2 and 10^5 the classifier runs two fixed blocks, so two threads
+    # split the work (k = 1 takes the digit DP, which runs no blocks)
+    runs = [run_trend("--max", "5", "--k", k, "--threads", t) for t in ("1", "1", "2")]
     assert [proc.returncode for proc in runs] == [0, 0, 0]
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
     payload = json.loads(runs[0].stdout)
     assert payload["kind"] == "convergence-trend"
     assert [d["N"] for d in payload["deviations"]] == [100, 1000, 10_000, 100_000]
+
+
+def test_convergence_trend_out_file_equals_stdout(tmp_path):
+    path = tmp_path / "trend.json"
+    written = run_trend("--max", "3", "--out", str(path))
+    printed = run_trend("--max", "3")
+    assert (written.returncode, written.stdout, printed.returncode) == (0, "", 0)
+    assert path.read_bytes() == printed.stdout.encode("ascii")
+    assert [p.name for p in tmp_path.iterdir()] == ["trend.json"]  # no temporary file left
 
 
 def test_convergence_trend_threads_zero_exits_before_any_work():
