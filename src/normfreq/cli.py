@@ -32,6 +32,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import experiments, ngrams, reports
 from .arith import (
     LAMBDA,
@@ -47,7 +49,7 @@ from .arith import (
     gstar,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .words import LSF, MSF, truncate, word_text
+from .words import LSF, MSF, truncate
 
 _FN_TOKENS = {
     "phi": PHI,
@@ -147,8 +149,20 @@ def _stream(got) -> None:
     g = got["base"]
     spec = parse_chain(got["f"], _DOMAIN_TOKENS[got["domain"]])
     digits = truncate(ArithEngine(), spec, got["digits"], g, _ORDER_TOKENS[got["order"]]).digits
-    # for g <= 10 the text is one ASCII byte per uint8 digit, as in `words.word_texts`
-    print((digits + 48).tobytes().decode("ascii") if g <= 10 else word_text(digits.tolist(), g))
+    if g <= 10:
+        # one ASCII byte per uint8 digit, as in `words.word_texts`
+        text = (digits + 48).tobytes()
+    else:
+        # `word_text`'s dot-joined digits: a table of each digit's text
+        # and dot, NUL-padded to one width, indexed by the digit array
+        top = int(digits.max())
+        if top < len(digits):
+            labels, index = np.arange(top + 1), digits
+        else:  # a table up to the largest digit would outgrow the stream
+            labels, index = np.unique(digits, return_inverse=True)
+        table = np.array([b"%d." % d for d in labels.tolist()])
+        text = table[index].tobytes().replace(b"\0", b"")[:-1]
+    print(text.decode("ascii"))
 
 
 def _count(got):

@@ -2,10 +2,13 @@
 
 Each census counts an exceptional set exactly and prints the matching
 closed-form bound next to it; bounds are always evaluated from their
-formula, never fitted to the data.  A table census builds one bool
-mask over 1..limit and reads every checkpoint count from it with
-`ngrams.checkpoint_counts`.  Every function here returns its report as
-the payload dict that `reports` writes.
+formula, never fitted to the data.  A table census fills one bool mask
+over 1..limit block by block (`ngrams.blocked_map` over fixed blocks
+of `ngrams._BLOCK` integers, in order), reading the cached tables one
+block at a time, and reads every checkpoint count from the mask with
+`ngrams.checkpoint_counts`; no temporary spans more than one block.
+Every function here returns its report as the payload dict that
+`reports` writes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import ngrams
 from .arith import (
     EULER_GAMMA,
     LAMBDA,
@@ -26,10 +30,11 @@ from .arith import (
     BaseFn,
     BaseTag,
     CompositionSpec,
+    _check_budget,
     big_omega,
     gstar,
 )
-from .ngrams import checkpoint_counts, validate_checkpoints
+from .ngrams import blocked_map, checkpoint_counts, validate_checkpoints
 from .words import MSF, DigitOrder, digits_of, truncate, word_text
 
 DETERMINISM_NOTE = "deterministic: exact integer censuses, no randomness"
@@ -90,6 +95,47 @@ def _require_table_fn(a: BaseFn) -> None:
         raise ValueError(f"census supports phi/sigma/lambda, got {a.describe()}")
 
 
+def _blocks(work: Callable[[int, int], object], total: int):
+    """work(lo, hi) for each fixed block [lo, hi) of range(total), in order."""
+    return blocked_map(work, total, ngrams._BLOCK, 1)
+
+
+def _block_mask(test: Callable[[int, int], np.ndarray], limit: int) -> np.ndarray:
+    """The bool mask of n = 1..limit, entry n - 1 set when n passes;
+    test(lo, hi) gives the block n = lo + 1..hi."""
+    mask = np.empty(limit, dtype=bool)
+
+    def fill(lo, hi):
+        mask[lo:hi] = test(lo, hi)
+
+    for _ in _blocks(fill, limit):
+        pass
+    return mask
+
+
+def _chain_blocks(engine: ArithEngine, chain: tuple[BaseFn, ...], limit: int):
+    """The chain's values over the naturals, as a function of one block:
+    (lo, hi) -> f(n) for n = lo + 1..hi.
+
+    Refuses the whole range past the budget first, as
+    `domain_values(NATURALS, limit)` does.  Every step's table is then
+    sized for the whole range, its largest input folded block by block,
+    so no table is rebuilt as the blocks reach larger inputs.
+    """
+    _check_budget("domain values", limit, 8, engine.memory_budget)
+
+    def values(steps, lo, hi):
+        return engine.chain_values(steps, np.arange(lo + 1, hi + 1, dtype=np.int64))
+
+    if chain:
+        engine.value_table(chain[-1], limit)
+    for i in range(1, len(chain)):
+        # the largest value of the i innermost steps sizes the next table
+        top = max(_blocks(lambda lo, hi: int(values(chain[-i:], lo, hi).max()), limit))
+        engine.value_table(chain[-i - 1], top)
+    return lambda lo, hi: values(chain, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # censuses
 # ---------------------------------------------------------------------------
@@ -104,7 +150,8 @@ def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> dict
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     lam = engine.value_table(LAMBDA, limit)
-    counts = checkpoint_counts(lam[1:] <= _nested_isqrt(limit, 1), cps)
+    mask = _block_mask(lambda lo, hi: lam[lo + 1 : hi + 1] <= _nested_isqrt(hi, 1, lo), limit)
+    counts = checkpoint_counts(mask, cps)
     rows = [_row(x, c, x / math.exp(floored_log(x) ** (1.0 / 3.0))) for x, c in zip(cps, counts)]
     return _census("fps", "n <= x with lambda(n) < sqrt(n)", "x / exp((log x)^(1/3))", {}, rows)
 
@@ -115,7 +162,10 @@ def divisor_preimage_census(
     d: int,
     checkpoints: Sequence[int],
 ) -> dict:
-    """Count n <= x with d | a(n) against (x/d) * (8 l (log x)^2)^l."""
+    """Count n <= x with d | a(n) against (x/d) * (8 l (log x)^2)^l.
+
+    The test is (v // d) * d == v: numpy divides by a scalar fast in
+    `floor_divide`, not in `%`."""
     _require_table_fn(a)
     if d < 1:
         raise ValueError("divisor d must be >= 1")
@@ -123,7 +173,12 @@ def divisor_preimage_census(
     limit = cps[-1]
     tab = engine.value_table(a, limit)
     ell = big_omega(engine.factorize(d))
-    counts = checkpoint_counts(tab[1:] % d == 0, cps)
+
+    def divisible(lo, hi):
+        v = tab[lo + 1 : hi + 1]
+        return v // d * d == v
+
+    counts = checkpoint_counts(_block_mask(divisible, limit), cps)
     rows = [
         _row(x, c, (x / d) * (8.0 * ell * floored_log(x) ** 2) ** ell) for x, c in zip(cps, counts)
     ]
@@ -156,7 +211,8 @@ def omega_tail_census(
     tab = engine.value_table(a, limit)
     omega = engine.big_omega_table(int(tab.max()))
     threshold = big_k * big_k
-    counts = checkpoint_counts(omega[tab[1:]] > threshold, cps)
+    mask = _block_mask(lambda lo, hi: omega[tab[lo + 1 : hi + 1]] > threshold, limit)
+    counts = checkpoint_counts(mask, cps)
     scale = big_k / 2.0**big_k
     rows = [
         _row(x, c, scale * x * floored_log(x) ** 3, verdict=False) for x, c in zip(cps, counts)
@@ -183,21 +239,24 @@ def _isqrt_array(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _nested_isqrt(limit: int, depth: int) -> np.ndarray:
-    """isqrt^depth(n - 1) for n = 1..limit, exactly, as one int64 array.
+def _nested_isqrt(limit: int, depth: int, lo: int = 0) -> np.ndarray:
+    """isqrt^depth(n - 1) for n = lo + 1..limit, exactly, as one int64
+    array; the default is the whole range 1..limit.
 
     For integers v >= 0 and m >= 0, v^2 <= m exactly when v <= isqrt(m),
     so v^(2^j) < n is v <= isqrt^j(n - 1), and isqrt^j(m) is the largest
     r with r^(2^j) <= m.  Each root r fills the m with
-    r^(2^j) <= m < (r + 1)^(2^j), those edges capped at the limit."""
-    if depth == 0:
-        return np.arange(limit, dtype=np.int64)
+    r^(2^j) <= m < (r + 1)^(2^j), those edges clipped to lo..limit."""
+    if depth == 0 or lo >= limit:
+        return np.arange(lo, max(lo, limit), dtype=np.int64)
     power = 2**depth
-    top = limit - 1
+    first, top = lo, limit - 1
     for _ in range(depth):
-        top = math.isqrt(top)
-    edges = np.array([min(r**power, limit) for r in range(top + 2)], dtype=np.int64)
-    return np.repeat(np.arange(top + 1, dtype=np.int64), np.diff(edges))
+        first, top = math.isqrt(first), math.isqrt(top)
+    edges = np.array(
+        [min(max(r**power, lo), limit) for r in range(first, top + 2)], dtype=np.int64
+    )
+    return np.repeat(np.arange(first, top + 1, dtype=np.int64), np.diff(edges))
 
 
 def small_value_census(
@@ -217,9 +276,10 @@ def small_value_census(
         raise ValueError("theta must lie in (0, 1]")
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    vals = engine.chain_values(spec.chain, engine.domain_values(NATURALS, limit))
+    values = _chain_blocks(engine, spec.chain, limit)
     power = 2**spec.depth
-    counts = checkpoint_counts(vals <= _nested_isqrt(limit, spec.depth), cps)
+    mask = _block_mask(lambda lo, hi: values(lo, hi) <= _nested_isqrt(hi, spec.depth, lo), limit)
+    counts = checkpoint_counts(mask, cps)
     rows = [_row(x, c, x / math.exp(floored_log(x) ** theta)) for x, c in zip(cps, counts)]
     return _census(
         "small-value",
@@ -272,11 +332,16 @@ THIN_SETS = {
 
 
 def _is_prime(v: np.ndarray) -> np.ndarray:
-    """One sieve up to the largest value; values must be >= 0."""
-    top = int(v.max(initial=0))
-    sieve = np.zeros(top + 1, dtype=bool)
-    sieve[ArithEngine().primes_upto(top)] = True
-    return sieve[v]
+    """One sieve of the span v.min()..v.max() by the primes up to its
+    square root, so a block of n costs its own span; values must be >= 0."""
+    if not len(v):
+        return np.zeros(0, dtype=bool)
+    lo, hi = int(v.min()), int(v.max())
+    span = np.ones(hi - lo + 1, dtype=bool)
+    span[: max(0, 2 - lo)] = False  # 0 and 1
+    for p in ArithEngine().primes_upto(math.isqrt(hi)).tolist():
+        span[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return span[v - lo]
 
 
 # the named sets of `restricted_domain_check`, array predicates as above
@@ -304,7 +369,7 @@ def thin_preimage_census(
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
-    mask = np.asarray(thin_set.member(tab[1:]), dtype=bool)
+    mask = _block_mask(lambda lo, hi: thin_set.member(tab[lo + 1 : hi + 1]), limit)
     counts = checkpoint_counts(mask, cps)
     member_ns = np.flatnonzero(mask) + 1
     member_vals = tab[member_ns]
@@ -341,16 +406,26 @@ def thin_preimage_census(
 def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) -> dict:
     """Polynomial-growth ratios of a composition over m <= x: the mean
     ratio sum log f(m) / (x log x) and the pointwise max log f(m) / log m,
-    each against its reference."""
+    each against its reference.
+
+    log f(m) is filled block by block into one whole array, whose sum
+    stays one numpy pairwise sum: a sum of block sums would round
+    differently.  The max is folded per block."""
     if x < 2:
         raise ValueError("x must be >= 2")
     if spec.domain is not NATURALS:
         raise ValueError("growth check runs over the naturals")
-    vals = engine.chain_values(spec.chain, engine.domain_values(NATURALS, x))
-    logf = np.maximum(1.0, np.log(vals.astype(np.float64)))
-    logm = np.maximum(1.0, np.log(np.arange(1, x + 1, dtype=np.float64)))
+    values = _chain_blocks(engine, spec.chain, x)
+    logf = np.empty(x, dtype=np.float64)
+
+    def fill(lo, hi):
+        seg = logf[lo:hi]
+        np.maximum(1.0, np.log(values(lo, hi).astype(np.float64)), out=seg)
+        logm = np.maximum(1.0, np.log(np.arange(lo + 1, hi + 1, dtype=np.float64)))
+        return float((seg / logm).max())
+
+    max_ratio = max(_blocks(fill, x))
     sum_ratio = float(logf.sum() / (x * floored_log(x)))
-    max_ratio = float((logf / logm).max())
     lower, upper = 0.5 ** (spec.depth + 1), 2.0
     return {
         "kind": "growth-report",
@@ -449,26 +524,40 @@ def extremal_ratio_report(engine: ArithEngine, x: int) -> dict:
     sigma(m)/(m loglog m).
 
     The displayed e^(-gamma) and e^gamma limits are qualitative
-    references; finite scans need not approach them.
+    references; finite scans need not approach them.  The scan runs
+    block by block; a later block's extreme replaces the one so far only
+    when strictly better, so the first m still wins ties.
     """
     if x < 10:
         raise ValueError("x must be >= 10")
     phi = engine.value_table(PHI, x)
     sigma = engine.value_table(SIGMA, x)
-    m = np.arange(2, x + 1, dtype=np.float64)
-    ll = np.maximum(1.0, np.log(np.log(m)))
-    phi_ratio = phi[2 : x + 1] / (m / ll)
-    sigma_ratio = sigma[2 : x + 1] / (m * ll)
-    i = int(np.argmin(phi_ratio))
-    j = int(np.argmax(sigma_ratio))
+
+    def extremes(lo, hi):
+        # the block holds m = lo + 2..hi + 1
+        m = np.arange(lo + 2, hi + 2, dtype=np.float64)
+        ll = np.maximum(1.0, np.log(np.log(m)))
+        phi_ratio = phi[lo + 2 : hi + 2] / (m / ll)
+        sigma_ratio = sigma[lo + 2 : hi + 2] / (m * ll)
+        i = int(np.argmin(phi_ratio))
+        j = int(np.argmax(sigma_ratio))
+        return float(phi_ratio[i]), lo + 2 + i, float(sigma_ratio[j]), lo + 2 + j
+
+    blocks = _blocks(extremes, x - 1)
+    min_phi, argmin_phi, max_sigma, argmax_sigma = next(blocks)
+    for low, i, high, j in blocks:
+        if low < min_phi:
+            min_phi, argmin_phi = low, i
+        if high > max_sigma:
+            max_sigma, argmax_sigma = high, j
     return {
         "kind": "extremal-ratio-report",
         "schema": 1,
         "x": x,
-        "min_phi_ratio": float(phi_ratio[i]),
-        "argmin_phi": i + 2,
-        "max_sigma_ratio": float(sigma_ratio[j]),
-        "argmax_sigma": j + 2,
+        "min_phi_ratio": min_phi,
+        "argmin_phi": argmin_phi,
+        "max_sigma_ratio": max_sigma,
+        "argmax_sigma": argmax_sigma,
         "e_neg_gamma": round(math.exp(-EULER_GAMMA), 4),
         "e_gamma": round(math.exp(EULER_GAMMA), 4),
         "note": DETERMINISM_NOTE,
@@ -488,10 +577,11 @@ def restricted_domain_check(
 ) -> dict:
     """Check that S meets [1, x] in more than x/(log x)^B points at each
     checkpoint x.  `member` maps an int64 array of n to the bool mask of
-    those in S."""
+    those in S; it is called on one block of n at a time."""
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    mask = np.asarray(member(ArithEngine().domain_values(NATURALS, limit)), dtype=bool)
+    _check_budget("domain values", limit, 8, ArithEngine().memory_budget)
+    mask = _block_mask(lambda lo, hi: member(np.arange(lo + 1, hi + 1, dtype=np.int64)), limit)
     rows = []
     for x, count in zip(cps, checkpoint_counts(mask, cps)):
         floor = x / floored_log(x) ** exponent

@@ -13,8 +13,9 @@ value blocks of its `eps` classifier and of `classify_checkpoints` at
 k >= 2 (at k = 1 it counts by a digit DP instead).
 Chunked and threaded runs therefore reproduce the single-pass result
 bit for bit.  `checkpoint_counts` reads the checkpoint counts of one
-flag mask; the censuses of `experiments` call it once on a whole-range
-mask.
+flag mask; the censuses of `experiments` fill a whole-range mask
+through `blocked_map` on one thread, block by block, and call it once
+on that mask.
 """
 
 from __future__ import annotations

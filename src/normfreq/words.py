@@ -36,14 +36,21 @@ def word_text(digits: Sequence[int], g: int) -> str:
 
 def fixed_digits(values, length: int, g: int) -> np.ndarray:
     """The last `length` base-g digits of each value >= 0 as an
-    (n, length) matrix, most significant first: `length` in-place
-    `divmod`s, the last digit first.  uint8 for g <= 256, int64 above."""
-    rest = np.array(values, dtype=np.int64)  # a copy, divided in place
-    digit = np.empty_like(rest)
+    (n, length) matrix, most significant first, the last digit first:
+    each step is a `floor_divide` (numpy's fast path for a scalar
+    divisor; `divmod` has none) and a multiply-subtract.  The values are
+    copied once, to uint32 when they and g fit it.  The matrix is uint8
+    for g <= 256, int64 above."""
+    values = np.asarray(values)
+    narrow = g < 1 << 32 and (not len(values) or int(values.max()) < 1 << 32)
+    rest = np.array(values, dtype=np.uint32 if narrow else np.int64)
+    quot = np.empty_like(rest)
     digits = np.empty((len(rest), length), dtype=np.uint8 if g <= 256 else np.int64)
     for j in range(length - 1, -1, -1):
-        np.divmod(rest, g, out=(rest, digit))
-        digits[:, j] = digit
+        np.floor_divide(rest, g, out=quot)
+        rest -= quot * g
+        digits[:, j] = rest
+        rest, quot = quot, rest
     return digits
 
 
@@ -386,10 +393,12 @@ def truncate(
     final_length = int(lengths[final])
     top = int(lengths.max())  # every word padded to the longest, the padding masked off
     digits = fixed_digits(values, top, g)
+    # row L of `keep` marks the L digit columns of an L-digit word
+    keep = np.arange(top) < np.arange(top + 1)[:, None]
     if order is MSF:
-        digits = digits[np.arange(top) >= top - lengths[:, None]][:num_digits]
+        digits = digits[keep[:, ::-1].take(lengths, axis=0)][:num_digits]
     else:
-        digits = digits[:, ::-1][np.arange(top) < lengths[:, None]][:num_digits]
+        digits = digits[:, ::-1][keep.take(lengths, axis=0)][:num_digits]
     lengths[final] -= overhang
     return TruncationResult(
         digits, final + 1, final_length - overhang, final_length, lengths, values

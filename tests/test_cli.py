@@ -106,9 +106,10 @@ def test_stream_large_base_prints_dot_separated(capsys):
 
 
 @pytest.mark.parametrize("order", ["msf", "lsf"])
-@pytest.mark.parametrize("base", [2, 10, 16])
+@pytest.mark.parametrize("base", [2, 10, 16, 256, 1000])
 def test_stream_text_matches_word_text(capsys, base, order):
-    # g <= 10 prints the digit bytes in one pass; the text is word_text's
+    # g <= 10 prints the digit bytes in one pass, larger g reads a table of
+    # digit texts (uint8 digits up to 256, int64 above); the text is word_text's
     code, out, _ = run(capsys, "stream", "--f", "phi", "--base", str(base),
                        "--order", order, "--digits", "5000")
     assert code == 0

@@ -5,18 +5,20 @@ bulk-table machinery; frozen literals below were recorded from those
 scans and guard against regressions.
 """
 
+import functools
 import hashlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normfreq import arith, experiments, reports
+from normfreq import arith, experiments, ngrams, reports
 from normfreq.arith import LAMBDA, PHI, SIGMA, CompositionSpec
 from normfreq.words import LSF, MSF
 
@@ -603,6 +605,141 @@ def test_density_squares_fails_at_exponent_two():
     assert row_for(rep, 10**6)["passes"] is False
     assert rep["kind"] == "density-report" and rep["B"] == 2.0
     assert reports.to_csv(rep).splitlines()[0] == "x,count,floor,passes"
+
+
+# ---------------------------------------------------------------------------
+# block-by-block censuses
+# ---------------------------------------------------------------------------
+
+
+def census_calls(engine, limit):
+    """One call per census kind, named; each returns its report."""
+    cps = experiments.default_checkpoints(limit)
+    calls = {"fps": lambda: experiments.small_lambda_census(engine, cps)}
+    for a in (PHI, SIGMA, LAMBDA):
+        name = a.describe()
+        for d in (2, 12):
+            calls[f"divisor-{name}-{d}"] = functools.partial(
+                experiments.divisor_preimage_census, engine, a, d, cps)
+        calls[f"omega-tail-{name}"] = functools.partial(
+            experiments.omega_tail_census, engine, a, 2, cps)
+        for label, thin in experiments.THIN_SETS.items():
+            calls[f"thin-{name}-{label}"] = functools.partial(
+                experiments.thin_preimage_census, engine, a, thin, cps)
+    # phi.sigma reads its phi table past the limit, up to the largest sigma
+    for chain in ((), (PHI,), (PHI, PHI), (SIGMA,), (PHI, SIGMA), (PHI, PHI, PHI)):
+        spec = CompositionSpec(chain)
+        calls[f"small-value-{spec.describe()}"] = functools.partial(
+            experiments.small_value_census, engine, spec, cps)
+        calls[f"growth-{spec.describe()}"] = functools.partial(
+            experiments.growth_hypothesis_check, engine, spec, limit)
+    calls["extremal"] = functools.partial(experiments.extremal_ratio_report, engine, limit)
+    for label, member in experiments.DENSITY_SETS.items():
+        calls[f"density-{label}"] = functools.partial(
+            experiments.restricted_domain_check, member, label, 1.0, cps)
+    return calls
+
+
+def census_texts(monkeypatch, block, limit):
+    """Every census report's canonical JSON with `block` integers per
+    block, on a fresh engine, and the limits of the tables it built."""
+    monkeypatch.setattr(ngrams, "_BLOCK", block)
+    built = []
+    kernel = arith._block_table
+
+    def counted(row, primes, top, *dtype):
+        built.append(top)
+        return kernel(row, primes, top, *dtype)
+
+    monkeypatch.setattr(arith, "_block_table", counted)
+    calls = census_calls(arith.ArithEngine(), limit)
+    texts = {name: reports.canonical_json(call()) for name, call in calls.items()}
+    monkeypatch.undo()
+    return texts, built
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_census_reports_match_across_block_sizes(monkeypatch, block):
+    limit = 10**4
+    whole, whole_tables = census_texts(monkeypatch, limit, limit)
+    blocked, blocked_tables = census_texts(monkeypatch, block, limit)
+    assert len(whole) == 40
+    assert blocked == whole
+    # every table is built once at its whole-range size, however many blocks
+    assert blocked_tables == whole_tables
+
+
+def test_extremal_keeps_the_first_of_tied_extremes_across_blocks(monkeypatch):
+    # with f(m) = m both ratios are exactly 1 for every m <= 15, where
+    # loglog m <= 1; blocks of 7 split the ties
+    class IdentityTables:
+        def value_table(self, fn, limit):
+            return np.arange(limit + 1, dtype=np.int64)
+
+    monkeypatch.setattr(ngrams, "_BLOCK", 7)
+    rep = experiments.extremal_ratio_report(IdentityTables(), 100)
+    assert (rep["min_phi_ratio"], rep["argmin_phi"]) == (1.0, 2)
+    assert (rep["max_sigma_ratio"], rep["argmax_sigma"]) == (1.0, 2)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_nested_isqrt_blocks_match_iterated_isqrt(depth):
+    power = 2**depth
+    limit = 3**power + 50
+    edges = {r**power + s for r in range(1, 4) for s in (-1, 0, 1)}
+    cuts = sorted({0, limit} | {e for e in edges if 0 < e < limit})
+    for lo, hi in itertools.product(cuts, repeat=2):
+        if lo > hi:
+            continue
+        got = experiments._nested_isqrt(hi, depth, lo)
+        want = []
+        for n in range(lo + 1, hi + 1):
+            root = n - 1
+            for _ in range(depth):
+                root = math.isqrt(root)
+            want.append(root)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert got.tolist() == experiments._nested_isqrt(hi, depth)[lo:].tolist()
+
+
+def test_census_temporaries_stay_within_a_few_bytes_per_integer():
+    # the whole-range mask is 1 byte per integer and growth's log f array
+    # 8; every other temporary spans one block
+    limit = 10**6
+    engine = arith.ArithEngine(spf_limit=limit)
+    cps = experiments.default_checkpoints(limit)
+    pow2 = experiments.THIN_SETS["powers-of-two"]
+    calls = {
+        "fps": lambda: experiments.small_lambda_census(engine, cps),
+        "divisor": lambda: experiments.divisor_preimage_census(engine, SIGMA, 12, cps),
+        "omega-tail": lambda: experiments.omega_tail_census(engine, PHI, 2, cps),
+        "thin-preimage": lambda: experiments.thin_preimage_census(engine, PHI, pow2, cps),
+        "density": lambda: experiments.restricted_domain_check(
+            experiments.DENSITY_SETS["primes"], "primes", 1.0, cps),
+        "extremal": lambda: experiments.extremal_ratio_report(engine, limit),
+    }
+    for chain in ((PHI,), (PHI, PHI), (SIGMA,)):
+        spec = CompositionSpec(chain)
+        calls[f"small-value-{spec.describe()}"] = functools.partial(
+            experiments.small_value_census, engine, spec, cps)
+        calls[f"growth-{spec.describe()}"] = functools.partial(
+            experiments.growth_hypothesis_check, engine, spec, limit)
+    for call in calls.values():
+        call()  # warm the engine's tables
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / limit
+        finally:
+            tracemalloc.stop()
+    over = {
+        name: peak
+        for name, peak in peaks.items()
+        if peak > (12 if name.startswith("growth") else 4)
+    }
+    assert not over, f"bytes per integer above the cache: {over}"
 
 
 # ---------------------------------------------------------------------------
