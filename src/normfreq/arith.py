@@ -1,11 +1,12 @@
 """Arithmetic functions, factorization, and composition specs.
 
 Everything here is exact integer arithmetic.  Pointwise evaluation goes
-through `Factorization`; bulk evaluation over a range [0, limit] goes
-through numpy tables built by one block kernel, `_block_table`.
+through `Factorization`; bulk evaluation over any range [lo, hi) goes
+through one block kernel, `_fill_block`, and a whole table over
+[0, limit] (`_block_table`) is that range from 0.
 
 The kernel is the segmented sieve of Bays and Hudson (BIT 1977).  It
-fills the table in fixed blocks of `_BLOCK` entries.  Each block keeps
+fills a range in fixed blocks of `_BLOCK` entries.  Each block keeps
 `rem`, its own n (uint32 below 2^32), and loops over the primes
 p <= sqrt(limit) only: for each power q = p^e it updates the entries at
 the multiples of q, as the table row says, and divides their `rem` by p.
@@ -14,7 +15,9 @@ first power, and one vectorized step applies the row's f(p) there.  So
 the Python loop runs once per block and power of a prime p <= sqrt(limit),
 not once per prime power up to the limit, and the memory beyond the
 table itself is one block's `rem` and leftovers: a value table still
-takes 8 bytes per entry of the budget, and the Omega table 1.
+takes 8 bytes per entry of the budget, and the Omega table 1.  A range
+needs only the primes up to sqrt(hi), so a stream of f(lo), ..., f(hi - 1)
+over the naturals (`ArithEngine.stream_values`) keeps no whole table.
 """
 
 from __future__ import annotations
@@ -232,18 +235,25 @@ def eval_base(fn: BaseFn, fac: Factorization) -> int:
 class _TableRow(NamedTuple):
     """A function as the table kernel sees it: f(p^e) for a prime power
     with e >= 1, f(p) over an int64 array of primes, and the ufunc that
-    combines the prime-power parts of n (product, lcm or sum)."""
+    combines the prime-power parts of n (product, lcm or sum).  With
+    `minus_n` the kernel then subtracts n, and sets f(1) = 1: the row of
+    s = sigma - n."""
 
     at: Callable[[int, int], int]
     prime: Callable[[np.ndarray], np.ndarray]
     combine: np.ufunc = np.multiply
+    minus_n: bool = False
 
 
-# s is sigma minus n and has no row of its own; gstar's row is built
-# for its primes by `_gstar_row`
+def _sigma_at(p: int, e: int) -> int:
+    return (p ** (e + 1) - 1) // (p - 1)
+
+
+# gstar's row is built for its primes by `_gstar_row`
 _TABLE_ROWS = {
     BaseTag.PHI: _TableRow(lambda p, e: p ** (e - 1) * (p - 1), lambda p: p - 1),
-    BaseTag.SIGMA: _TableRow(lambda p, e: (p ** (e + 1) - 1) // (p - 1), lambda p: p + 1),
+    BaseTag.SIGMA: _TableRow(_sigma_at, lambda p: p + 1),
+    BaseTag.SUM_PROPER_DIVISORS: _TableRow(_sigma_at, lambda p: p + 1, minus_n=True),
     BaseTag.LAMBDA: _TableRow(_lambda_prime_power, lambda p: p - 1, np.lcm),
     BaseTag.RADICAL: _TableRow(lambda p, e: p, lambda p: p),
     BaseTag.TWO_SQUARES: _TableRow(
@@ -264,28 +274,38 @@ def _gstar_row(primes: frozenset[int]) -> _TableRow:
     )
 
 
-# entries per block of `_block_table`
+def _fn_row(fn: BaseFn) -> _TableRow:
+    return _gstar_row(fn.primes) if fn.tag is BaseTag.GSTAR else _TABLE_ROWS[fn.tag]
+
+
+# entries per block of `_fill_range`
 _BLOCK = 1 << 18
 
 
-def _block_table(row: _TableRow, primes: np.ndarray, limit: int, dtype=np.int64) -> np.ndarray:
-    """f(n) for 0 <= n <= limit (f(0) = 0), filled block by block.
+def _fill_range(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Write f(n) for lo <= n < lo + len(out) into `out` (f(0) = 0), block
+    by block, and return it.
 
-    `primes` must hold every prime up to sqrt(limit); larger ones are
-    ignored.
+    `primes` must hold every prime up to sqrt(lo + len(out) - 1); larger
+    ones are ignored.
     """
-    out = np.empty(limit + 1, dtype=dtype)
-    small = primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))]
-    for lo in range(0, limit + 1, _BLOCK):
-        _fill_block(row, small, lo, out[lo : lo + _BLOCK])
+    top = math.isqrt(max(lo + len(out) - 1, 0))
+    small = primes[: int(np.searchsorted(primes, top, side="right"))]
+    for start in range(0, len(out), _BLOCK):
+        _fill_block(row, small, lo + start, out[start : start + _BLOCK])
     return out
+
+
+def _block_table(row: _TableRow, primes: np.ndarray, limit: int, dtype=np.int64) -> np.ndarray:
+    """f(n) for 0 <= n <= limit: the range [0, limit] of `_fill_range`."""
+    return _fill_range(row, primes, 0, np.empty(limit + 1, dtype=dtype))
 
 
 def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> None:
     """Write f(n) for lo <= n < lo + len(out) into `out`, looping over the
     given primes; each of those n may have at most one prime factor
     outside them, to the first power."""
-    at, prime, combine = row
+    at, prime, combine, minus_n = row
     hi = lo + len(out)
     unit = 0 if combine is np.add else 1  # f(1), and f(p^0) of every p
     out[:] = unit
@@ -318,6 +338,10 @@ def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) ->
             e += 1
     big = np.flatnonzero(rem > 1)
     out[big] = combine(out[big], prime(rem[big].astype(np.int64)))
+    if minus_n:
+        out -= np.arange(lo, hi, dtype=out.dtype)
+        if lo <= 1 < hi:
+            out[1 - lo] = 1
 
 
 # the engine's cache keys besides the `BaseFn` of each value table; the
@@ -396,12 +420,11 @@ def spf_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndar
         raise ValueError("sieve limit must be >= 2")
     _check_budget("SPF table", limit, 4, memory_budget)
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    # anything still unset is a prime above sqrt(limit)
+    # one strided store per prime p <= sqrt(limit), the largest first, so
+    # the least prime factor p of a composite m (p^2 <= m) is stored last
+    for p in prime_sieve(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
+    # anything still unset is a prime
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
     return spf
@@ -464,9 +487,9 @@ class ArithEngine:
     """Shared context for factorization-backed evaluation.
 
     Every sieve and table is kept in one cache, grown on demand (never
-    shrunk) and swapped in atomically, so concurrent readers always see
-    a consistent array.  Inputs to `factorize` beyond the auto-extend cap
-    fall back to trial division.
+    shrunk, and at least doubled) and swapped in atomically, so concurrent
+    readers always see a consistent array.  Inputs to `factorize` beyond
+    the auto-extend cap fall back to trial division.
     """
 
     def __init__(self, spf_limit: int = 0, memory_budget: int = DEFAULT_MEMORY_BUDGET):
@@ -477,30 +500,45 @@ class ArithEngine:
         self._cache: dict = {_SPF: (1, np.zeros(2, dtype=np.uint32))}
         self._spf_upto(spf_limit)
 
-    def _grown(self, key, limit: int, what: str, entry_bytes: int, build) -> np.ndarray:
-        """The array cached under `key`, first built as `build(limit)` unless
-        the cached one covers `limit` already.
+    def _grown(
+        self, key, limit: int, what: str, entry_bytes: int, build,
+        want: int = 0, most: Optional[int] = None,
+    ) -> np.ndarray:
+        """The array cached under `key`, covering at least `limit`.
 
-        Raises CapacityError when entry_bytes * (limit + 1) passes the
-        budget.  The build runs outside the lock (a table build asks for
-        the primes), and its array is kept only if it is still the longest.
+        An array that must grow is built as `build(size)`: size is the
+        larger of `limit` and the caller's expected need `want`, or twice
+        the cached limit if that is larger and fits the budget (and
+        `most`).  So a caller that asks for ever larger limits, as a
+        stream does block by block, builds it O(log) times, and one that
+        knows its later need builds it about once.  Raises CapacityError
+        when the expected need passes the budget, before anything is
+        built.  The build runs outside the lock (a table build asks for
+        the primes), and its array is kept only if it is still the
+        longest.
         """
         cached = self._cache.get(key)
         if cached is None or cached[0] < limit:
-            _check_budget(what, limit, entry_bytes, self.memory_budget)
-            built = build(limit)
+            want = max(limit, want)
+            _check_budget(what, want, entry_bytes, self.memory_budget)
+            top = self.memory_budget // entry_bytes - 1
+            doubled = min(2 * cached[0] if cached else 0, top if most is None else min(top, most))
+            size = max(want, doubled)
+            built = build(size)
             with self._lock:
                 cached = self._cache.get(key)
-                if cached is None or cached[0] < limit:
-                    cached = self._cache[key] = (limit, built)
+                if cached is None or cached[0] < size:
+                    cached = self._cache[key] = (size, built)
         return cached[1]
 
     @property
     def spf_limit(self) -> int:
         return self._cache[_SPF][0]
 
-    def _spf_upto(self, limit: int) -> np.ndarray:
-        return self._grown(_SPF, limit, "SPF table", 4, lambda n: spf_table(n, self.memory_budget))
+    def _spf_upto(self, limit: int, most: Optional[int] = None) -> np.ndarray:
+        return self._grown(
+            _SPF, limit, "SPF table", 4, lambda n: spf_table(n, self.memory_budget), most=most
+        )
 
     def factorize(self, n: int) -> Factorization:
         """Prime-exponent decomposition; total for all n >= 1."""
@@ -513,7 +551,7 @@ class ArithEngine:
             cap = min(AUTO_EXTEND_CAP, self.memory_budget // 4 - 1)
             if n > cap:
                 return Factorization(n, _trial_division(n))
-            spf = self._spf_upto(min(max(2 * limit, n, 1 << 16), cap))
+            spf = self._spf_upto(n, most=cap)
         factors = []
         m = n
         while m > 1:
@@ -527,17 +565,24 @@ class ArithEngine:
 
     # -- primes ------------------------------------------------------------
 
-    def primes_upto(self, limit: int) -> np.ndarray:
-        primes = self._grown(_PRIMES, limit, "prime sieve", 1, prime_sieve)
+    def primes_upto(self, limit: int, want: int = 0) -> np.ndarray:
+        """The primes up to `limit`, from one cached sieve (grown as `_grown`
+        says)."""
+        primes = self._grown(_PRIMES, limit, "prime sieve", 1, prime_sieve, want)
         return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
-    def _first_primes(self, count: int) -> np.ndarray:
+    def _first_primes(self, count: int, want: int = 0) -> np.ndarray:
         """The first `count` primes, from the cached sieve when it has them
-        and else from one sieve sized by p_n < n (ln n + ln ln n), n >= 6."""
+        and else from one sieve sized by p_n < n (ln n + ln ln n), n >= 6,
+        for `count` or the `want` first primes a caller expects to need."""
         primes = self._cache.get(_PRIMES, (0, ()))[1]
         if len(primes) < count:
-            n = max(count, 6)
-            primes = self.primes_upto(int(n * (math.log(n) + math.log(math.log(n)))))
+
+            def bound(n: int) -> int:
+                n = max(n, 6)
+                return int(n * (math.log(n) + math.log(math.log(n))))
+
+            primes = self.primes_upto(bound(count), bound(want) if want > count else 0)
         return primes[:count]
 
     def nth_prime(self, n: int) -> int:
@@ -584,23 +629,66 @@ class ArithEngine:
         return self.mult_order(2, self.nth_prime(index + 1))
 
     def domain_values(self, domain: Domain, count: int) -> np.ndarray:
-        """Domain inputs for index = 1, ..., count as an int64 array.
-
-        Naturals are an `arange`, checked against the memory budget, and
-        primes one sieve; the order domains read the ord_n(2) table at the
-        odd n or at the primes p_2, p_3, ...
-        """
+        """Domain inputs for index = 1, ..., count as an int64 array; the
+        naturals' `arange` is checked against the memory budget."""
         if count < 0:
             raise ValueError("count must be >= 0")
         if domain is NATURALS:
             _check_budget("domain values", count, 8, self.memory_budget)
-            return np.arange(1, count + 1, dtype=np.int64)
+        return self._domain_block(domain, 1, count + 1, count)
+
+    def _domain_block(self, domain: Domain, lo: int, hi: int, expect: int) -> np.ndarray:
+        """Domain inputs for the indices lo <= index < hi as an int64 array.
+
+        Naturals are an `arange`, and primes slice one cached sieve; the
+        order domains read the ord_n(2) table at the odd n or at the primes
+        p_2, p_3, ...  A sieve or table that must grow is built for the
+        indices up to `expect` too (see `_grown`).
+        """
+        if hi <= lo:
+            return np.empty(0, dtype=np.int64)
+        if domain is NATURALS:
+            return np.arange(lo, hi, dtype=np.int64)
         if domain is ODD_ORDERS:
-            return self._order_table(2 * count)[1 : 2 * count : 2].copy()
-        primes = self._first_primes(count + 1)
+            table = self._order_table(2 * (hi - 1), self._domain_top(domain, expect))
+            return table[2 * lo - 1 : 2 * hi - 1 : 2].copy()
+        primes = self._first_primes(hi, expect + 1)
         if domain is PRIMES:
-            return primes[:count].copy()
-        return self._order_table(int(primes[count]))[primes[1:]]
+            return primes[lo - 1 : hi - 1].copy()
+        table = self._order_table(int(primes[hi - 1]), self._domain_top(domain, expect))
+        return table[primes[lo:hi]]
+
+    def _domain_top(self, domain: Domain, index: int) -> int:
+        """A bound on the domain inputs up to `index`, reached by the last
+        one or nearly: the index for the naturals, p_index for the primes,
+        and for the order domains the modulus of the last order (2 index - 1,
+        or p_(index+1))."""
+        if domain is NATURALS:
+            return index
+        if domain is ODD_ORDERS:
+            return 2 * index - 1
+        return int(self._first_primes(index + 1)[index - (domain is PRIMES)])
+
+    def stream_values(self, spec: CompositionSpec, lo: int, hi: int, expect: int = 0) -> np.ndarray:
+        """The values of `spec` at the indices 1 <= lo <= index < hi, as int64.
+
+        The identity and a single function over the naturals need no whole
+        array: the one is an `arange`, and the other `range_values`.  Every
+        other spec runs `chain_values` over its `_domain_block` on whole
+        cached arrays.  `expect` >= hi - 1, the last index the caller
+        expects to ask for, sizes those, so a stream read block by block
+        builds each about once: the domain's sieve or table for the
+        indices up to `expect`, and each chain table for its need here
+        scaled as the domain's inputs grow from index hi - 1 to `expect`.
+        """
+        if spec.domain is NATURALS and spec.depth <= 1:
+            if not spec.chain:
+                return np.arange(lo, hi, dtype=np.int64)
+            return self.range_values(spec.chain[0], lo, hi)
+        expect = max(expect, hi - 1)
+        args = self._domain_block(spec.domain, lo, hi, expect)
+        scale = self._domain_top(spec.domain, expect) / self._domain_top(spec.domain, hi - 1)
+        return self.chain_values(spec.chain, args, scale)
 
     def eval_composition(self, spec: CompositionSpec, index: int) -> int:
         """f(domain value at `index`), chain applied outermost-first."""
@@ -613,32 +701,27 @@ class ArithEngine:
 
     # -- bulk value tables ---------------------------------------------------
 
-    def value_table(self, fn: BaseFn, limit: int) -> np.ndarray:
+    def range_values(self, fn: BaseFn, lo: int, hi: int) -> np.ndarray:
+        """fn(n) for 0 <= lo <= n < hi (fn(0) = 0) as int64, filled by the
+        block kernel with the cached primes up to sqrt(hi - 1): no whole
+        table."""
+        out = np.empty(hi - lo, dtype=np.int64)
+        return _fill_range(_fn_row(fn), self.primes_upto(math.isqrt(max(hi - 1, 0))), lo, out)
+
+    def value_table(self, fn: BaseFn, limit: int, want: int = 0) -> np.ndarray:
         """fn(n) for 0 <= n <= limit (index 0 holds 0).
 
         The table is cached per function and rebuilt only for a larger
-        limit.  Raises CapacityError when it would not fit the byte budget.
+        limit (grown as `_grown` says).  Raises CapacityError when it would
+        not fit the byte budget.
         """
 
         def build(limit: int) -> np.ndarray:
-            proper = fn.tag is BaseTag.SUM_PROPER_DIVISORS
-            if fn.tag is BaseTag.GSTAR:
-                row = _gstar_row(fn.primes)
-            else:
-                row = _TABLE_ROWS[BaseTag.SIGMA if proper else fn.tag]
-            tab = _block_table(row, self.primes_upto(math.isqrt(limit)), limit)
-            if proper:
-                # one block's arange at a time keeps s inside its budget
-                for lo in range(0, limit + 1, _BLOCK):
-                    seg = tab[lo : lo + _BLOCK]
-                    seg -= np.arange(lo, lo + len(seg), dtype=np.int64)
-                if limit >= 1:
-                    tab[1] = 1
-            return tab
+            return _block_table(_fn_row(fn), self.primes_upto(math.isqrt(limit)), limit)
 
-        return self._grown(fn, limit, f"{fn.describe()} table", 8, build)[: limit + 1]
+        return self._grown(fn, limit, f"{fn.describe()} table", 8, build, want)[: limit + 1]
 
-    def _order_table(self, limit: int) -> np.ndarray:
+    def _order_table(self, limit: int, want: int = 0) -> np.ndarray:
         """ord_n(2) for odd 1 <= n <= limit; even entries hold the order
         of 2 modulo their odd part."""
 
@@ -648,7 +731,10 @@ class ArithEngine:
             primes = self.primes_upto(limit)
             return _block_table(self._order_row(primes), primes, limit)
 
-        return self._grown(_ORDER_OF_TWO, limit, "order-of-2 table", 8, build)[: limit + 1]
+        table = self._grown(
+            _ORDER_OF_TWO, limit, "order-of-2 table", 8, build, want, most=(1 << 31) - 1
+        )
+        return table[: limit + 1]
 
     def _order_row(self, primes: np.ndarray) -> _TableRow:
         """The lcm row of ord_{p^e}(2) over an ascending int64 array of
@@ -694,15 +780,19 @@ class ArithEngine:
 
         return self._grown(_BIG_OMEGA, limit, "Omega table", 1, build)[: limit + 1]
 
-    def chain_values(self, chain: tuple[BaseFn, ...], args: np.ndarray) -> np.ndarray:
+    def chain_values(
+        self, chain: tuple[BaseFn, ...], args: np.ndarray, scale: float = 1.0
+    ) -> np.ndarray:
         """Evaluate a composition chain over an array of inputs.
 
         Each step, innermost first, looks its inputs up in the
-        `value_table` sized to the step's largest input.
+        `value_table` sized to the step's largest input; a table that must
+        grow is built for `scale` times that (see `_grown`).
         """
         vals = np.asarray(args, dtype=np.int64)
         for fn in reversed(chain):
             if len(vals) == 0:
                 break
-            vals = self.value_table(fn, int(vals.max()))[vals]
+            need = int(vals.max())
+            vals = self.value_table(fn, need, int(need * scale))[vals]
         return vals

@@ -32,8 +32,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import experiments, ngrams, reports
 from .arith import (
     LAMBDA,
@@ -49,7 +47,7 @@ from .arith import (
     gstar,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .words import LSF, MSF, truncate
+from .words import LSF, MSF, digit_text_table, truncate
 
 _FN_TOKENS = {
     "phi": PHI,
@@ -153,14 +151,8 @@ def _stream(got) -> None:
         # one ASCII byte per uint8 digit, as in `words.word_texts`
         text = (digits + 48).tobytes()
     else:
-        # `word_text`'s dot-joined digits: a table of each digit's text
-        # and dot, NUL-padded to one width, indexed by the digit array
-        top = int(digits.max())
-        if top < len(digits):
-            labels, index = np.arange(top + 1), digits
-        else:  # a table up to the largest digit would outgrow the stream
-            labels, index = np.unique(digits, return_inverse=True)
-        table = np.array([b"%d." % d for d in labels.tolist()])
+        # `word_text`'s dot-joined digits, each text and dot read from a table
+        table, index = digit_text_table(digits)
         text = table[index].tobytes().replace(b"\0", b"")[:-1]
     print(text.decode("ascii"))
 
@@ -317,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=1, help="word length")
     sub.add_argument("--eps", type=float, help="also classify each concatenated value at this eps")
     sub.add_argument("--threads", type=parse_threads, default=1,
-                     help="worker threads (any value, same output)")
+                     help="accepted and checked; count runs on one thread (same output)")
 
     sub = declare(commands, "classify", _classify,
                   "count n <= limit failing the strict (eps, k) block test")

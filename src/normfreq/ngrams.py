@@ -6,16 +6,19 @@ boundary, and windows inside the final partial word (the decomposition
 of Copeland and Erdős).  The windows are classified from the word ends
 alone: the windows starting 1..k-1 digits before an end are the boundary
 windows, and when the cut falls inside the final word its windows are a
-suffix of the window range.  All tallies are integers.  Every loop that
-takes a `threads` argument runs through `blocked_map`, which cuts its
-range into fixed blocks: the window chunks of `count_stream`, and the
-value blocks of its `eps` classifier and of `classify_checkpoints` at
-k >= 2 (at k = 1 it counts by a digit DP instead).
-Chunked and threaded runs therefore reproduce the single-pass result
-bit for bit.  `checkpoint_counts` reads the checkpoint counts of one
-flag mask; the censuses of `experiments` fill a whole-range mask
-through `blocked_map` on one thread, block by block, and call it once
-on that mask.
+suffix of the window range.  All tallies are integers.
+
+`count_stream` folds the prefix as `words.prefix_blocks` makes it, one
+block of values at a time, on the calling thread: its windows are
+tallied in fixed chunks of `_CHUNK` windows counted from window 0, and
+its `eps` classifier takes each block's complete words as the block
+passes.  `classify_checkpoints` at k >= 2 (at k = 1 it counts by a digit
+DP instead) runs through `blocked_map`, which cuts its range into fixed
+blocks and may thread them.  No edge depends on a thread count, so any
+`threads` value reproduces the single-pass result bit for bit.
+`checkpoint_counts` reads the checkpoint counts of one flag mask; the
+censuses of `experiments` fill a whole-range mask through `blocked_map`
+on one thread, block by block, and call it once on that mask.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _CHUNK = 1 << 20
 # table then has no more entries than a chunk has windows
 DENSE_LIMIT = _CHUNK
 
-# integers (or stream values) per block of the classifier
+# integers per block of `classify_checkpoints` and of the censuses
 _BLOCK = 1 << 16
 
 # the most integers `classify_checkpoints` tests one at a time: about
@@ -60,7 +63,7 @@ def blocked_map(
 
     The block edges depend on `total` and `block` only, so every thread
     count yields the same results.  `threads` is checked here, at call
-    time, for every command that takes one."""
+    time, for every threaded loop."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     # the blocks come from ranges as they are needed (10^12 values are
@@ -110,6 +113,39 @@ def frequencies(counts: ArrayMap, windows: int) -> ArrayMap:
     return counts.with_values(counts.value_array / windows)
 
 
+def _window_chunks(blocks, num_digits: int, k: int):
+    """The windows of an N-digit prefix, fed as the blocks of
+    `words.prefix_blocks`, in chunks of `_CHUNK` windows counted from
+    window 0.
+
+    For each chunk of windows [start, stop) this yields start, stop, the
+    digits from `start` to the last window's end, the word ends (stream
+    positions) from `start` on, and the first window of the tail: N
+    until the final block has passed, since the tail lies in its last
+    word.  The digits and ends that no chunk has passed yet are held
+    from block to block.
+    """
+    windows = max(0, num_digits - k + 1)
+    start = base = 0  # the next chunk's first window; the position of held[0][0]
+    held, held_ends = [], []
+    cut = num_digits
+    for block in blocks:
+        held.append(block.digits)
+        if k > 1:
+            held_ends.append(block.start + np.cumsum(block.lengths, dtype=np.int64))
+        if block.cut_inside:
+            cut = num_digits - int(block.lengths[-1])  # the cut word starts here
+        have = block.start + len(block.digits)  # the digits held end here
+        while start < windows and have >= min(start + _CHUNK, windows) + k - 1:
+            stop = min(start + _CHUNK, windows)
+            digits = np.concatenate(held)
+            ends = np.concatenate(held_ends or [np.empty(0, dtype=np.int64)])
+            held = held_ends = None  # so that the pieces are freed before the tally
+            yield start, stop, digits[start - base : stop + k - 1 - base], ends, cut
+            held, held_ends, base = [digits[stop - base :]], [ends[ends > stop]], stop
+            start = stop
+
+
 def count_stream(
     engine: ArithEngine,
     spec: CompositionSpec,
@@ -123,15 +159,20 @@ def count_stream(
     """Census every k-gram window of the first `num_digits` digits; each
     tally maps a word's text to its count.
 
-    The result is independent of `threads`: the window range is chunked,
-    and with `eps` the complete words are classified in blocks, by
-    `blocked_map`; integer tallies are summed in block order.  Counts are
-    dense tables while g^k <= `DENSE_LIMIT`, sorted code runs above it.
+    The prefix is folded block by block (`words.prefix_blocks`), so no
+    array spans it: each chunk of `_CHUNK` windows is tallied once its
+    digits have arrived, and with `eps` each block's complete words are
+    classified as it passes.  Integer tallies are summed in chunk order
+    on the calling thread; `threads` is checked and changes nothing.
+    Counts are dense tables while g^k <= `DENSE_LIMIT`, sorted code runs
+    above it.
     """
     if num_digits < 1:
         raise ValueError("need at least one digit")
     if k < 1:
         raise ValueError("word length k must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     size = g**k
     if size > 1 << 63:
         raise CapacityError(
@@ -139,25 +180,17 @@ def count_stream(
         )
     if eps is not None:
         words_mod.check_eps(eps)
-    res = words_mod.truncate(engine, spec, num_digits, g, order)
-    digits, lengths, final_index, flush = res.digits, res.lengths, res.final_index, res.flush
     windows = max(0, num_digits - k + 1)
     dense = size <= DENSE_LIMIT
-    # a window starting `back` digits before a word end crosses it; a
-    # start before the word's own first digit is set by an earlier end
-    ends = np.cumsum(lengths)
-    crosses = np.zeros(windows, dtype=bool)
-    for back in range(1, k):
-        starts = ends[lengths >= back] - back  # sorted
-        crosses[starts[: np.searchsorted(starts, windows)]] = True
-    del ends
-    # the tail is the windows inside the cut final word: a suffix, which
-    # no window crossing a word end reaches
-    cut = num_digits if flush else num_digits - res.consumed_of_final
 
-    def tally_chunk(start, stop):
+    def tally_chunk(start, stop, digits, ends, cut):
         """The complete, boundary and tail tallies of windows [start, stop)."""
-        cross = crosses[start:stop]
+        # a window starting `back` digits before a word end crosses it; the
+        # tail is the windows from `cut` on, which no crossing window reaches
+        cross = np.zeros(stop - start, dtype=bool)
+        for back in range(1, k):
+            at = ends - (start + back)
+            cross[at[(at >= 0) & (at < len(cross))]] = True
         split = max(cut - start, 0)
         if dense:
             # the window's class (0 complete, 1 boundary, 2 tail) leads
@@ -166,7 +199,7 @@ def count_stream(
             codes[split:] = 2
         else:
             codes = np.zeros(stop - start, dtype=np.int64)
-        window_codes(digits[start : stop + k - 1], k, g, codes)
+        window_codes(digits, k, g, codes)
         if dense:
             return np.bincount(codes, minlength=3 * size).reshape(3, size)
         return [
@@ -195,7 +228,25 @@ def count_stream(
             start += len(uniq)
         return codes, tables
 
-    codes, tables = merge(blocked_map(tally_chunk, windows, _CHUNK, threads))
+    last = None
+    bad_count = None if eps is None else 0
+
+    def blocks():
+        """The prefix's blocks; `last` is the newest, and with `eps` each
+        block's complete words are classified as it passes."""
+        nonlocal last, bad_count
+        for last in words_mod.prefix_blocks(engine, spec, num_digits, g, order):
+            if eps is not None:
+                whole = last.values[: len(last.values) - last.cut_inside]
+                bad = words_mod.eps_k_bad_mask(whole, eps, k, g)
+                bad_count += int(np.count_nonzero(bad))
+            yield last
+
+    codes, tables = merge(
+        tally_chunk(*chunk) for chunk in _window_chunks(blocks(), num_digits, k)
+    )
+    final_index = last.first + len(last.values) - 1
+    consumed = int(last.lengths[-1])
     labels = word_texts(codes, g, k)
     if g > 10:  # dot-joined labels do not sort as their codes do
         by_label = np.argsort(labels, kind="stable")
@@ -212,15 +263,6 @@ def count_stream(
         if len(codes) < size:  # an absent word deviates by exactly center
             max_dev = max(max_dev, center)
 
-    bad_count = None
-    if eps is not None:
-
-        def bad_in(lo, hi):
-            return int(words_mod.eps_k_bad_mask(res.values[lo:hi], eps, k, g).sum())
-
-        complete_words = final_index if flush else final_index - 1
-        bad_count = sum(blocked_map(bad_in, complete_words, _BLOCK, threads))
-
     return _KGramPayload(
         kind="kgram-frequency-report",
         schema=1,
@@ -230,8 +272,8 @@ def count_stream(
         order=order.value,
         N=num_digits,
         n=final_index,
-        consumed_of_final=res.consumed_of_final,
-        flush=flush,
+        consumed_of_final=consumed,
+        flush=consumed == last.final_length,
         windows=windows,
         max_dev=max_dev,
         boundary=int(boundary.sum()),

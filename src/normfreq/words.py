@@ -3,7 +3,8 @@
 A natural number n >= 1 is written as the word of its base-g digits,
 either most-significant-first (the usual reading order) or
 least-significant-first.  Streams concatenate the words of f(1), f(2),
-... for a composition spec f; all counting is exact.
+... for a composition spec f; all counting is exact.  A stream prefix is
+made block by block (`prefix_blocks`), so no array spans the prefix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,23 @@ LSF = DigitOrder.LEAST_SIGNIFICANT_FIRST
 def word_text(digits: Sequence[int], g: int) -> str:
     """A digit word as text: plain digits for g <= 10, dot-joined above."""
     return ("" if g <= 10 else ".").join(map(str, digits))
+
+
+def digit_text_table(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of digits above base 10, as `word_text` joins them: a
+    table of each digit's text and dot (b"12."), NUL-padded to one width
+    (`S` dtype), and the index of each digit into it (the digits' shape).
+
+    The table holds every value up to the largest digit, or the distinct
+    digits when that many entries would outgrow the digits.
+    """
+    top = int(digits.max(initial=0))
+    if top < digits.size:
+        labels, index = np.arange(top + 1), digits
+    else:
+        labels, index = np.unique(digits, return_inverse=True)
+    table = np.array([b"%d." % d for d in labels.tolist()], dtype="S")
+    return table, index.reshape(digits.shape)
 
 
 def fixed_digits(values, length: int, g: int) -> np.ndarray:
@@ -68,13 +86,29 @@ def window_codes(digits: np.ndarray, k: int, g: int, codes: np.ndarray) -> np.nd
 
 def word_texts(codes: np.ndarray, g: int, k: int) -> np.ndarray:
     """`word_text` of each k-digit word code (most significant digit first)
-    as an array of ASCII bytes (`S` dtype), with no per-word Python work
-    for g <= 10."""
+    as an array of ASCII bytes (`S` dtype), with no per-word Python work.
+
+    Above base 10 the digits' texts (`digit_text_table`) are packed to
+    the left of each row, one digit column at a time, and the last dot is
+    cleared; `S` drops the trailing NULs.
+    """
     digits = fixed_digits(codes, k, g)
     if g <= 10:
         digits += 48
         return digits.view(f"S{k}").ravel()
-    return np.array([word_text(row, g) for row in digits.tolist()], dtype="S")
+    table, index = digit_text_table(digits)
+    n, width = len(codes), table.dtype.itemsize
+    cells = table[index].view(np.uint8).reshape(n, k, width)
+    sizes = np.char.str_len(table)[index]  # the text bytes of each cell
+    rows = np.zeros((n, k * width), dtype=np.uint8)
+    flat = rows.ravel()
+    at = np.arange(0, n * k * width, k * width)  # where each row's next cell goes
+    for j in range(k):
+        for b in range(width):  # a cell's padding is overwritten by the next cell
+            flat[at + b] = cells[:, j, b]
+        at += sizes[:, j]
+    flat[at - 1] = 0
+    return rows.view(f"S{k * width}").ravel()
 
 
 def digit_length(n: int, g: int = 10) -> int:
@@ -345,15 +379,108 @@ class TruncationResult:
         return self.consumed_of_final == self.final_length
 
 
+@dataclass(frozen=True)
+class PrefixBlock:
+    """The words of the domain indices first, ..., first + len(values) - 1
+    inside a stream prefix, and their digits in stream order.
+
+    `start` is the stream position of the block's first digit, and
+    `lengths` counts each word's digits inside the prefix.  The last
+    block holds the word that reaches N, cut there; its `final_length`
+    is that word's whole length, and None marks every earlier block.
+    """
+
+    first: int
+    start: int
+    values: np.ndarray
+    lengths: np.ndarray
+    digits: np.ndarray
+    final_length: Optional[int] = None
+
+    @property
+    def cut_inside(self) -> bool:
+        """True when the prefix ends inside this block's last word."""
+        return self.final_length is not None and self.lengths[-1] < self.final_length
+
+
 def _digit_lengths(values: np.ndarray, g: int) -> np.ndarray:
-    """Base-g digit counts of a nonempty int64 array of values >= 1."""
+    """Base-g digit counts of a nonempty int64 array of values >= 1, as
+    uint8 (an int64 value has at most 63 digits)."""
     top = int(values.max())
     powers = []
     q = g
     while q <= top:
         powers.append(q)
         q *= g
-    return np.searchsorted(np.array(powers, dtype=np.int64), values, side="right") + 1
+    lengths = np.searchsorted(np.array(powers, dtype=np.int64), values, side="right")
+    lengths += 1
+    return lengths.astype(np.uint8)
+
+
+def _word_digits(values: np.ndarray, lengths: np.ndarray, g: int, order: DigitOrder) -> np.ndarray:
+    """The digits of the words of `values`, of the given lengths, one word
+    after another: every word is padded to the longest, and the padding
+    masked off."""
+    top = int(lengths.max())
+    digits = fixed_digits(values, top, g)
+    # row L of `keep` marks the L digit columns of an L-digit word
+    keep = np.arange(top) < np.arange(top + 1)[:, None]
+    if order is MSF:
+        return digits[keep[:, ::-1].take(lengths, axis=0)]
+    return digits[:, ::-1][keep.take(lengths, axis=0)]
+
+
+# domain indices per block of `prefix_blocks`, as many as the classifier
+# takes per block (`ngrams._BLOCK`)
+_BLOCK = 1 << 16
+
+
+def prefix_blocks(
+    engine: ArithEngine,
+    spec: CompositionSpec,
+    num_digits: int,
+    g: int = 10,
+    order: DigitOrder = MSF,
+) -> Iterator[PrefixBlock]:
+    """The first `num_digits` digits of the stream, block by block: each
+    block takes at most `_BLOCK` domain indices, and the last stops at
+    the word that reaches N.
+
+    A block is its values (`ArithEngine.stream_values`), their digit
+    lengths and the digits of its words; nothing spans two blocks.  The
+    first block takes N/64 indices (at least 16, at most N): every word
+    has a digit, and a whole array built for that probe (prime sieve,
+    chain or order table) costs little.  Each later block also ends at
+    the forecast index of the cut: the digits still needed over the
+    digits per value of the newest half of the block before.  So the
+    last block computes few values past the cut, and the engine sizes
+    its whole arrays for the forecast and builds them about once.
+    """
+    if num_digits < 1:
+        raise ValueError("need at least one digit")
+    if g < 2:
+        raise ValueError("base must be >= 2")
+    lo, start, ahead = 1, 0, None  # ahead: the forecast words still needed
+    while True:
+        rest = num_digits - start
+        hi = lo + (min(_BLOCK, rest, max(16, rest // 64)) if ahead is None else min(_BLOCK, ahead))
+        values = engine.stream_values(spec, lo, hi, hi - 1 if ahead is None else lo - 1 + ahead)
+        lengths = _digit_lengths(values, g)
+        done = int(lengths.sum())
+        if done >= rest:
+            ends = np.cumsum(lengths, dtype=np.int64)
+            final = int(np.searchsorted(ends, rest))  # the first word to reach N
+            values, lengths = values[: final + 1], lengths[: final + 1]
+            digits = _word_digits(values, lengths, g, order)[:rest]
+            final_length = int(lengths[final])
+            lengths[final] -= int(ends[final]) - rest
+            yield PrefixBlock(lo, start, values, lengths, digits, final_length)
+            return
+        yield PrefixBlock(lo, start, values, lengths, _word_digits(values, lengths, g, order))
+        start += done
+        newest = lengths[len(lengths) // 2 :]
+        ahead = -(-(num_digits - start) * len(newest) // int(newest.sum()))
+        lo = hi
 
 
 def truncate(
@@ -363,43 +490,15 @@ def truncate(
     g: int = 10,
     order: DigitOrder = MSF,
 ) -> TruncationResult:
-    """Materialize the first `num_digits` digits of the stream.
-
-    Domain values and chain values are whole arrays.  The value count
-    starts at N/64 and is re-estimated from the digits per value seen in
-    the newest half of each attempt until the words cover N digits; N
-    values always do, since every word has at least one digit.
-    """
-    if num_digits < 1:
-        raise ValueError("need at least one digit")
-    if g < 2:
-        raise ValueError("base must be >= 2")
-    count = min(num_digits, max(16, num_digits // 64))
-    while True:
-        values = engine.chain_values(spec.chain, engine.domain_values(spec.domain, count))
-        lengths = _digit_lengths(values, g)
-        ends = np.cumsum(lengths)
-        have = int(ends[-1])
-        if have >= num_digits:
-            break
-        per_value = float(lengths[count // 2 :].mean())
-        count = min(num_digits, count + math.ceil((num_digits - have) / per_value))
-    final = int(np.searchsorted(ends, num_digits))  # the first word to reach N
-    overhang = int(ends[final]) - num_digits
-    del ends
-    # copies, so the arrays of an over-long attempt are freed
-    values = values[: final + 1].copy()
-    lengths = lengths[: final + 1].copy()
-    final_length = int(lengths[final])
-    top = int(lengths.max())  # every word padded to the longest, the padding masked off
-    digits = fixed_digits(values, top, g)
-    # row L of `keep` marks the L digit columns of an L-digit word
-    keep = np.arange(top) < np.arange(top + 1)[:, None]
-    if order is MSF:
-        digits = digits[keep[:, ::-1].take(lengths, axis=0)][:num_digits]
-    else:
-        digits = digits[:, ::-1][keep.take(lengths, axis=0)][:num_digits]
-    lengths[final] -= overhang
+    """The first `num_digits` digits of the stream as whole arrays: the
+    blocks of `prefix_blocks`, concatenated."""
+    blocks = list(prefix_blocks(engine, spec, num_digits, g, order))
+    last = blocks[-1]
     return TruncationResult(
-        digits, final + 1, final_length - overhang, final_length, lengths, values
+        np.concatenate([block.digits for block in blocks]),
+        last.first + len(last.values) - 1,
+        int(last.lengths[-1]),
+        last.final_length,
+        np.concatenate([block.lengths for block in blocks]),
+        np.concatenate([block.values for block in blocks]),
     )

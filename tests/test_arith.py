@@ -557,13 +557,20 @@ def test_big_omega_table_is_cached_until_a_larger_limit(table):
     assert np.shares_memory(table(eng, 1000), big)
 
 
-def test_concurrent_growth_keeps_the_longest_table():
+def test_concurrent_growth_keeps_the_longest_table(monkeypatch):
     # builds run outside the engine lock, so threads race to store theirs;
     # a shorter table stored over a longer one would be a lost update
     eng = arith.ArithEngine()
     want = arith.ArithEngine().value_table(arith.PHI, 8000)
     limits = [[2000 * (1 + (i + j) % 4) for j in range(12)] for i in range(4)]
     bad = []
+    # a growing table is at least doubled, so which sizes get built depends
+    # on the race; record them
+    tables, sieves = [], []
+    kernel, sieve = arith._block_table, arith.prime_sieve
+    monkeypatch.setattr(arith, "_block_table", lambda row, primes, limit: (
+        tables.append(limit) or kernel(row, primes, limit)))
+    monkeypatch.setattr(arith, "prime_sieve", lambda limit: sieves.append(limit) or sieve(limit))
 
     def worker(mine):
         for limit in mine:
@@ -582,8 +589,8 @@ def test_concurrent_growth_keeps_the_longest_table():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
-    assert len(eng.value_table(arith.PHI, 1).base) == 8001
-    assert eng.primes_upto(1).base[-1] == 89  # the largest prime <= isqrt(8000)
+    assert len(eng.value_table(arith.PHI, 1).base) == max(tables) + 1 > 8000
+    assert eng.primes_upto(1).base.tolist() == sieve(max(sieves)).tolist()
 
 
 def test_a_late_build_does_not_replace_a_longer_table(monkeypatch):

@@ -232,6 +232,25 @@ def test_count_threads_do_not_change_bytes(tmp_path, capsys):
     assert one.read_bytes() == eight.read_bytes()
 
 
+def test_count_threads_one_and_two_give_identical_bytes_across_blocks(tmp_path, monkeypatch):
+    # full-size value blocks and window chunks, and a dense and a sparse
+    # tally, each with the classifier
+    for f, k, digits in [("phi", 2, 400_000), ("sigma.phi", 6, 20_000)]:
+        base = ["count", "--f", f, "--k", str(k), "--digits", str(digits), "--eps", "0.3"]
+        paths = [tmp_path / f"{f}-{threads}.json" for threads in (1, 2)]
+        for threads, path in zip((1, 2), paths):
+            assert cli.main(base + ["--threads", str(threads), "--report", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    # small ones: many of each
+    monkeypatch.setattr(words, "_BLOCK", 100)
+    monkeypatch.setattr(ngrams, "_CHUNK", 1000)
+    base = ["count", "--f", "phi", "--domain", "primes", "--k", "3", "--digits", "30000"]
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert cli.main(base + ["--threads", "1", "--report", str(one)]) == 0
+    assert cli.main(base + ["--threads", "2", "--report", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_count_eps_adds_bad_count(capsys):
     code, out, _ = run(capsys, "count", "--f", "id", "--k", "1", "--digits", "9",
                        "--eps", "0.2")
@@ -263,7 +282,7 @@ def test_count_eps_bad_count_matches_pointwise(capsys, base, cut):
 @pytest.mark.parametrize("eps, k, base", [(0.05, 1, 2), (0.3, 2, 2), (0.2, 1, 10), (0.4, 2, 16)])
 def test_count_eps_across_block_edges(capsys, monkeypatch, threads, eps, k, base):
     # 7-value blocks put many block edges inside every digit length
-    monkeypatch.setattr(ngrams, "_BLOCK", 7)
+    monkeypatch.setattr(words, "_BLOCK", 7)
     code, out, _ = run(capsys, "count", "--base", str(base), "--k", str(k),
                        "--digits", "20000", "--eps", str(eps), "--threads", str(threads))
     assert code == 0
@@ -296,7 +315,7 @@ def test_count_checks_eps_before_building_the_prefix(capsys, monkeypatch):
     def no_prefix(*args, **kwargs):
         raise AssertionError("the prefix was built")
 
-    monkeypatch.setattr(words, "truncate", no_prefix)
+    monkeypatch.setattr(words, "prefix_blocks", no_prefix)
     code, _, err = run(capsys, "count", "--digits", "100000000", "--eps", "-0.5")
     assert code == 2 and "eps" in err
 
@@ -383,11 +402,14 @@ def test_primes_past_the_sieve_budget_exit_code(capsys):
     assert re.fullmatch(r"error: prime sieve for limit \d+ needs \d+ bytes, budget is \d+\n", err)
 
 
-def test_naturals_past_the_domain_budget_exit_code(capsys):
-    # 10^10 digits of the naturals start from 10^10/64 domain values, 1.25 GB of int64
-    code, out, err = run(capsys, "count", "--f", "id", "--digits", str(10**10))
-    assert (code, out) == (3, "")
-    assert re.fullmatch(r"error: domain values for limit \d+ needs \d+ bytes, budget is \d+\n", err)
+@pytest.mark.parametrize("chain", ["id", "phi"])
+def test_naturals_prefix_needs_no_domain_array(capsys, monkeypatch, chain):
+    # the naturals stream block by block: 10^6 digits reach about 185,000
+    # values, whose whole int64 arange would be far past a 64 KiB budget
+    argv = ("count", "--f", chain, "--k", "2", "--digits", str(10**6))
+    code, want, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "ArithEngine", functools.partial(ArithEngine, memory_budget=1 << 16))
+    assert run(capsys, *argv) == (code, want, "") and code == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -648,7 +670,7 @@ def test_threads_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, so
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --threads was checked")
 
-    monkeypatch.setattr(words, "truncate", no_work)
+    monkeypatch.setattr(words, "prefix_blocks", no_work)
     monkeypatch.setattr(words, "eps_k_bad_mask", no_work)
     monkeypatch.setattr(words, "eps_1_normal_count", no_work)
     if source == "flag":

@@ -463,16 +463,33 @@ def test_growth_validates(engine):
 # ---------------------------------------------------------------------------
 
 
-def test_count_overlapping():
-    assert experiments.count_overlapping(b"aaaa", b"aa") == 3
-    assert experiments.count_overlapping(b"abcabcab", b"abcab") == 2  # 0 and 3
-    assert experiments.count_overlapping(b"xyz", b"xyzw") == 0
-    assert experiments.count_overlapping(b"xyz", b"") == 0
+def count_block_bytes(haystack: bytes, needle: bytes) -> int:
+    """count_block over the bytes of both, one byte per digit."""
+    return experiments.count_block(np.frombuffer(haystack, dtype=np.uint8), list(needle))
 
 
-def test_count_overlapping_chunked_boundaries():
+def test_count_block():
+    # the cases of the bytes.find loop the vector match replaced
+    assert count_block_bytes(b"aaaa", b"aa") == 3
+    assert count_block_bytes(b"abcabcab", b"abcab") == 2  # 0 and 3
+    assert count_block_bytes(b"xyz", b"xyzw") == 0
+    assert count_block_bytes(b"xyz", b"") == 0
+
+
+def test_count_block_chunked_boundaries():
     hay = b"ab" * 50  # matches start at 0, 2, ..., 96
-    assert experiments.count_overlapping(hay, b"abab") == 49
+    assert count_block_bytes(hay, b"abab") == 49
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_count_block_matches_a_window_scan(dtype):
+    rng = np.random.default_rng(5)
+    digits = rng.integers(0, 3, 2000).astype(dtype)
+    for length in (1, 2, 3, 5, 8):
+        for _ in range(5):
+            block = rng.integers(0, 3, length).tolist()
+            want = sum(digits[i : i + length].tolist() == block for i in range(2001 - length))
+            assert experiments.count_block(digits, block) == want
 
 
 def test_block_demo_two_digit_oracle(engine):

@@ -5,6 +5,7 @@ prefix digit by digit, tag each position with its word index, and put
 each window into the complete/boundary/tail bucket by definition.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -107,6 +108,73 @@ def test_count_stream_matches_oracle(engine, monkeypatch, k, extra, g, order):
     assert rep["consumed_of_final"] == want["consumed"]
     assert rep["flush"] == want["flush"] == (extra == 0)
     assert rep["windows"] == num - k + 1
+
+
+STREAM_CHAINS = [
+    (), (arith.PHI,), (arith.SIGMA,), (arith.LAMBDA,), (arith.SUM_PROPER,),
+    (arith.RADICAL,), (arith.TWO_SQUARES,), (arith.gstar([2, 3]),),
+    (arith.PHI, arith.SIGMA), (arith.SIGMA, arith.SIGMA),
+]
+
+
+@pytest.mark.parametrize("domain", [arith.NATURALS, arith.PRIMES], ids=lambda d: d.value)
+@pytest.mark.parametrize(
+    "chain", STREAM_CHAINS, ids=lambda c: ".".join(fn.describe() for fn in c) or "id"
+)
+def test_streamed_count_matches_a_recount_across_block_and_chunk_edges(
+    monkeypatch, chain, domain
+):
+    # the prefix is folded in value blocks of 7 and 1,000 indices and
+    # tallied in 7-window chunks, dense up to k = 3 and sparse above; its
+    # windows and the eps verdicts of its complete words are recounted
+    # from the pointwise words.  The cut falls inside a word, and at the
+    # end of a full block of 7 values.
+    spec = arith.CompositionSpec(chain, domain)
+    eng = arith.ArithEngine()
+    monkeypatch.setattr(ngrams, "_CHUNK", 7)
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", 1000)
+    for order in (MSF, LSF):
+        values = [eng.eval_composition(spec, i) for i in range(1, 141)]
+        word_list = [words.digits_of(v, 10, order) for v in values]
+        ends = list(itertools.accumulate(map(len, word_list)))
+        # a block may end early, at the forecast of the cut: find a cut
+        # after a word end whose final block is full
+        monkeypatch.setattr(words, "_BLOCK", 7)
+        on_edge = next(
+            num for num in ends[80:]
+            if len((last := list(words.prefix_blocks(eng, spec, num, 10, order))[-1]).values)
+            == 7 and not last.cut_inside
+        )
+        inside = next((end - 1 for end, word in zip(ends[80:], word_list[80:]) if len(word) > 1),
+                      on_edge)  # s and gstar on the primes have 1-digit words only
+        for block, num in itertools.product((7, 1000), (on_edge, inside)):
+            monkeypatch.setattr(words, "_BLOCK", block)
+            for k in range(1, 7):
+                eps = 0.3 if k <= 2 else None
+                rep = ngrams.count_stream(eng, spec, num, k=k, order=order, eps=eps)
+                want = oracle_census(word_list, num, k)
+                for bucket in ("complete", "boundary", "tail"):
+                    assert rep[f"{bucket}_counts"] == as_text(want[bucket], 10), (order, num, k)
+                assert (rep["n"], rep["consumed_of_final"], rep["flush"]) == (
+                    want["n"], want["consumed"], want["flush"])
+                if eps is not None:
+                    whole = values[: want["n"] - (not want["flush"])]
+                    assert rep["bad_count"] == sum(
+                        not words.is_eps_k_normal(v, eps, k) for v in whole)
+
+
+def test_count_stream_peak_memory_is_flat_in_the_prefix_length():
+    # phi at k = 1: one value block and one window chunk at a time, so four
+    # times the digits take about the same peak
+    peaks = []
+    for num in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            ngrams.count_stream(arith.ArithEngine(), arith.CompositionSpec((arith.PHI,)), num)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
