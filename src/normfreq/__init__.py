@@ -4,7 +4,9 @@ Concatenate f(1), f(2), f(3), ... in base g — where f composes totient,
 divisor-sum, unit-group-exponent and related maps over a chosen index
 set — and measure how evenly every length-k digit block occurs in the
 prefix.  Exact integer censuses with closed-form reference bounds sit
-alongside the stream machinery.  Everything is deterministic: each
+alongside the stream machinery.  A prefix comes block by block
+(`prefix_blocks`) and a census walks its range in fixed blocks; every
+consumer folds the blocks as they pass.  Everything is deterministic: each
 threaded loop runs on the fixed blocks of one partitioner
 (`ngrams.blocked_map`), so any thread count gives the same bytes.
 """
@@ -53,7 +55,7 @@ from .words import (
     digit_length,
     digits_of,
     is_eps_k_normal,
-    truncate,
+    prefix_blocks,
 )
 
 __version__ = "0.1.0"

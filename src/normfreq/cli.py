@@ -47,7 +47,7 @@ from .arith import (
     gstar,
 )
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .words import LSF, MSF, digit_text_table, truncate
+from .words import LSF, MSF, digit_text_table, prefix_blocks
 
 _FN_TOKENS = {
     "phi": PHI,
@@ -146,15 +146,21 @@ def _int_list(text: str) -> list[int]:
 def _stream(got) -> None:
     g = got["base"]
     spec = parse_chain(got["f"], _DOMAIN_TOKENS[got["domain"]])
-    digits = truncate(ArithEngine(), spec, got["digits"], g, _ORDER_TOKENS[got["order"]]).digits
-    if g <= 10:
-        # one ASCII byte per uint8 digit, as in `words.word_texts`
-        text = (digits + 48).tobytes()
-    else:
-        # `word_text`'s dot-joined digits, each text and dot read from a table
-        table, index = digit_text_table(digits)
-        text = table[index].tobytes().replace(b"\0", b"")[:-1]
-    print(text.decode("ascii"))
+    order = _ORDER_TOKENS[got["order"]]
+    # each block's text is written as the block arrives
+    for block in prefix_blocks(ArithEngine(), spec, got["digits"], g, order):
+        if g <= 10:
+            # one ASCII byte per uint8 digit, as in `words.word_texts`
+            text = (block.digits + 48).tobytes()
+        else:
+            # `word_text`'s dot-joined digits, each text and dot read from a
+            # table; the dot after the prefix's last digit is dropped
+            table, index = digit_text_table(block.digits)
+            text = table[index].tobytes().replace(b"\0", b"")
+            if block.final_length is not None:
+                text = text[:-1]
+        sys.stdout.write(text.decode("ascii"))
+    sys.stdout.write("\n")
 
 
 def _count(got):

@@ -2,11 +2,12 @@
 
 Each census counts an exceptional set exactly and prints the matching
 closed-form bound next to it; bounds are always evaluated from their
-formula, never fitted to the data.  A table census fills one bool mask
-over 1..limit block by block (`ngrams.blocked_map` over fixed blocks
-of `ngrams._BLOCK` integers, in order), reading the cached tables one
-block at a time, and reads every checkpoint count from the mask with
-`ngrams.checkpoint_counts`; no temporary spans more than one block.
+formula, never fitted to the data.  A census walks 1..limit in fixed
+blocks of `ngrams._BLOCK` integers, in order (`ngrams.blocked_map`),
+reading the cached tables one block at a time, and adds each block's
+counts to the checkpoints inside it as the blocks pass
+(`ngrams.checkpoint_counts` for a mask census); no temporary spans more
+than one block.
 Every function here returns its report as the payload dict that
 `reports` writes.
 """
@@ -33,9 +34,10 @@ from .arith import (
     _check_budget,
     big_omega,
     gstar,
+    prime_sieve,
 )
 from .ngrams import blocked_map, checkpoint_counts, validate_checkpoints
-from .words import MSF, DigitOrder, digits_of, truncate, word_text
+from .words import MSF, DigitOrder, digits_of, prefix_blocks, word_text
 
 DETERMINISM_NOTE = "deterministic: exact integer censuses, no randomness"
 
@@ -100,19 +102,6 @@ def _blocks(work: Callable[[int, int], object], total: int):
     return blocked_map(work, total, ngrams._BLOCK, 1)
 
 
-def _block_mask(test: Callable[[int, int], np.ndarray], limit: int) -> np.ndarray:
-    """The bool mask of n = 1..limit, entry n - 1 set when n passes;
-    test(lo, hi) gives the block n = lo + 1..hi."""
-    mask = np.empty(limit, dtype=bool)
-
-    def fill(lo, hi):
-        mask[lo:hi] = test(lo, hi)
-
-    for _ in _blocks(fill, limit):
-        pass
-    return mask
-
-
 def _chain_blocks(engine: ArithEngine, chain: tuple[BaseFn, ...], limit: int):
     """The chain's values over the naturals, as a function of one block:
     (lo, hi) -> f(n) for n = lo + 1..hi.
@@ -148,10 +137,8 @@ def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> dict
     isqrt(n - 1)); the reference bound is x / exp((log x)^(1/3)).
     """
     cps = validate_checkpoints(checkpoints)
-    limit = cps[-1]
-    lam = engine.value_table(LAMBDA, limit)
-    mask = _block_mask(lambda lo, hi: lam[lo + 1 : hi + 1] <= _nested_isqrt(hi, 1, lo), limit)
-    counts = checkpoint_counts(mask, cps)
+    lam = engine.value_table(LAMBDA, cps[-1])
+    counts = checkpoint_counts(lambda lo, hi: lam[lo + 1 : hi + 1] <= _nested_isqrt(hi, 1, lo), cps)
     rows = [_row(x, c, x / math.exp(floored_log(x) ** (1.0 / 3.0))) for x, c in zip(cps, counts)]
     return _census("fps", "n <= x with lambda(n) < sqrt(n)", "x / exp((log x)^(1/3))", {}, rows)
 
@@ -178,7 +165,7 @@ def divisor_preimage_census(
         v = tab[lo + 1 : hi + 1]
         return v // d * d == v
 
-    counts = checkpoint_counts(_block_mask(divisible, limit), cps)
+    counts = checkpoint_counts(divisible, cps)
     rows = [
         _row(x, c, (x / d) * (8.0 * ell * floored_log(x) ** 2) ** ell) for x, c in zip(cps, counts)
     ]
@@ -211,8 +198,7 @@ def omega_tail_census(
     tab = engine.value_table(a, limit)
     omega = engine.big_omega_table(int(tab.max()))
     threshold = big_k * big_k
-    mask = _block_mask(lambda lo, hi: omega[tab[lo + 1 : hi + 1]] > threshold, limit)
-    counts = checkpoint_counts(mask, cps)
+    counts = checkpoint_counts(lambda lo, hi: omega[tab[lo + 1 : hi + 1]] > threshold, cps)
     scale = big_k / 2.0**big_k
     rows = [
         _row(x, c, scale * x * floored_log(x) ** 3, verdict=False) for x, c in zip(cps, counts)
@@ -278,8 +264,9 @@ def small_value_census(
     limit = cps[-1]
     values = _chain_blocks(engine, spec.chain, limit)
     power = 2**spec.depth
-    mask = _block_mask(lambda lo, hi: values(lo, hi) <= _nested_isqrt(hi, spec.depth, lo), limit)
-    counts = checkpoint_counts(mask, cps)
+    counts = checkpoint_counts(
+        lambda lo, hi: values(lo, hi) <= _nested_isqrt(hi, spec.depth, lo), cps
+    )
     rows = [_row(x, c, x / math.exp(floored_log(x) ** theta)) for x, c in zip(cps, counts)]
     return _census(
         "small-value",
@@ -339,7 +326,7 @@ def _is_prime(v: np.ndarray) -> np.ndarray:
     lo, hi = int(v.min()), int(v.max())
     span = np.ones(hi - lo + 1, dtype=bool)
     span[: max(0, 2 - lo)] = False  # 0 and 1
-    for p in ArithEngine().primes_upto(math.isqrt(hi)).tolist():
+    for p in prime_sieve(math.isqrt(hi)).tolist():
         span[max(p * p, -(-lo // p) * p) - lo :: p] = False
     return span[v - lo]
 
@@ -363,32 +350,46 @@ def thin_preimage_census(
     """Census of {n <= x : a(n) in E} with the proof's partition.
 
     Per checkpoint the counted n split by a(n): e1 has a(n) <= x^(1/3),
-    e2 has Omega(a(n)) > (log x)^(theta/3), e3 is the rest.
+    e2 has Omega(a(n)) > (log x)^(theta/3), e3 is the rest.  The members,
+    e1 and e2 of every checkpoint are added block by block.  The Omega
+    table is sized once, before that walk, for the largest member value,
+    which a first walk folds block by block.
     """
     _require_table_fn(a)
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     tab = engine.value_table(a, limit)
-    mask = _block_mask(lambda lo, hi: thin_set.member(tab[lo + 1 : hi + 1]), limit)
-    counts = checkpoint_counts(mask, cps)
-    member_ns = np.flatnonzero(mask) + 1
-    member_vals = tab[member_ns]
-    omega = engine.big_omega_table(int(member_vals.max(initial=1)))[member_vals]
+    # v <= x^(1/3) and Omega > (log x)^(theta/3) compare integers with
+    # floats, so both sides reduce exactly to their integer floors
+    cuts = [
+        (math.floor(x ** (1.0 / 3.0)), math.floor(floored_log(x) ** (thin_set.theta / 3.0)))
+        for x in cps
+    ]
 
+    def top(lo, hi):
+        values = tab[lo + 1 : hi + 1]
+        return int(values.max(initial=1, where=thin_set.member(values)))
+
+    omega = engine.big_omega_table(max(_blocks(top, limit)))
+
+    def parts(lo, hi):
+        """The block's members, e1 and e2 at or below each checkpoint."""
+        values = tab[lo + 1 : hi + 1]
+        at = np.flatnonzero(thin_set.member(values))  # each member n as n - lo - 1
+        values = values[at]
+        big = omega[values]
+        out = np.zeros((len(cps), 3), dtype=np.int64)
+        for i, (x, (cut, om_cut)) in enumerate(zip(cps, cuts)):
+            upto = int(np.searchsorted(at, x - lo - 1, side="right"))  # the members n <= x
+            small = values[:upto] <= cut
+            out[i] = upto, np.count_nonzero(small), np.count_nonzero(~small & (big[:upto] > om_cut))
+        return out
+
+    totals = sum(_blocks(parts, limit))
     rows = []
-    for x, total in zip(cps, counts):
-        # v <= x^(1/3) and Omega > (log x)^(theta/3) compare integers with
-        # floats, so both sides reduce exactly to their integer floors
-        cut = math.floor(x ** (1.0 / 3.0))
-        om_cut = math.floor(floored_log(x) ** (thin_set.theta / 3.0))
-        upto = int(np.searchsorted(member_ns, x, side="right"))
-        small = member_vals[:upto] <= cut
-        e1 = int(small.sum())
-        e2 = int((~small & (omega[:upto] > om_cut)).sum())
-        e3 = upto - e1 - e2
-        assert upto == total
+    for x, (total, e1, e2) in zip(cps, totals.tolist()):
         bound = x / math.exp(floored_log(x) ** thin_set.theta)
-        rows.append(_row(x, total, bound, parts={"e1": e1, "e2": e2, "e3": e3}))
+        rows.append(_row(x, total, bound, parts={"e1": e1, "e2": e2, "e3": total - e1 - e2}))
     return _census(
         "thin-preimage",
         f"n <= x with {a.describe()}(n) in {thin_set.label}",
@@ -490,10 +491,14 @@ def non_normality_demo(
             f"the {len(block_digits)}-digit block's normal ceiling {num_digits} * {g}^-"
             f"{len(block_digits)} is out of float range; use a smaller k"
         )
-    spec = CompositionSpec((fn,))
-    res = truncate(engine, spec, num_digits, g, order)
-    observed = count_block(res.digits, block_digits)
-    n = res.final_index
+    # each prefix block is counted with the last len(block) - 1 digits
+    # before it carried in front, so every window is counted once
+    observed, carry = 0, np.empty(0, dtype=np.uint8)
+    for part in prefix_blocks(engine, CompositionSpec((fn,)), num_digits, g, order):
+        digits = np.concatenate([carry, part.digits])
+        observed += count_block(digits, block_digits)
+        carry = digits[max(0, len(digits) - len(block_digits) + 1) :]
+    n = part.first + len(part.values) - 1
     period_count = max(0, (n - (2**k - 1)) // modulus + 1) if n >= 2**k - 1 else 0
     return {
         "kind": "block-repetition-report",
@@ -582,9 +587,11 @@ def restricted_domain_check(
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
     _check_budget("domain values", limit, 8, ArithEngine().memory_budget)
-    mask = _block_mask(lambda lo, hi: member(np.arange(lo + 1, hi + 1, dtype=np.int64)), limit)
+    counts = checkpoint_counts(
+        lambda lo, hi: member(np.arange(lo + 1, hi + 1, dtype=np.int64)), cps
+    )
     rows = []
-    for x, count in zip(cps, checkpoint_counts(mask, cps)):
+    for x, count in zip(cps, counts):
         floor = x / floored_log(x) ** exponent
         rows.append({"x": x, "count": count, "floor": floor, "passes": count > floor})
     return {

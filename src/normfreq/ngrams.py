@@ -12,17 +12,19 @@ suffix of the window range.  All tallies are integers.
 block of values at a time, on the calling thread: its windows are
 tallied in fixed chunks of `_CHUNK` windows counted from window 0, and
 its `eps` classifier takes each block's complete words as the block
-passes.  `classify_checkpoints` at k >= 2 (at k = 1 it counts by a digit
-DP instead) runs through `blocked_map`, which cuts its range into fixed
-blocks and may thread them.  No edge depends on a thread count, so any
-`threads` value reproduces the single-pass result bit for bit.
-`checkpoint_counts` reads the checkpoint counts of one flag mask; the
-censuses of `experiments` fill a whole-range mask through `blocked_map`
-on one thread, block by block, and call it once on that mask.
+passes.  `checkpoint_counts` runs a block test through `blocked_map`,
+which cuts its range into fixed blocks and may thread them, and adds
+each block's count to the checkpoints inside it as the blocks pass.
+`classify_checkpoints` at k >= 2 (at k = 1 it counts by a digit DP
+instead) and the mask censuses of `experiments` (on one thread) count
+through it, so no mask spans more than one block.  No edge depends on a
+thread count, so any `threads` value reproduces the single-pass result
+bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
@@ -45,7 +47,7 @@ _CHUNK = 1 << 20
 # table then has no more entries than a chunk has windows
 DENSE_LIMIT = _CHUNK
 
-# integers per block of `classify_checkpoints` and of the censuses
+# integers per block of `checkpoint_counts` and of the censuses
 _BLOCK = 1 << 16
 
 # the most integers `classify_checkpoints` tests one at a time: about
@@ -301,14 +303,32 @@ def validate_checkpoints(checkpoints: Sequence[int]) -> list[int]:
     return cps
 
 
-def checkpoint_counts(mask: np.ndarray, cps: Sequence[int]) -> list[int]:
-    """How many of mask[:c] are set, for each checkpoint c in increasing
-    order; one pass over mask[:cps[-1]]."""
-    counts, running, prev = [], 0, 0
-    for c in cps:
-        running += int(np.count_nonzero(mask[prev:c]))
-        counts.append(running)
-        prev = c
+def checkpoint_counts(
+    test: Callable[[int, int], np.ndarray], cps: Sequence[int], threads: int = 1
+) -> list[int]:
+    """How many n <= c pass `test`, for each checkpoint c of the strictly
+    increasing `cps`.
+
+    test(lo, hi) gives the bool mask of the block n = lo + 1..hi; it runs
+    on each fixed block of 1..cps[-1] through `blocked_map`, and each
+    block's counts are added to the checkpoints inside it as the blocks
+    pass, so no mask outlives its block.
+    """
+
+    def work(lo, hi):
+        # the block's count up to each checkpoint inside it, and its whole count
+        mask = test(lo, hi)
+        counts, running, prev = [], 0, 0
+        for c in cps[bisect.bisect_right(cps, lo) : bisect.bisect_right(cps, hi)]:
+            running += int(np.count_nonzero(mask[prev : c - lo]))
+            counts.append(running)
+            prev = c - lo
+        return counts, running + int(np.count_nonzero(mask[prev:]))
+
+    counts, running = [], 0
+    for inside, total in blocked_map(work, cps[-1], _BLOCK, threads):
+        counts.extend(running + c for c in inside)
+        running += total
     return counts
 
 
@@ -321,7 +341,7 @@ def classify_checkpoints(
     For k = 1 each count is c minus `eps_1_normal_count(c)`, an exact
     digit DP with no per-integer work, so `threads` goes unused.  For
     k >= 2 every m <= max is enumerated, one `eps_k_bad_mask` per fixed
-    block through `blocked_map`.  Checkpoints past int64 raise
+    block through `checkpoint_counts`.  Checkpoints past int64 raise
     CapacityError, and so does an enumeration past `ENUMERATION_CAP`,
     before any work.
     """
@@ -342,18 +362,10 @@ def classify_checkpoints(
             f"enumeration cap of {ENUMERATION_CAP}; only k = 1 is counted without enumeration"
         )
 
-    def work(start, stop):
-        # the block holds m = start + 1 .. stop
-        mask = words_mod.eps_k_bad_mask(np.arange(start + 1, stop + 1, dtype=np.int64), eps, k, g)
-        inside = [c - start for c in cps if start < c <= stop]
-        return checkpoint_counts(mask, inside), int(np.count_nonzero(mask))
+    def bad(lo, hi):
+        return words_mod.eps_k_bad_mask(np.arange(lo + 1, hi + 1, dtype=np.int64), eps, k, g)
 
-    counts = []
-    running = 0
-    for edges, total in blocked_map(work, limit, _BLOCK, threads):
-        counts.extend(running + e for e in edges)
-        running += total
-    return counts
+    return checkpoint_counts(bad, cps, threads)
 
 
 @dataclass(frozen=True)

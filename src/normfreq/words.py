@@ -4,7 +4,8 @@ A natural number n >= 1 is written as the word of its base-g digits,
 either most-significant-first (the usual reading order) or
 least-significant-first.  Streams concatenate the words of f(1), f(2),
 ... for a composition spec f; all counting is exact.  A stream prefix is
-made block by block (`prefix_blocks`), so no array spans the prefix.
+made block by block (`prefix_blocks`), and every consumer folds the
+blocks as they pass, so no array spans the prefix.
 """
 
 from __future__ import annotations
@@ -357,29 +358,6 @@ def _binomial_power(u: list[int], times: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class TruncationResult:
-    """First N digits of a stream plus where the cut fell.
-
-    `final_index` is the least n whose word completes the N digits;
-    `consumed_of_final` says how many of that word's digits are inside.
-    `values` holds f(1), ..., f(final_index) and `lengths` how many
-    digits of each word lie inside the prefix (so they sum to N).
-    """
-
-    digits: np.ndarray
-    final_index: int
-    consumed_of_final: int
-    final_length: int
-    lengths: np.ndarray
-    values: np.ndarray
-
-    @property
-    def flush(self) -> bool:
-        """True when the cut lands exactly on a word boundary."""
-        return self.consumed_of_final == self.final_length
-
-
-@dataclass(frozen=True)
 class PrefixBlock:
     """The words of the domain indices first, ..., first + len(values) - 1
     inside a stream prefix, and their digits in stream order.
@@ -481,24 +459,3 @@ def prefix_blocks(
         newest = lengths[len(lengths) // 2 :]
         ahead = -(-(num_digits - start) * len(newest) // int(newest.sum()))
         lo = hi
-
-
-def truncate(
-    engine: ArithEngine,
-    spec: CompositionSpec,
-    num_digits: int,
-    g: int = 10,
-    order: DigitOrder = MSF,
-) -> TruncationResult:
-    """The first `num_digits` digits of the stream as whole arrays: the
-    blocks of `prefix_blocks`, concatenated."""
-    blocks = list(prefix_blocks(engine, spec, num_digits, g, order))
-    last = blocks[-1]
-    return TruncationResult(
-        np.concatenate([block.digits for block in blocks]),
-        last.first + len(last.values) - 1,
-        int(last.lengths[-1]),
-        last.final_length,
-        np.concatenate([block.lengths for block in blocks]),
-        np.concatenate([block.values for block in blocks]),
-    )

@@ -24,6 +24,7 @@ import pytest
 
 from normfreq import arith, cli, experiments, ngrams, words
 from normfreq.arith import LAMBDA, NATURALS, PHI, PRIMES, SIGMA, CompositionSpec
+from whole_prefix import whole_prefix
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -45,8 +46,8 @@ def word_text(w, g):
 
 def test_01_stream_fidelity(engine):
     t0 = time.perf_counter()
-    naturals = words.truncate(engine, CompositionSpec((), NATURALS), 17, 10, words.MSF)
-    primes = words.truncate(engine, CompositionSpec((), PRIMES), 20, 10, words.MSF)
+    naturals = whole_prefix(engine, CompositionSpec((), NATURALS), 17, 10, words.MSF)
+    primes = whole_prefix(engine, CompositionSpec((), PRIMES), 20, 10, words.MSF)
     elapsed = time.perf_counter() - t0
     nat_text = "".join(map(str, naturals.digits.tolist()))
     pri_text = "".join(map(str, primes.digits.tolist()))
@@ -80,7 +81,7 @@ def census_grid(engine):
         for domain in (NATURALS, PRIMES):
             spec = CompositionSpec(chain, domain)
             for g in (2, 10, 16):
-                digits = words.truncate(engine, spec, GRID_N, g, words.MSF).digits.tolist()
+                digits = whole_prefix(engine, spec, GRID_N, g, words.MSF).digits.tolist()
                 for k in (1, 2, 3):
                     report = ngrams.count_stream(engine, spec, GRID_N, g=g, k=k)
                     naive = Counter(

@@ -6,6 +6,7 @@ goes through a real subprocess to make sure the module entry point is
 wired up.
 """
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -31,6 +32,7 @@ from normfreq.arith import (
 )
 from normfreq.errors import UnknownFunctionError
 from normfreq.words import LSF, MSF, digits_of, is_eps_k_normal
+from whole_prefix import whole_prefix
 
 
 def run(capsys, *argv):
@@ -107,15 +109,43 @@ def test_stream_large_base_prints_dot_separated(capsys):
 
 @pytest.mark.parametrize("order", ["msf", "lsf"])
 @pytest.mark.parametrize("base", [2, 10, 16, 256, 1000])
-def test_stream_text_matches_word_text(capsys, base, order):
+def test_stream_text_matches_word_text(capsys, monkeypatch, base, order):
     # g <= 10 prints the digit bytes in one pass, larger g reads a table of
-    # digit texts (uint8 digits up to 256, int64 above); the text is word_text's
-    code, out, _ = run(capsys, "stream", "--f", "phi", "--base", str(base),
-                       "--order", order, "--digits", "5000")
+    # digit texts (uint8 digits up to 256, int64 above); the text is word_text's.
+    # Each prefix block is printed as it comes: blocks of 7 values put many
+    # block edges inside the text.
+    for block in (words._BLOCK, 7):
+        monkeypatch.setattr(words, "_BLOCK", block)
+        code, out, _ = run(capsys, "stream", "--f", "phi", "--base", str(base),
+                           "--order", order, "--digits", "5000")
+        assert code == 0
+        spec = CompositionSpec((PHI,))
+        result = whole_prefix(ArithEngine(), spec, 5000, base, MSF if order == "msf" else LSF)
+        assert out == words.word_text(result.digits.tolist(), base) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "--f", "gstar:2"],
+        ["stream", "--f", "phi", "--base", "16"],
+        ["experiment", "non-normal", "--primes", "2", "--k", "3"],
+    ],
+    ids=" ".join,
+)
+def test_prefix_commands_hold_one_block_at_a_time(argv):
+    # the whole prefix's arrays took 8 to 19 bytes per digit; a block's
+    # temporaries take about 2
+    num = 2 * 10**6
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--digits", str(num)])
+            peak = tracemalloc.get_traced_memory()[1] / num
+        finally:
+            tracemalloc.stop()
     assert code == 0
-    spec = CompositionSpec((PHI,))
-    result = words.truncate(ArithEngine(), spec, 5000, base, MSF if order == "msf" else LSF)
-    assert out == words.word_text(result.digits.tolist(), base) + "\n"
+    assert peak < 4, peak
 
 
 # --- count ---
@@ -585,7 +615,7 @@ def test_experiment_non_normal_refuses_base(capsys, monkeypatch, base):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the base was checked")
 
-    monkeypatch.setattr(experiments, "truncate", no_work)
+    monkeypatch.setattr(experiments, "prefix_blocks", no_work)
     code, _, err = run(capsys, "experiment", "non-normal", "--primes", "2", "--k", "9",
                        "--base", base, "--digits", "100000")
     assert code == 2
@@ -597,7 +627,7 @@ def test_experiment_non_normal_refuses_a_ceiling_out_of_float_range(capsys, monk
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the ceiling was checked")
 
-    monkeypatch.setattr(experiments, "truncate", no_work)
+    monkeypatch.setattr(experiments, "prefix_blocks", no_work)
     code, out, err = run(capsys, "experiment", "non-normal", "--k", "10", "--base", "2",
                          "--digits", "1000")
     assert (code, out) == (2, "")

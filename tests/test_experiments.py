@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normfreq import arith, experiments, ngrams, reports
+from normfreq import arith, experiments, ngrams, reports, words
 from normfreq.arith import LAMBDA, PHI, SIGMA, CompositionSpec
 from normfreq.words import LSF, MSF
 
@@ -545,6 +545,32 @@ def test_block_demo_names_its_digit_order(engine):
     assert "order,msf" in reports.to_csv(msf).splitlines()
 
 
+@pytest.mark.parametrize(
+    "primes,k,g,order",
+    [([2], 3, 10, MSF), ([2], 4, 2, MSF), ([2, 3], 3, 7, LSF), ([2, 3], 4, 3, LSF),
+     ([3], 2, 10, LSF)],
+)
+def test_block_demo_counts_across_prefix_blocks(monkeypatch, primes, k, g, order):
+    # blocks of 7 values: the block's windows cross block edges, and the
+    # 15-value block of k = 4 spans several prefix blocks, so the digits
+    # carried into a block may be more than one block's and fewer than two
+    monkeypatch.setattr(words, "_BLOCK", 7)
+    engine = arith.ArithEngine()
+    fn = arith.gstar(primes)
+    block = [
+        d for i in range(1, 2**k) for d in words.digits_of(engine.eval_base_value(fn, i), g, order)
+    ]
+    stream = []
+    m = 0
+    while len(stream) < 2000:
+        m += 1
+        stream.extend(words.digits_of(engine.eval_base_value(fn, m), g, order))
+    for num in (1999, 2000):  # one cut inside a word or at its end, at least
+        rep = experiments.non_normality_demo(engine, primes, k, g, num, order)
+        want = experiments.count_block(np.array(stream[:num], dtype=np.uint8), block)
+        assert rep["observed"] == want, num
+
+
 # ---------------------------------------------------------------------------
 # extremal ratios
 # ---------------------------------------------------------------------------
@@ -720,17 +746,19 @@ def test_nested_isqrt_blocks_match_iterated_isqrt(depth):
 
 
 def test_census_temporaries_stay_within_a_few_bytes_per_integer():
-    # the whole-range mask is 1 byte per integer and growth's log f array
-    # 8; every other temporary spans one block
+    # growth's log f array is 8 bytes per integer; every other temporary
+    # spans one block
     limit = 10**6
     engine = arith.ArithEngine(spf_limit=limit)
     cps = experiments.default_checkpoints(limit)
     pow2 = experiments.THIN_SETS["powers-of-two"]
+    every = experiments.THIN_SETS["all"]
     calls = {
         "fps": lambda: experiments.small_lambda_census(engine, cps),
         "divisor": lambda: experiments.divisor_preimage_census(engine, SIGMA, 12, cps),
         "omega-tail": lambda: experiments.omega_tail_census(engine, PHI, 2, cps),
         "thin-preimage": lambda: experiments.thin_preimage_census(engine, PHI, pow2, cps),
+        "thin-preimage-all": lambda: experiments.thin_preimage_census(engine, PHI, every, cps),
         "density": lambda: experiments.restricted_domain_check(
             experiments.DENSITY_SETS["primes"], "primes", 1.0, cps),
         "extremal": lambda: experiments.extremal_ratio_report(engine, limit),
@@ -757,6 +785,20 @@ def test_census_temporaries_stay_within_a_few_bytes_per_integer():
         if peak > (12 if name.startswith("growth") else 4)
     }
     assert not over, f"bytes per integer above the cache: {over}"
+
+
+def test_density_check_keeps_no_whole_range_mask():
+    # a mask of 1..10^7 would be 1 byte per integer; one block's
+    # temporaries are 0.1
+    limit = 10**7
+    cps = experiments.default_checkpoints(limit)
+    tracemalloc.start()
+    try:
+        experiments.restricted_domain_check(experiments.DENSITY_SETS["odd"], "odd", 1.0, cps)
+        peak = tracemalloc.get_traced_memory()[1] / limit
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25, peak
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normfreq import arith, ngrams, reports, words
 from normfreq.errors import CapacityError, DegenerateInputError
 from normfreq.words import LSF, MSF
+from whole_prefix import whole_prefix
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +345,7 @@ def test_count_stream_sparse_and_dense_reports_are_byte_identical(
     monkeypatch.setattr(ngrams, "_CHUNK", 97)
     spec = arith.CompositionSpec((arith.PHI,))
     num = 600
-    while words.truncate(engine, spec, num, g, order).flush != flush:
+    while whole_prefix(engine, spec, num, g, order).flush != flush:
         num += 1
     monkeypatch.setattr(ngrams, "DENSE_LIMIT", 0)
     sparse = ngrams.count_stream(engine, spec, num, g=g, k=k, order=order)
@@ -473,6 +475,25 @@ def test_count_stream_validates(engine):
 # ---------------------------------------------------------------------------
 # classification and meager fits
 # ---------------------------------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_counts_match_one_whole_mask(data):
+    # blocks of 8: checkpoints at 1, on block edges and between them, with
+    # the blocks on the calling thread or a pool
+    block = 8
+    limit = data.draw(st.integers(min_value=1, max_value=70), label="limit")
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=limit, max_size=limit)))
+    edges = data.draw(st.sets(st.sampled_from(range(block, limit + block, block))), label="edges")
+    others = data.draw(st.sets(st.integers(min_value=1, max_value=limit)), label="others")
+    cps = sorted(({1, limit} | edges | others) & set(range(1, limit + 1)))
+    threads = data.draw(st.sampled_from([1, 2]), label="threads")
+    running = np.cumsum(mask)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngrams, "_BLOCK", block)
+        got = ngrams.checkpoint_counts(lambda lo, hi: mask[lo:hi], cps, threads)
+    assert got == [int(running[c - 1]) for c in cps]
 
 
 def test_classify_one_checkpoint_matches_pointwise():

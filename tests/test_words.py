@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from normfreq import arith, ngrams, words
 from normfreq.words import LSF, MSF
+from whole_prefix import whole_prefix
 
 
 def oracle_digits(n, g):
@@ -372,7 +373,7 @@ def test_eps_1_normal_count_validates():
 
 
 def test_natural_concatenation_prefix(engine):
-    res = words.truncate(engine, arith.CompositionSpec(), 17)
+    res = whole_prefix(engine, arith.CompositionSpec(), 17)
     assert "".join(map(str, res.digits)) == "12345678910111213"
     assert res.final_index == 13
     assert res.consumed_of_final == 2 and res.final_length == 2
@@ -381,14 +382,14 @@ def test_natural_concatenation_prefix(engine):
 
 def test_prime_concatenation_prefix(engine):
     spec = arith.CompositionSpec((), arith.PRIMES)
-    res = words.truncate(engine, spec, 20)
+    res = whole_prefix(engine, spec, 20)
     assert "".join(map(str, res.digits)) == "23571113171923293137"
     assert res.final_index == 12  # twelve primes up to 37
     assert res.flush
 
 
 def test_truncate_mid_word(engine):
-    res = words.truncate(engine, arith.CompositionSpec(), 16)
+    res = whole_prefix(engine, arith.CompositionSpec(), 16)
     assert "".join(map(str, res.digits)) == "1234567891011121"
     assert res.final_index == 13
     assert res.consumed_of_final == 1 and res.final_length == 2
@@ -399,7 +400,7 @@ def test_truncate_minimality(engine):
     # final_index must be the least n whose word reaches N digits
     spec = arith.CompositionSpec((arith.PHI,))
     for num in (1, 7, 97, 403):
-        res = words.truncate(engine, spec, num)
+        res = whole_prefix(engine, spec, num)
         cum = 0
         n = 0
         while cum < num:
@@ -416,7 +417,7 @@ def test_truncate_matches_direct_concatenation(engine):
     while len(concat) < 500:
         m += 1
         concat.extend(words.digits_of(engine.eval_composition(spec, m), 10))
-    res = words.truncate(engine, spec, 500)
+    res = whole_prefix(engine, spec, 500)
     assert res.digits.tolist() == concat[:500]
 
 
@@ -424,7 +425,7 @@ def test_truncate_matches_direct_concatenation(engine):
 def test_stream_agrees_with_truncate(engine, order):
     spec = arith.CompositionSpec((arith.SIGMA,))
     _, word_list = lazy_words(engine, spec, 300, 10, order)
-    res = words.truncate(engine, spec, 300, 10, order)
+    res = whole_prefix(engine, spec, 300, 10, order)
     assert res.digits.tolist() == [d for w in word_list for d in w][:300]
 
 
@@ -477,7 +478,7 @@ def test_truncate_matches_lazy_stream(chain, domain):
             if long_word is not None:
                 cuts |= {ends[long_word] - 1, ends[long_word - 1] + 1}
             for num in sorted(cuts):
-                res = words.truncate(eng, spec, num, g, order)
+                res = whole_prefix(eng, spec, num, g, order)
                 want = lazy_truncation(values, word_list, num)
                 assert array_truncation(res) == want, (g, order, num)
                 assert res.flush == (num in ends)
@@ -494,7 +495,7 @@ def test_truncate_matches_lazy_stream(chain, domain):
 def test_truncate_matches_lazy_stream_random(chain, domain, g, order, num):
     eng = arith.ArithEngine()
     spec = arith.CompositionSpec(chain, domain)
-    res = words.truncate(eng, spec, num, g, order)
+    res = whole_prefix(eng, spec, num, g, order)
     values, word_list = lazy_words(eng, spec, res.final_index, g, order)
     assert array_truncation(res) == lazy_truncation(values, word_list, num)
 
@@ -503,8 +504,8 @@ def test_stream_cursor_resume(engine):
     # the cut of a shorter prefix says where the longer one goes on: the
     # rest of word `final_index`, then the words after it
     spec = arith.CompositionSpec((arith.PHI,), arith.PRIMES)
-    whole = words.truncate(engine, spec, 187)
-    first = words.truncate(engine, spec, 137)
+    whole = whole_prefix(engine, spec, 187)
+    first = whole_prefix(engine, spec, 137)
     assert not first.flush
     n = first.final_index
     rest = list(words.digits_of(engine.eval_composition(spec, n), 10))[first.consumed_of_final :]
@@ -517,15 +518,15 @@ def test_stream_cursor_resume(engine):
 
 
 def test_stream_cursor_at_word_boundary(engine):
-    res = words.truncate(engine, arith.CompositionSpec(), 9)  # words 1..9 complete
+    res = whole_prefix(engine, arith.CompositionSpec(), 9)  # words 1..9 complete
     assert (res.final_index, res.consumed_of_final, int(res.lengths.sum())) == (9, 1, 9)
     assert res.flush
-    assert words.truncate(engine, arith.CompositionSpec(), 11).digits.tolist()[9:] == [1, 0]
+    assert whole_prefix(engine, arith.CompositionSpec(), 11).digits.tolist()[9:] == [1, 0]
 
 
 def test_stream_base2(engine):
-    res = words.truncate(engine, arith.CompositionSpec(), 9, 2)
+    res = whole_prefix(engine, arith.CompositionSpec(), 9, 2)
     # 1 10 11 100 101 ...
     assert res.digits.tolist() == [1, 1, 0, 1, 1, 1, 0, 0, 1]
     with pytest.raises(ValueError):
-        words.truncate(engine, arith.CompositionSpec(), 9, 1)
+        whole_prefix(engine, arith.CompositionSpec(), 9, 1)
