@@ -41,8 +41,7 @@ def main() -> int:
 
     deviations = []
     for n_digits in decades:
-        report = ngrams.count_stream(engine, spec, n_digits, g=args.base, k=args.k,
-                                     threads=args.threads)
+        report = ngrams.count_stream(engine, spec, n_digits, g=args.base, k=args.k)
         deviations.append({"N": n_digits, "max_dev": report["max_dev"],
                            "final_index": report["n"]})
         print(f"N=10^{len(str(n_digits)) - 1}  max_dev={report['max_dev']:.6f}",

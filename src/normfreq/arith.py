@@ -18,6 +18,8 @@ table itself is one block's `rem` and leftovers: a value table still
 takes 8 bytes per entry of the budget, and the Omega table 1.  A range
 needs only the primes up to sqrt(hi), so a stream of f(lo), ..., f(hi - 1)
 over the naturals (`ArithEngine.stream_values`) keeps no whole table.
+`prime_sieve` runs `prime_mask` per segment of `_BLOCK` integers, so its
+int64 list is its only whole array (the budget still charges 1 byte per n).
 """
 
 from __future__ import annotations
@@ -249,7 +251,6 @@ def _sigma_at(p: int, e: int) -> int:
     return (p ** (e + 1) - 1) // (p - 1)
 
 
-# gstar's row is built for its primes by `_gstar_row`
 _TABLE_ROWS = {
     BaseTag.PHI: _TableRow(lambda p, e: p ** (e - 1) * (p - 1), lambda p: p - 1),
     BaseTag.SIGMA: _TableRow(_sigma_at, lambda p: p + 1),
@@ -260,39 +261,22 @@ _TABLE_ROWS = {
         lambda p, e: p ** (e - e % 2) if p % 4 == 3 else p**e,
         lambda p: np.where(p % 4 == 3, 1, p),
     ),
+    BaseTag.GSTAR: _TableRow(lambda p, e: p**e, lambda p: 1),
 }
 
 # Omega(n) adds the exponents; its table is uint8
 _OMEGA_ROW = _TableRow(lambda p, e: e, lambda p: 1, np.add)
 
 
-def _gstar_row(primes: frozenset[int]) -> _TableRow:
-    """The row of gstar: p^e on its own primes, 1 on every other."""
-    keep = np.array(sorted(primes), dtype=np.int64)
-    return _TableRow(
-        lambda p, e: p**e if p in primes else 1, lambda p: np.where(np.isin(p, keep), p, 1)
-    )
-
-
-def _fn_row(fn: BaseFn) -> _TableRow:
-    return _gstar_row(fn.primes) if fn.tag is BaseTag.GSTAR else _TABLE_ROWS[fn.tag]
-
-
-# entries per block of `_fill_range`
+# entries per block of `_fill_range` and segment of `prime_sieve`
 _BLOCK = 1 << 18
 
 
 def _fill_range(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
     """Write f(n) for lo <= n < lo + len(out) into `out` (f(0) = 0), block
-    by block, and return it.
-
-    `primes` must hold every prime up to sqrt(lo + len(out) - 1); larger
-    ones are ignored.
-    """
-    top = math.isqrt(max(lo + len(out) - 1, 0))
-    small = primes[: int(np.searchsorted(primes, top, side="right"))]
+    by block, looping over `primes` as `_fill_block` says, and return it."""
     for start in range(0, len(out), _BLOCK):
-        _fill_block(row, small, lo + start, out[start : start + _BLOCK])
+        _fill_block(row, primes, lo + start, out[start : start + _BLOCK])
     return out
 
 
@@ -303,8 +287,8 @@ def _block_table(row: _TableRow, primes: np.ndarray, limit: int, dtype=np.int64)
 
 def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> None:
     """Write f(n) for lo <= n < lo + len(out) into `out`, looping over the
-    given primes; each of those n may have at most one prime factor
-    outside them, to the first power."""
+    given ascending primes; each of those n may have at most one prime
+    factor outside them, to the first power (any, for gstar's row)."""
     at, prime, combine, minus_n = row
     hi = lo + len(out)
     unit = 0 if combine is np.add else 1  # f(1), and f(p^0) of every p
@@ -430,14 +414,23 @@ def spf_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndar
     return spf
 
 
+def prime_mask(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Whether each n in [lo, hi) is prime, for 0 <= lo: Eratosthenes' span
+    sieve by `primes`, which hold all up to sqrt(hi - 1) (more do no harm)."""
+    span = np.ones(hi - lo, dtype=bool)
+    span[: max(0, 2 - lo)] = False  # 0 and 1
+    for p in primes.tolist():
+        span[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return span
+
+
 def prime_sieve(limit: int) -> np.ndarray:
-    """The primes up to limit, ascending, as int64 (a bool Eratosthenes sieve)."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    """The primes up to limit, ascending, as int64: `prime_mask` of each
+    segment, marked by this sieve's own primes up to sqrt(limit)."""
+    small = prime_sieve(math.isqrt(limit)) if limit >= 4 else np.empty(0, dtype=np.int64)
+    segments = [np.flatnonzero(prime_mask(lo, min(lo + _BLOCK, limit + 1), small)) + lo
+                for lo in range(0, limit + 1, _BLOCK)]
+    return np.concatenate([small[:0], *segments])
 
 
 def _check_budget(what: str, limit: int, entry_bytes: int, memory_budget: int) -> None:
@@ -628,15 +621,6 @@ class ArithEngine:
             return self.mult_order(2, 2 * index - 1)
         return self.mult_order(2, self.nth_prime(index + 1))
 
-    def domain_values(self, domain: Domain, count: int) -> np.ndarray:
-        """Domain inputs for index = 1, ..., count as an int64 array; the
-        naturals' `arange` is checked against the memory budget."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        if domain is NATURALS:
-            _check_budget("domain values", count, 8, self.memory_budget)
-        return self._domain_block(domain, 1, count + 1, count)
-
     def _domain_block(self, domain: Domain, lo: int, hi: int, expect: int) -> np.ndarray:
         """Domain inputs for the indices lo <= index < hi as an int64 array.
 
@@ -701,12 +685,16 @@ class ArithEngine:
 
     # -- bulk value tables ---------------------------------------------------
 
+    def _kernel_primes(self, fn: BaseFn, top: int) -> np.ndarray:
+        """gstar's own primes (its row is 1 at any other), else those up to sqrt(top)."""
+        if fn.tag is BaseTag.GSTAR:
+            return np.array(sorted(fn.primes), dtype=np.int64)
+        return self.primes_upto(math.isqrt(max(top, 0)))
+
     def range_values(self, fn: BaseFn, lo: int, hi: int) -> np.ndarray:
-        """fn(n) for 0 <= lo <= n < hi (fn(0) = 0) as int64, filled by the
-        block kernel with the cached primes up to sqrt(hi - 1): no whole
-        table."""
+        """fn(n) for 0 <= lo <= n < hi (fn(0) = 0) as int64: no whole table."""
         out = np.empty(hi - lo, dtype=np.int64)
-        return _fill_range(_fn_row(fn), self.primes_upto(math.isqrt(max(hi - 1, 0))), lo, out)
+        return _fill_range(_TABLE_ROWS[fn.tag], self._kernel_primes(fn, hi - 1), lo, out)
 
     def value_table(self, fn: BaseFn, limit: int, want: int = 0) -> np.ndarray:
         """fn(n) for 0 <= n <= limit (index 0 holds 0).
@@ -717,7 +705,7 @@ class ArithEngine:
         """
 
         def build(limit: int) -> np.ndarray:
-            return _block_table(_fn_row(fn), self.primes_upto(math.isqrt(limit)), limit)
+            return _block_table(_TABLE_ROWS[fn.tag], self._kernel_primes(fn, limit), limit)
 
         return self._grown(fn, limit, f"{fn.describe()} table", 8, build, want)[: limit + 1]
 
@@ -728,8 +716,8 @@ class ArithEngine:
         def build(limit: int) -> np.ndarray:
             if limit >= 1 << 31:  # _pow_mod squares residues in int64
                 raise CapacityError(f"order-of-2 table for limit {limit} is past 2^31")
-            primes = self.primes_upto(limit)
-            return _block_table(self._order_row(primes), primes, limit)
+            row = self._order_row(self.primes_upto(limit))  # ord_p(2) at every prime
+            return _block_table(row, self.primes_upto(math.isqrt(limit)), limit)
 
         table = self._grown(
             _ORDER_OF_TWO, limit, "order-of-2 table", 8, build, want, most=(1 << 31) - 1

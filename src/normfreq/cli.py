@@ -22,12 +22,13 @@ argparse checks both alike and an explicit flag wins on conflict.  Keys
 that the active subcommand does not take are ignored, so one file can
 drive a whole pipeline.
 
-Exit codes: 0 success, 2 usage error, 3 capacity/overflow.
+Exit codes: 0 success, 1 broken pipe, 2 usage error, 3 capacity/overflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -147,8 +148,10 @@ def _stream(got) -> None:
     g = got["base"]
     spec = parse_chain(got["f"], _DOMAIN_TOKENS[got["domain"]])
     order = _ORDER_TOKENS[got["order"]]
-    # each block's text is written as the block arrives
+    # written one block late: a refusal at the second block writes nothing
+    held = ""
     for block in prefix_blocks(ArithEngine(), spec, got["digits"], g, order):
+        sys.stdout.write(held)
         if g <= 10:
             # one ASCII byte per uint8 digit, as in `words.word_texts`
             text = (block.digits + 48).tobytes()
@@ -159,8 +162,8 @@ def _stream(got) -> None:
             text = table[index].tobytes().replace(b"\0", b"")
             if block.final_length is not None:
                 text = text[:-1]
-        sys.stdout.write(text.decode("ascii"))
-    sys.stdout.write("\n")
+        held = text.decode("ascii")
+    sys.stdout.write(held + "\n")
 
 
 def _count(got):
@@ -172,7 +175,6 @@ def _count(got):
         k=got["k"],
         order=_ORDER_TOKENS[got["order"]],
         eps=got["eps"],
-        threads=got["threads"],
     )
 
 
@@ -420,9 +422,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             reports.write_report(report, got["report"])
         elif report is not None:
             _print_json(report)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return 0
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the `signal` docs' recipe: flush at exit into devnull
+        if sys.stdout is sys.__stdout__:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (CapacityError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

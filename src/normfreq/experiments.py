@@ -34,6 +34,7 @@ from .arith import (
     _check_budget,
     big_omega,
     gstar,
+    prime_mask,
     prime_sieve,
 )
 from .ngrams import blocked_map, checkpoint_counts, validate_checkpoints
@@ -106,10 +107,9 @@ def _chain_blocks(engine: ArithEngine, chain: tuple[BaseFn, ...], limit: int):
     """The chain's values over the naturals, as a function of one block:
     (lo, hi) -> f(n) for n = lo + 1..hi.
 
-    Refuses the whole range past the budget first, as
-    `domain_values(NATURALS, limit)` does.  Every step's table is then
-    sized for the whole range, its largest input folded block by block,
-    so no table is rebuilt as the blocks reach larger inputs.
+    Refuses the whole range past the budget first ("domain values").
+    Every step's table is then sized for the whole range, its largest
+    input folded block by block, so none is rebuilt as the blocks grow.
     """
     _check_budget("domain values", limit, 8, engine.memory_budget)
 
@@ -319,16 +319,11 @@ THIN_SETS = {
 
 
 def _is_prime(v: np.ndarray) -> np.ndarray:
-    """One sieve of the span v.min()..v.max() by the primes up to its
-    square root, so a block of n costs its own span; values must be >= 0."""
+    """One `prime_mask` of the span v.min()..v.max(); values must be >= 0."""
     if not len(v):
         return np.zeros(0, dtype=bool)
     lo, hi = int(v.min()), int(v.max())
-    span = np.ones(hi - lo + 1, dtype=bool)
-    span[: max(0, 2 - lo)] = False  # 0 and 1
-    for p in prime_sieve(math.isqrt(hi)).tolist():
-        span[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    return span[v - lo]
+    return prime_mask(lo, hi + 1, prime_sieve(math.isqrt(hi)))[v - lo]
 
 
 # the named sets of `restricted_domain_check`, array predicates as above

@@ -156,7 +156,6 @@ def count_stream(
     k: int = 1,
     order: DigitOrder = MSF,
     eps: Optional[float] = None,
-    threads: int = 1,
 ) -> dict:
     """Census every k-gram window of the first `num_digits` digits; each
     tally maps a word's text to its count.
@@ -165,16 +164,13 @@ def count_stream(
     array spans it: each chunk of `_CHUNK` windows is tallied once its
     digits have arrived, and with `eps` each block's complete words are
     classified as it passes.  Integer tallies are summed in chunk order
-    on the calling thread; `threads` is checked and changes nothing.
-    Counts are dense tables while g^k <= `DENSE_LIMIT`, sorted code runs
-    above it.
+    on the calling thread.  Counts are dense tables while g^k <=
+    `DENSE_LIMIT`, sorted code runs above it.
     """
     if num_digits < 1:
         raise ValueError("need at least one digit")
     if k < 1:
         raise ValueError("word length k must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     size = g**k
     if size > 1 << 63:
         raise CapacityError(

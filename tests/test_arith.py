@@ -291,7 +291,7 @@ def test_nth_prime_sizes_its_own_sieve():
 
 
 def test_prime_stream_prefix(engine):
-    got = engine.domain_values(arith.PRIMES, 10).tolist()
+    got = engine.stream_values(arith.CompositionSpec((), arith.PRIMES), 1, 11).tolist()
     assert got == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
@@ -378,13 +378,13 @@ def test_primes_domain(engine):
 
 
 def test_odd_orders_domain(engine):
-    vals = engine.domain_values(arith.ODD_ORDERS, 8).tolist()
+    vals = engine.stream_values(arith.CompositionSpec((), arith.ODD_ORDERS), 1, 9).tolist()
     assert vals == [oracle_order(2, 2 * i - 1) if i > 1 else 1 for i in range(1, 9)]
     assert vals == [1, 2, 4, 3, 6, 10, 12, 4]
 
 
 def test_prime_orders_domain(engine):
-    got = engine.domain_values(arith.PRIME_ORDERS, 5).tolist()
+    got = engine.stream_values(arith.CompositionSpec((), arith.PRIME_ORDERS), 1, 6).tolist()
     # orders of 2 mod p_2..p_6 = 3, 5, 7, 11, 13
     assert got == [oracle_order(2, p) for p in (3, 5, 7, 11, 13)]
     assert got == [2, 4, 3, 10, 12]
@@ -416,13 +416,13 @@ def test_order_table_refuses_moduli_past_int64_squares():
 
 
 def test_prime_orders_match_mult_order(engine):
-    got = engine.domain_values(arith.PRIME_ORDERS, 2000).tolist()
+    got = engine.stream_values(arith.CompositionSpec((), arith.PRIME_ORDERS), 1, 2001).tolist()
     assert got == [engine.mult_order(2, engine.nth_prime(i)) for i in range(2, 2002)]
 
 
 def test_value_stream_matches_pointwise(engine):
     spec = arith.CompositionSpec((arith.LAMBDA, arith.PHI), arith.PRIMES)
-    got = engine.chain_values(spec.chain, engine.domain_values(spec.domain, 39))
+    got = engine.stream_values(spec, 1, 40)
     assert got.tolist() == [engine.eval_composition(spec, i) for i in range(1, 40)]
 
 
@@ -464,6 +464,26 @@ def test_tables_match_the_oracles_across_block_edges(monkeypatch, limit):
     # even n hold the order of 2 modulo their odd part
     want = [0] + [eng.mult_order(2, n // (n & -n)) for n in range(1, limit + 1)]
     assert eng._order_table(limit).tolist() == want
+
+
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_gstar_loops_over_its_own_primes_across_block_edges(monkeypatch, block):
+    # the kernel loops over gstar's primes only, so one above sqrt(hi) is
+    # still looped: 7 at n = 14, and 1000003 at 2 * 1000003
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    ranges = [
+        (arith.gstar([7]), 0, 40),
+        (arith.gstar([2, 1_000_003]), 0, 200),
+        (arith.gstar([2, 1_000_003]), 999_990, 1_000_020),
+        (arith.gstar([2, 1_000_003]), 2_000_000, 2_000_012),
+        (arith.gstar([3, 5, 101]), 10_000, 10_230),
+    ]
+    oracle = arith.ArithEngine()
+    for fn, lo, hi in ranges:
+        want = [arith.eval_base(fn, oracle.factorize(n)) if n else 0 for n in range(lo, hi)]
+        assert arith.ArithEngine().range_values(fn, lo, hi).tolist() == want, fn.describe()
+        if lo == 0:
+            assert arith.ArithEngine().value_table(fn, hi - 1).tolist() == want, fn.describe()
 
 
 def test_phi_table_matches_pointwise(engine):
@@ -631,13 +651,6 @@ def test_prime_sieve_budget_is_checked_before_the_sieve():
     assert peak < 1 << 16  # refused before anything of that size was allocated
 
 
-def test_naturals_domain_values_budget_is_checked():
-    eng = arith.ArithEngine(memory_budget=8 * 1001)
-    assert eng.domain_values(arith.NATURALS, 1000).tolist() == list(range(1, 1001))
-    with pytest.raises(CapacityError, match=r"^domain values for limit 1001 needs 8016 bytes, budget is 8008$"):
-        eng.domain_values(arith.NATURALS, 1001)
-
-
 def test_is_prime_matches_factoring_oracle():
     assert [n for n in range(-3, 30) if arith.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for n in range(30, 5000):
@@ -654,7 +667,7 @@ def test_is_prime_matches_factoring_oracle():
 def test_chain_values_on_primes_matches_eval(chain):
     # primes are sparse (max > count); every step still reads its table
     eng = arith.ArithEngine()
-    args = eng.domain_values(arith.PRIMES, 400)
+    args = eng.stream_values(arith.CompositionSpec((), arith.PRIMES), 1, 401)
     got = eng.chain_values(chain, np.concatenate([args, args[::-1]]))
     spec = arith.CompositionSpec(chain, arith.PRIMES)
     want = [eng.eval_composition(spec, i) for i in range(1, 401)]
@@ -663,11 +676,11 @@ def test_chain_values_on_primes_matches_eval(chain):
 
 @pytest.mark.parametrize("domain", list(arith.Domain), ids=lambda d: d.describe())
 def test_domain_values_match_domain_stream(engine, domain):
-    got = engine.domain_values(domain, 300)
     spec = arith.CompositionSpec((), domain)
+    got = engine.stream_values(spec, 1, 301)
     assert got.dtype == np.int64
     assert got.tolist() == [engine.eval_composition(spec, i) for i in range(1, 301)]
-    assert engine.domain_values(domain, 0).tolist() == []
+    assert engine.stream_values(spec, 1, 1).tolist() == []
 
 
 def test_chain_values_matches_eval(engine):
@@ -696,3 +709,41 @@ def test_spf_table_budget():
         arith.spf_table(10**6, memory_budget=1024)
     with pytest.raises(ValueError):
         arith.spf_table(1)
+
+
+# ---------------------------------------------------------------------------
+# segmented prime sieve
+# ---------------------------------------------------------------------------
+
+
+def whole_mask_primes(limit):
+    """The sieve `prime_sieve` replaced: one bool per integer up to the limit."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+# segments of 48, 49 and 50 (120, 121 and 122) integers put an edge on
+# 7^2 - 1, 7^2 and 7^2 + 1 (11^2 - 1, 11^2, 11^2 + 1)
+@pytest.mark.parametrize("block", [7, 64, 1 << 18, 48, 49, 50, 120, 121, 122])
+def test_prime_sieve_matches_the_whole_mask_sieve(monkeypatch, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    for limit in [0, 1, 2, 3, 48, 49, 50, 120, 121, 122, 10**4]:
+        got = arith.prime_sieve(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == whole_mask_primes(limit).tolist(), limit
+
+
+def test_prime_mask_spans_start_and_end_at_prime_squares():
+    limit = 10**4
+    want = np.zeros(limit + 1, dtype=bool)
+    want[whole_mask_primes(limit)] = True
+    small = arith.prime_sieve(100)
+    edges = sorted({0, 1, 2, 3} | {p * p + d for p in (2, 3, 5, 7, 11, 97) for d in (-1, 0, 1)})
+    for lo in edges:
+        for hi in edges + [limit + 1]:
+            if lo <= hi:
+                assert arith.prime_mask(lo, hi, small).tolist() == want[lo:hi].tolist(), (lo, hi)

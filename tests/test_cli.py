@@ -432,6 +432,15 @@ def test_primes_past_the_sieve_budget_exit_code(capsys):
     assert re.fullmatch(r"error: prime sieve for limit \d+ needs \d+ bytes, budget is \d+\n", err)
 
 
+def test_stream_refused_at_its_second_block_prints_nothing(capsys):
+    # the first block is made; the second one's forecast needs a prime sieve
+    # past the budget, and the first block's text is still held back
+    code, out, err = run(capsys, "stream", "--f", "id", "--domain", "primes",
+                         "--digits", str(3 * 10**9))
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: prime sieve for limit \d+ needs \d+ bytes, budget is \d+\n", err)
+
+
 @pytest.mark.parametrize("chain", ["id", "phi"])
 def test_naturals_prefix_needs_no_domain_array(capsys, monkeypatch, chain):
     # the naturals stream block by block: 10^6 digits reach about 185,000
@@ -853,13 +862,51 @@ def test_help_lists_the_subcommands(capsys):
     assert listed == ["stream", "count", "classify", "experiment", "report"]
 
 
-def test_module_entry_point():
-    # the child imports the same package as this process, installed or from src/
+def _child_env() -> dict:
+    """The environment of a child that imports the same package as this
+    process, installed or from src/."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_a_closed_stdout_pipe_exits_1_quietly():
+    # the reader has gone before the first write: exit code 1 and nothing on
+    # stderr, neither an error line nor a trace from the flush at exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "normfreq.cli", "stream", "--f", "phi", "--digits", "3000000"],
+            stdout=write, stderr=subprocess.PIPE, env=_child_env(), timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_broken_pipe_in_process_touches_no_descriptor(capsys, monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    def opened(fd):
+        stat = os.fstat(fd)
+        return stat.st_dev, stat.st_ino
+
+    before = opened(1)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["stream", "--f", "phi", "--digits", "30"]) == 1
+    assert opened(1) == before  # not pointed at devnull
+    assert capsys.readouterr().err == ""
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "normfreq.cli", "stream", "--f", "id", "--digits", "17"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "12345678910111213\n"

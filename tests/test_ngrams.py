@@ -236,14 +236,6 @@ def test_count_stream_base2_lsf(engine):
     assert rep["order"] == "lsf"
 
 
-def test_count_stream_threads_equivalent(engine, monkeypatch):
-    monkeypatch.setattr(ngrams, "_CHUNK", 257)
-    spec = arith.CompositionSpec((arith.SIGMA,))
-    one = ngrams.count_stream(engine, spec, 4000, g=10, k=2, threads=1)
-    four = ngrams.count_stream(engine, spec, 4000, g=10, k=2, threads=4)
-    assert one == four
-
-
 @pytest.mark.parametrize("threads", [1, 2, 5])
 def test_blocked_map_yields_blocks_in_order(threads):
     def work(lo, hi):
@@ -468,8 +460,6 @@ def test_count_stream_validates(engine):
         ngrams.count_stream(engine, arith.CompositionSpec(), 0)
     with pytest.raises(ValueError):
         ngrams.count_stream(engine, arith.CompositionSpec(), 10, k=0)
-    with pytest.raises(ValueError):
-        ngrams.count_stream(engine, arith.CompositionSpec(), 10, threads=0)
 
 
 # ---------------------------------------------------------------------------
