@@ -3,11 +3,11 @@
 Each census counts an exceptional set exactly and prints the matching
 closed-form bound next to it; bounds are always evaluated from their
 formula, never fitted to the data.  A census walks 1..limit in fixed
-blocks of `ngrams._BLOCK` integers, in order (`ngrams.blocked_map`),
-reading the cached tables one block at a time, and adds each block's
-counts to the checkpoints inside it as the blocks pass
-(`ngrams.checkpoint_counts` for a mask census); no temporary spans more
-than one block.
+blocks of `words._BLOCK` integers, in order (`ngrams.blocked_map`),
+takes each block's values from `_chain_blocks`, the one place that reads
+a value table, and adds each block's counts to the checkpoints inside it
+as the blocks pass (`ngrams.checkpoint_counts` for a mask census); no
+temporary spans more than one block.
 Every function here returns its report as the payload dict that
 `reports` writes.
 """
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ngrams
+from . import words
 from .arith import (
     EULER_GAMMA,
     LAMBDA,
@@ -100,29 +100,43 @@ def _require_table_fn(a: BaseFn) -> None:
 
 def _blocks(work: Callable[[int, int], object], total: int):
     """work(lo, hi) for each fixed block [lo, hi) of range(total), in order."""
-    return blocked_map(work, total, ngrams._BLOCK, 1)
+    return blocked_map(work, total, words._BLOCK, 1)
+
+
+def _largest(values, limit: int, member=lambda v: True) -> int:
+    """The largest value that `member` keeps in the blocks values(lo, hi)
+    of 1..limit, folded block by block; 1 when it keeps none."""
+
+    def top(lo, hi):
+        v = values(lo, hi)
+        return int(v.max(initial=1, where=member(v)))
+
+    return max(_blocks(top, limit))
 
 
 def _chain_blocks(engine: ArithEngine, chain: tuple[BaseFn, ...], limit: int):
     """The chain's values over the naturals, as a function of one block:
-    (lo, hi) -> f(n) for n = lo + 1..hi.
+    (lo, hi) -> f(n) for n = lo + 1..hi; every census reads its values here.
 
-    Refuses the whole range past the budget first ("domain values").
-    Every step's table is then sized for the whole range, its largest
-    input folded block by block, so none is rebuilt as the blocks grow.
+    The identity's block is its `arange`, refused past the budget as
+    "domain values"; any other block is a read-only view of the innermost
+    table, built once over 0..limit.  Each outer table is sized once, for
+    its largest input.
     """
-    _check_budget("domain values", limit, 8, engine.memory_budget)
+    if not chain:
+        _check_budget("domain values", limit, 8, engine.memory_budget)
+        return lambda lo, hi: np.arange(lo + 1, hi + 1, dtype=np.int64)
+    engine.value_table(chain[-1], limit)
 
     def values(steps, lo, hi):
-        return engine.chain_values(steps, np.arange(lo + 1, hi + 1, dtype=np.int64))
+        inner = engine.value_table(chain[-1], hi)[lo + 1 :]
+        return engine.chain_values(steps, inner) if steps else inner
 
-    if chain:
-        engine.value_table(chain[-1], limit)
     for i in range(1, len(chain)):
         # the largest value of the i innermost steps sizes the next table
-        top = max(_blocks(lambda lo, hi: int(values(chain[-i:], lo, hi).max()), limit))
-        engine.value_table(chain[-i - 1], top)
-    return lambda lo, hi: values(chain, lo, hi)
+        steps = chain[-i:-1]
+        engine.value_table(chain[-i - 1], _largest(lambda lo, hi: values(steps, lo, hi), limit))
+    return lambda lo, hi: values(chain[:-1], lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +145,11 @@ def _chain_blocks(engine: ArithEngine, chain: tuple[BaseFn, ...], limit: int):
 
 
 def small_lambda_census(engine: ArithEngine, checkpoints: Sequence[int]) -> dict:
-    """Count n <= x whose unit-group exponent is below sqrt(n).
-
-    The comparison is exact (lambda(n)^2 < n, i.e. lambda(n) <=
-    isqrt(n - 1)); the reference bound is x / exp((log x)^(1/3)).
+    """Count n <= x whose unit-group exponent is below sqrt(n): the rows
+    of the small-value census of lambda at theta = 1/3 (lambda(n)^2 < n,
+    exactly), under the labels of its own.
     """
-    cps = validate_checkpoints(checkpoints)
-    lam = engine.value_table(LAMBDA, cps[-1])
-    counts = checkpoint_counts(lambda lo, hi: lam[lo + 1 : hi + 1] <= _nested_isqrt(hi, 1, lo), cps)
-    rows = [_row(x, c, x / math.exp(floored_log(x) ** (1.0 / 3.0))) for x, c in zip(cps, counts)]
+    rows = small_value_census(engine, CompositionSpec((LAMBDA,)), checkpoints, 1.0 / 3.0)["rows"]
     return _census("fps", "n <= x with lambda(n) < sqrt(n)", "x / exp((log x)^(1/3))", {}, rows)
 
 
@@ -157,12 +167,11 @@ def divisor_preimage_census(
     if d < 1:
         raise ValueError("divisor d must be >= 1")
     cps = validate_checkpoints(checkpoints)
-    limit = cps[-1]
-    tab = engine.value_table(a, limit)
+    values = _chain_blocks(engine, (a,), cps[-1])
     ell = big_omega(engine.factorize(d))
 
     def divisible(lo, hi):
-        v = tab[lo + 1 : hi + 1]
+        v = values(lo, hi)
         return v // d * d == v
 
     counts = checkpoint_counts(divisible, cps)
@@ -195,10 +204,10 @@ def omega_tail_census(
         raise ValueError("K must be >= 1")
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    tab = engine.value_table(a, limit)
-    omega = engine.big_omega_table(int(tab.max()))
+    values = _chain_blocks(engine, (a,), limit)
+    omega = engine.big_omega_table(_largest(values, limit))
     threshold = big_k * big_k
-    counts = checkpoint_counts(lambda lo, hi: omega[tab[lo + 1 : hi + 1]] > threshold, cps)
+    counts = checkpoint_counts(lambda lo, hi: omega[values(lo, hi)] > threshold, cps)
     scale = big_k / 2.0**big_k
     rows = [
         _row(x, c, scale * x * floored_log(x) ** 3, verdict=False) for x, c in zip(cps, counts)
@@ -346,14 +355,13 @@ def thin_preimage_census(
 
     Per checkpoint the counted n split by a(n): e1 has a(n) <= x^(1/3),
     e2 has Omega(a(n)) > (log x)^(theta/3), e3 is the rest.  The members,
-    e1 and e2 of every checkpoint are added block by block.  The Omega
-    table is sized once, before that walk, for the largest member value,
-    which a first walk folds block by block.
+    e1 and e2 of every checkpoint are added block by block, after the
+    Omega table is sized once for the largest member value (`_largest`).
     """
     _require_table_fn(a)
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    tab = engine.value_table(a, limit)
+    values = _chain_blocks(engine, (a,), limit)
     # v <= x^(1/3) and Omega > (log x)^(theta/3) compare integers with
     # floats, so both sides reduce exactly to their integer floors
     cuts = [
@@ -361,22 +369,18 @@ def thin_preimage_census(
         for x in cps
     ]
 
-    def top(lo, hi):
-        values = tab[lo + 1 : hi + 1]
-        return int(values.max(initial=1, where=thin_set.member(values)))
-
-    omega = engine.big_omega_table(max(_blocks(top, limit)))
+    omega = engine.big_omega_table(_largest(values, limit, thin_set.member))
 
     def parts(lo, hi):
         """The block's members, e1 and e2 at or below each checkpoint."""
-        values = tab[lo + 1 : hi + 1]
-        at = np.flatnonzero(thin_set.member(values))  # each member n as n - lo - 1
-        values = values[at]
-        big = omega[values]
+        block = values(lo, hi)
+        at = np.flatnonzero(thin_set.member(block))  # each member n as n - lo - 1
+        block = block[at]
+        big = omega[block]
         out = np.zeros((len(cps), 3), dtype=np.int64)
         for i, (x, (cut, om_cut)) in enumerate(zip(cps, cuts)):
             upto = int(np.searchsorted(at, x - lo - 1, side="right"))  # the members n <= x
-            small = values[:upto] <= cut
+            small = block[:upto] <= cut
             out[i] = upto, np.count_nonzero(small), np.count_nonzero(~small & (big[:upto] > om_cut))
         return out
 
@@ -531,15 +535,15 @@ def extremal_ratio_report(engine: ArithEngine, x: int) -> dict:
     """
     if x < 10:
         raise ValueError("x must be >= 10")
-    phi = engine.value_table(PHI, x)
-    sigma = engine.value_table(SIGMA, x)
+    phi = _chain_blocks(engine, (PHI,), x)
+    sigma = _chain_blocks(engine, (SIGMA,), x)
 
     def extremes(lo, hi):
         # the block holds m = lo + 2..hi + 1
         m = np.arange(lo + 2, hi + 2, dtype=np.float64)
         ll = np.maximum(1.0, np.log(np.log(m)))
-        phi_ratio = phi[lo + 2 : hi + 2] / (m / ll)
-        sigma_ratio = sigma[lo + 2 : hi + 2] / (m * ll)
+        phi_ratio = phi(lo + 1, hi + 1) / (m / ll)
+        sigma_ratio = sigma(lo + 1, hi + 1) / (m * ll)
         i = int(np.argmin(phi_ratio))
         j = int(np.argmax(sigma_ratio))
         return float(phi_ratio[i]), lo + 2 + i, float(sigma_ratio[j]), lo + 2 + j
@@ -580,11 +584,8 @@ def restricted_domain_check(
     checkpoint x.  `member` maps an int64 array of n to the bool mask of
     those in S; it is called on one block of n at a time."""
     cps = validate_checkpoints(checkpoints)
-    limit = cps[-1]
-    _check_budget("domain values", limit, 8, ArithEngine().memory_budget)
-    counts = checkpoint_counts(
-        lambda lo, hi: member(np.arange(lo + 1, hi + 1, dtype=np.int64)), cps
-    )
+    values = _chain_blocks(ArithEngine(), (), cps[-1])
+    counts = checkpoint_counts(lambda lo, hi: member(values(lo, hi)), cps)
     rows = []
     for x, count in zip(cps, counts):
         floor = x / floored_log(x) ** exponent

@@ -13,13 +13,13 @@ block of values at a time, on the calling thread: its windows are
 tallied in fixed chunks of `_CHUNK` windows counted from window 0, and
 its `eps` classifier takes each block's complete words as the block
 passes.  `checkpoint_counts` runs a block test through `blocked_map`,
-which cuts its range into fixed blocks and may thread them, and adds
-each block's count to the checkpoints inside it as the blocks pass.
-`classify_checkpoints` at k >= 2 (at k = 1 it counts by a digit DP
-instead) and the mask censuses of `experiments` (on one thread) count
-through it, so no mask spans more than one block.  No edge depends on a
-thread count, so any `threads` value reproduces the single-pass result
-bit for bit.
+which cuts its range into fixed blocks of `words._BLOCK` and may thread
+them, and adds each block's count to the checkpoints inside it as the
+blocks pass.  `classify_checkpoints` at k >= 2 (at k = 1 it counts by a
+digit DP instead) and the mask censuses of `experiments` (on one thread)
+count through it, so no mask spans more than one block.  No edge depends
+on a thread count, so any `threads` value reproduces the single-pass
+result bit for bit.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ from .errors import CapacityError, DegenerateInputError
 from .reports import ArrayMap
 from .words import MSF, DigitOrder, window_codes, word_texts
 
-# windows per block of the `count_stream` tally
+# windows per tally chunk: one per prefix block takes prefix-primes-k6 to 103 MB, not 90
 _CHUNK = 1 << 20
 
 # dense count tables are used while g^k stays at or below this: a
 # table then has no more entries than a chunk has windows
 DENSE_LIMIT = _CHUNK
-
-# integers per block of `checkpoint_counts` and of the censuses
-_BLOCK = 1 << 16
 
 # the most integers `classify_checkpoints` tests one at a time: about
 # 5 minutes on one core at k = 2 or 3 (0.2-0.35 s per 10^6)
@@ -205,6 +202,20 @@ def count_stream(
             for sel in (codes[:split][~cross[:split]], codes[cross], codes[split:])
         ]
 
+    def fold(codes, tables, pieces):
+        """The sorted union of `codes` and the pieces' codes, and the three
+        tallies aligned to it: `tables` plus each piece's counts."""
+        merged, slot = np.unique(
+            np.concatenate([codes, *(uniq for _, uniq, _ in pieces)]), return_inverse=True
+        )
+        out = np.zeros((3, len(merged)), dtype=np.int64)
+        out[:, slot[: len(codes)]] = tables
+        start = len(codes)
+        for i, uniq, cnt in pieces:  # codes are unique within a piece
+            out[i, slot[start : start + len(uniq)]] += cnt
+            start += len(uniq)
+        return merged, out
+
     def merge(chunks):
         """Sum the chunk tallies in chunk order into one sorted code array
         and three aligned tallies."""
@@ -214,17 +225,17 @@ def count_stream(
                 tables += chunk
             codes = np.flatnonzero(tables.any(axis=0))
             return codes, tables[:, codes]
-        pieces = [(i, uniq, cnt) for chunk in chunks for i, (uniq, cnt) in enumerate(chunk)]
-        codes, slot = np.unique(
-            np.concatenate([uniq for _, uniq, _ in pieces] or [np.empty(0, np.int64)]),
-            return_inverse=True,
-        )
-        tables = np.zeros((3, len(codes)), dtype=np.int64)
-        start = 0
-        for i, uniq, cnt in pieces:  # codes are unique within a piece
-            tables[i, slot[start : start + len(uniq)]] += cnt
-            start += len(uniq)
-        return codes, tables
+        codes, tables = np.empty(0, dtype=np.int64), np.zeros((3, 0), dtype=np.int64)
+        pieces, held = [], 0
+        for chunk in chunks:
+            pieces += [(i, uniq, cnt) for i, (uniq, cnt) in enumerate(chunk)]
+            held += sum(len(uniq) for uniq, _ in chunk)
+            # folded once the pieces outgrow the running tallies, so the
+            # held codes stay within a few times the distinct words
+            if held > 4 * max(len(codes), _CHUNK):
+                codes, tables = fold(codes, tables, pieces)
+                pieces, held = [], 0
+        return fold(codes, tables, pieces)
 
     last = None
     bad_count = None if eps is None else 0
@@ -322,7 +333,7 @@ def checkpoint_counts(
         return counts, running + int(np.count_nonzero(mask[prev:]))
 
     counts, running = [], 0
-    for inside, total in blocked_map(work, cps[-1], _BLOCK, threads):
+    for inside, total in blocked_map(work, cps[-1], words_mod._BLOCK, threads):
         counts.extend(running + c for c in inside)
         running += total
     return counts

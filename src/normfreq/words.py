@@ -408,8 +408,7 @@ def _word_digits(values: np.ndarray, lengths: np.ndarray, g: int, order: DigitOr
     return digits[:, ::-1][keep.take(lengths, axis=0)]
 
 
-# domain indices per block of `prefix_blocks`, as many as the classifier
-# takes per block (`ngrams._BLOCK`)
+# values per stream, classifier and census block: at 2^18 census peaks at 78.0 MB, not 72.6
 _BLOCK = 1 << 16
 
 

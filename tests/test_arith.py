@@ -737,6 +737,20 @@ def test_prime_sieve_matches_the_whole_mask_sieve(monkeypatch, block):
         assert got.tolist() == whole_mask_primes(limit).tolist(), limit
 
 
+def test_prime_sieve_peak_stays_near_its_list():
+    # one array sized by an upper bound on pi(10^7), about 2% past the
+    # 664,579 primes, and one segment's mask: the segments' primes and
+    # their concatenation held at once peaked at twice the list
+    tracemalloc.start()
+    try:
+        primes = arith.prime_sieve(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 664579
+    assert peak <= 1.3 * primes.nbytes, peak / primes.nbytes
+
+
 def test_prime_mask_spans_start_and_end_at_prime_squares():
     limit = 10**4
     want = np.zeros(limit + 1, dtype=bool)

@@ -686,7 +686,7 @@ def census_calls(engine, limit):
 def census_texts(monkeypatch, block, limit):
     """Every census report's canonical JSON with `block` integers per
     block, on a fresh engine, and the limits of the tables it built."""
-    monkeypatch.setattr(ngrams, "_BLOCK", block)
+    monkeypatch.setattr(words, "_BLOCK", block)
     built = []
     kernel = arith._block_table
 
@@ -719,10 +719,49 @@ def test_extremal_keeps_the_first_of_tied_extremes_across_blocks(monkeypatch):
         def value_table(self, fn, limit):
             return np.arange(limit + 1, dtype=np.int64)
 
-    monkeypatch.setattr(ngrams, "_BLOCK", 7)
+    monkeypatch.setattr(words, "_BLOCK", 7)
     rep = experiments.extremal_ratio_report(IdentityTables(), 100)
     assert (rep["min_phi_ratio"], rep["argmin_phi"]) == (1.0, 2)
     assert (rep["max_sigma_ratio"], rep["argmax_sigma"]) == (1.0, 2)
+
+
+def test_every_census_reads_its_values_through_chain_blocks(monkeypatch):
+    # with one function's blocks filled by range_values and every value
+    # table refused, a census that read a table of its own would raise
+    limit = 3000
+    cps = experiments.default_checkpoints(limit)
+    pow2 = experiments.THIN_SETS["powers-of-two"]
+    phi = CompositionSpec((PHI,))
+
+    def texts():
+        engine = arith.ArithEngine()
+        calls = {
+            "fps": lambda: experiments.small_lambda_census(engine, cps),
+            "divisor": lambda: experiments.divisor_preimage_census(engine, PHI, 12, cps),
+            "omega-tail": lambda: experiments.omega_tail_census(engine, SIGMA, 2, cps),
+            "thin-preimage": lambda: experiments.thin_preimage_census(engine, PHI, pow2, cps),
+            "small-value": lambda: experiments.small_value_census(engine, phi, cps),
+            "growth": lambda: experiments.growth_hypothesis_check(engine, phi, limit),
+            "extremal": lambda: experiments.extremal_ratio_report(engine, limit),
+            "density": lambda: experiments.restricted_domain_check(
+                experiments.DENSITY_SETS["odd"], "odd", 1.0, cps),
+        }
+        return {name: reports.canonical_json(call()) for name, call in calls.items()}
+
+    want = texts()
+    chain_blocks = experiments._chain_blocks
+
+    def from_ranges(engine, chain, limit):
+        if len(chain) != 1:
+            return chain_blocks(engine, chain, limit)
+        return lambda lo, hi: engine.range_values(chain[0], lo + 1, hi + 1)
+
+    def refused(self, fn, limit, want=0):
+        raise AssertionError(f"{fn.describe()} table read outside _chain_blocks")
+
+    monkeypatch.setattr(experiments, "_chain_blocks", from_ranges)
+    monkeypatch.setattr(arith.ArithEngine, "value_table", refused)
+    assert texts() == want
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

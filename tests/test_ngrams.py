@@ -179,6 +179,24 @@ def test_count_stream_peak_memory_is_flat_in_the_prefix_length():
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+def test_sparse_tally_peak_memory_is_flat_in_the_prefix_length(monkeypatch):
+    # the 64 base-2 words of length 6 as sparse tallies of 1,000-window
+    # chunks: the chunks' pieces are folded into the running tallies once
+    # they outgrow them, so four times the digits take about the same peak
+    monkeypatch.setattr(ngrams, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(ngrams, "_CHUNK", 1000)
+    monkeypatch.setattr(words, "_BLOCK", 1000)
+    peaks = []
+    for num in (2 * 10**5, 8 * 10**5):
+        tracemalloc.start()
+        try:
+            ngrams.count_stream(arith.ArithEngine(), arith.CompositionSpec(), num, g=2, k=6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_count_stream_tail_spans_chunks(engine, monkeypatch, k):
     # the final word 1023 (ten ones in base 2) is cut after 9 digits, so
@@ -481,7 +499,7 @@ def test_checkpoint_counts_match_one_whole_mask(data):
     threads = data.draw(st.sampled_from([1, 2]), label="threads")
     running = np.cumsum(mask)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ngrams, "_BLOCK", block)
+        patch.setattr(words, "_BLOCK", block)
         got = ngrams.checkpoint_counts(lambda lo, hi: mask[lo:hi], cps, threads)
     assert got == [int(running[c - 1]) for c in cps]
 
