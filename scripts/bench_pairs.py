@@ -128,13 +128,9 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    parser.add_argument("--workload", action="append",
-                        choices=[w["name"] for w in benchmark["workloads"]],
-                        help="repeat for several; every workload by default")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     base_commit = _git(ROOT, "rev-parse", "--verify", f"{args.base}^{{commit}}")
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {"head": ROOT, "base": work / "base"}
@@ -143,7 +139,7 @@ def main() -> int:
     runs = []
     try:
         _git(ROOT, "worktree", "add", "--detach", str(trees["base"]), base_commit)
-        for name in workloads:
+        for name in (w["name"] for w in benchmark["workloads"]):
             for pair in range(args.pairs):
                 for tree in pair_trees(pair):
                     code, line = run_once(trees[tree], name, args.seconds)
