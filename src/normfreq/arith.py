@@ -18,8 +18,12 @@ table itself is one block's `rem` and leftovers: a value table still
 takes 8 bytes per entry of the budget, and the Omega table 1.  A range
 needs only the primes up to sqrt(hi), so a stream of f(lo), ..., f(hi - 1)
 over the naturals (`ArithEngine.stream_values`) keeps no whole table.
-`prime_sieve` runs `prime_mask` per segment of `_BLOCK` integers, so its
-int64 list is its only whole array (the budget still charges 1 byte per n).
+Every other stream block dispatches on its domain in one place,
+`ArithEngine._domain_block`, which gives the block's inputs and how far
+they grow by the last index the stream expects; that growth sizes the
+chain's tables.  `prime_sieve` runs `prime_mask` per segment of `_BLOCK`
+integers, so its int64 list is its only whole array (the budget still
+charges 1 byte per n).
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ DEFAULT_MEMORY_BUDGET = 512 * 1024 * 1024
 # factorize() grows the sieve on demand up to this many entries; anything
 # larger is treated as an isolated input and trial-divided instead.
 AUTO_EXTEND_CAP = 1 << 24
+
+# the largest int64: no array holds a larger value
+INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -451,6 +458,8 @@ def _check_budget(what: str, limit: int, entry_bytes: int, memory_budget: int) -
 
 
 def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    if n > INT64_MAX:  # (2^61 - 1)^2 would take years here
+        raise CapacityError(f"{n} is past the int64 range ({INT64_MAX}), refused before trial division")
     factors = []
     for p in (2, 3):
         if n % p == 0:
@@ -476,7 +485,8 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
+    """Deterministic primality by trial division (desk-scale inputs);
+    CapacityError past `INT64_MAX`."""
     return n >= 2 and _trial_division(n) == ((n, 1),)
 
 
@@ -543,7 +553,8 @@ class ArithEngine:
         )
 
     def factorize(self, n: int) -> Factorization:
-        """Prime-exponent decomposition; total for all n >= 1."""
+        """Prime-exponent decomposition of 1 <= n <= `INT64_MAX`; past it,
+        CapacityError."""
         if n < 1:
             raise ValueError(f"cannot factorize {n}")
         if n == 1:
@@ -574,18 +585,21 @@ class ArithEngine:
         return primes[: int(np.searchsorted(primes, limit, side="right"))]
 
     def _first_primes(self, count: int, want: int = 0) -> np.ndarray:
-        """The first `count` primes, from the cached sieve when it has them
-        and else from one sieve sized by p_n < n (ln n + ln ln n), n >= 6,
-        for `count` or the `want` first primes a caller expects to need."""
+        """The first max(count, want) primes, from the cached sieve when it
+        has them and else from a sieve sized by p_n < n (ln n + ln ln n),
+        n >= 6: one for `count` or the `want` first primes a caller expects
+        to need, and only if that holds too few, one for `want`."""
+
+        def bound(n: int) -> int:
+            n = max(n, 6)
+            return int(n * (math.log(n) + math.log(math.log(n))))
+
         primes = self._cache.get(_PRIMES, (0, ()))[1]
         if len(primes) < count:
-
-            def bound(n: int) -> int:
-                n = max(n, 6)
-                return int(n * (math.log(n) + math.log(math.log(n))))
-
             primes = self.primes_upto(bound(count), bound(want) if want > count else 0)
-        return primes[:count]
+        if len(primes) < want:
+            primes = self.primes_upto(bound(want))
+        return primes[: max(count, want)]
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime, 1-indexed (p_1 = 2)."""
@@ -630,57 +644,48 @@ class ArithEngine:
             return self.mult_order(2, 2 * index - 1)
         return self.mult_order(2, self.nth_prime(index + 1))
 
-    def _domain_block(self, domain: Domain, lo: int, hi: int, expect: int) -> np.ndarray:
-        """Domain inputs for the indices lo <= index < hi as an int64 array.
+    def _domain_block(self, domain: Domain, lo: int, hi: int, expect: int) -> tuple[np.ndarray, float]:
+        """Domain inputs for the indices lo <= index < hi as an int64 array,
+        and how far those inputs grow by index `expect` >= hi - 1.
 
         Naturals are an `arange`, and primes slice one cached sieve; the
         order domains read the ord_n(2) table at the odd n or at the primes
         p_2, p_3, ...  A sieve or table that must grow is built for the
-        indices up to `expect` too (see `_grown`).
+        indices up to `expect` too (see `_grown`).  The growth is
+        top(expect) / top(hi - 1), where top(index) bounds the inputs up to
+        `index` and the last one reaches it or nearly: the index for the
+        naturals, p_index for the primes, and for the order domains the
+        modulus of the last order (2 index - 1, or p_(index+1)).
         """
         if hi <= lo:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), 1.0
         if domain is NATURALS:
-            return np.arange(lo, hi, dtype=np.int64)
+            return np.arange(lo, hi, dtype=np.int64), expect / (hi - 1)
         if domain is ODD_ORDERS:
-            table = self._order_table(2 * (hi - 1), self._domain_top(domain, expect))
-            return table[2 * lo - 1 : 2 * hi - 1 : 2].copy()
+            top = 2 * expect - 1
+            table = self._order_table(2 * (hi - 1), top)
+            return table[2 * lo - 1 : 2 * hi - 1 : 2].copy(), top / (2 * hi - 3)
         primes = self._first_primes(hi, expect + 1)
         if domain is PRIMES:
-            return primes[lo - 1 : hi - 1].copy()
-        table = self._order_table(int(primes[hi - 1]), self._domain_top(domain, expect))
-        return table[primes[lo:hi]]
-
-    def _domain_top(self, domain: Domain, index: int) -> int:
-        """A bound on the domain inputs up to `index`, reached by the last
-        one or nearly: the index for the naturals, p_index for the primes,
-        and for the order domains the modulus of the last order (2 index - 1,
-        or p_(index+1))."""
-        if domain is NATURALS:
-            return index
-        if domain is ODD_ORDERS:
-            return 2 * index - 1
-        return int(self._first_primes(index + 1)[index - (domain is PRIMES)])
+            return primes[lo - 1 : hi - 1].copy(), int(primes[expect - 1]) / int(primes[hi - 2])
+        top, last = int(primes[expect]), int(primes[hi - 1])
+        return self._order_table(last, top)[primes[lo:hi]], top / last
 
     def stream_values(self, spec: CompositionSpec, lo: int, hi: int, expect: int = 0) -> np.ndarray:
         """The values of `spec` at the indices 1 <= lo <= index < hi, as int64.
 
-        The identity and a single function over the naturals need no whole
-        array: the one is an `arange`, and the other `range_values`.  Every
-        other spec runs `chain_values` over its `_domain_block` on whole
-        cached arrays.  `expect` >= hi - 1, the last index the caller
-        expects to ask for, sizes those, so a stream read block by block
-        builds each about once: the domain's sieve or table for the
-        indices up to `expect`, and each chain table for its need here
-        scaled as the domain's inputs grow from index hi - 1 to `expect`.
+        A single function over the naturals needs no whole array: it is
+        `range_values`.  Every other spec, the identity included, runs
+        `chain_values` over its `_domain_block` on whole cached arrays.
+        `expect` >= hi - 1, the last index the caller expects to ask for,
+        sizes those, so a stream read block by block builds each about
+        once: the domain's sieve or table for the indices up to `expect`,
+        and each chain table for its need here scaled as the domain's
+        inputs grow from index hi - 1 to `expect`.
         """
-        if spec.domain is NATURALS and spec.depth <= 1:
-            if not spec.chain:
-                return np.arange(lo, hi, dtype=np.int64)
+        if spec.domain is NATURALS and spec.depth == 1:
             return self.range_values(spec.chain[0], lo, hi)
-        expect = max(expect, hi - 1)
-        args = self._domain_block(spec.domain, lo, hi, expect)
-        scale = self._domain_top(spec.domain, expect) / self._domain_top(spec.domain, hi - 1)
+        args, scale = self._domain_block(spec.domain, lo, hi, max(expect, hi - 1))
         return self.chain_values(spec.chain, args, scale)
 
     def eval_composition(self, spec: CompositionSpec, index: int) -> int:

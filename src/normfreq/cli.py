@@ -34,30 +34,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import experiments, ngrams, reports
-from .arith import (
-    LAMBDA,
-    NATURALS,
-    PHI,
-    RADICAL,
-    SIGMA,
-    SUM_PROPER,
-    TWO_SQUARES,
-    ArithEngine,
-    CompositionSpec,
-    Domain,
-    gstar,
-)
+from .arith import NATURALS, ArithEngine, BaseFn, BaseTag, CompositionSpec, Domain, gstar
 from .errors import CapacityError, NormfreqError, UnknownFunctionError
-from .words import LSF, MSF, digit_text_table, prefix_blocks
-
-_FN_TOKENS = {
-    "phi": PHI,
-    "sigma": SIGMA,
-    "lambda": LAMBDA,
-    "s": SUM_PROPER,
-    "rad": RADICAL,
-    "two-squares": TWO_SQUARES,
-}
+from .words import LSF, MSF, block_text, prefix_blocks
 
 _DOMAIN_TOKENS = {domain.value: domain for domain in Domain}
 
@@ -69,9 +48,9 @@ _ORDER_TOKENS = {"msf": MSF, "lsf": LSF, "paper": LSF}
 def parse_chain(text: Optional[str], domain: Domain = NATURALS) -> CompositionSpec:
     """Parse a dotted chain like "phi.sigma" (outermost first) into a spec.
 
-    Tokens: phi, sigma, lambda, s, rad, two-squares, gstar:<p1,p2,...>,
-    id.  "id" (or an empty string) contributes nothing, so the empty
-    chain is the identity.
+    Tokens: the `BaseTag` names (phi, sigma, lambda, s, rad, two-squares),
+    gstar only as gstar:<p1,p2,...>, and id.  "id" (or an empty string)
+    contributes nothing, so the empty chain is the identity.
     """
     chain = []
     raw = (text or "").strip()
@@ -82,8 +61,8 @@ def parse_chain(text: Optional[str], domain: Domain = NATURALS) -> CompositionSp
                 raise UnknownFunctionError(f"empty function token in chain {raw!r}")
             if tok == "id":
                 continue
-            if tok in _FN_TOKENS:
-                chain.append(_FN_TOKENS[tok])
+            if tok != BaseTag.GSTAR.value and tok in {tag.value for tag in BaseTag}:
+                chain.append(BaseFn(BaseTag(tok)))
                 continue
             if tok.startswith("gstar:"):
                 try:
@@ -152,17 +131,7 @@ def _stream(got) -> None:
     held = ""
     for block in prefix_blocks(ArithEngine(), spec, got["digits"], g, order):
         sys.stdout.write(held)
-        if g <= 10:
-            # one ASCII byte per uint8 digit, as in `words.word_texts`
-            text = (block.digits + 48).tobytes()
-        else:
-            # `word_text`'s dot-joined digits, each text and dot read from a
-            # table; the dot after the prefix's last digit is dropped
-            table, index = digit_text_table(block.digits)
-            text = table[index].tobytes().replace(b"\0", b"")
-            if block.final_length is not None:
-                text = text[:-1]
-        held = text.decode("ascii")
+        held = block_text(block, g)
     sys.stdout.write(held + "\n")
 
 

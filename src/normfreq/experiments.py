@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import words
 from .arith import (
     EULER_GAMMA,
     LAMBDA,
@@ -98,11 +97,6 @@ def _require_table_fn(a: BaseFn) -> None:
         raise ValueError(f"census supports phi/sigma/lambda, got {a.describe()}")
 
 
-def _blocks(work: Callable[[int, int], object], total: int):
-    """work(lo, hi) for each fixed block [lo, hi) of range(total), in order."""
-    return blocked_map(work, total, words._BLOCK, 1)
-
-
 def _largest(values, limit: int, member=lambda v: True) -> int:
     """The largest value that `member` keeps in the blocks values(lo, hi)
     of 1..limit, folded block by block; 1 when it keeps none."""
@@ -111,7 +105,7 @@ def _largest(values, limit: int, member=lambda v: True) -> int:
         v = values(lo, hi)
         return int(v.max(initial=1, where=member(v)))
 
-    return max(_blocks(top, limit))
+    return max(blocked_map(top, limit, 1))
 
 
 def _chain_blocks(engine: ArithEngine, chain: tuple[BaseFn, ...], limit: int):
@@ -167,8 +161,8 @@ def divisor_preimage_census(
     if d < 1:
         raise ValueError("divisor d must be >= 1")
     cps = validate_checkpoints(checkpoints)
-    values = _chain_blocks(engine, (a,), cps[-1])
     ell = big_omega(engine.factorize(d))
+    values = _chain_blocks(engine, (a,), cps[-1])
 
     def divisible(lo, hi):
         v = values(lo, hi)
@@ -384,7 +378,7 @@ def thin_preimage_census(
             out[i] = upto, np.count_nonzero(small), np.count_nonzero(~small & (big[:upto] > om_cut))
         return out
 
-    totals = sum(_blocks(parts, limit))
+    totals = sum(blocked_map(parts, limit, 1))
     rows = []
     for x, (total, e1, e2) in zip(cps, totals.tolist()):
         bound = x / math.exp(floored_log(x) ** thin_set.theta)
@@ -424,7 +418,7 @@ def growth_hypothesis_check(engine: ArithEngine, spec: CompositionSpec, x: int) 
         logm = np.maximum(1.0, np.log(np.arange(lo + 1, hi + 1, dtype=np.float64)))
         return float((seg / logm).max())
 
-    max_ratio = max(_blocks(fill, x))
+    max_ratio = max(blocked_map(fill, x, 1))
     sum_ratio = float(logf.sum() / (x * floored_log(x)))
     lower, upper = 0.5 ** (spec.depth + 1), 2.0
     return {
@@ -548,7 +542,7 @@ def extremal_ratio_report(engine: ArithEngine, x: int) -> dict:
         j = int(np.argmax(sigma_ratio))
         return float(phi_ratio[i]), lo + 2 + i, float(sigma_ratio[j]), lo + 2 + j
 
-    blocks = _blocks(extremes, x - 1)
+    blocks = blocked_map(extremes, x - 1, 1)
     min_phi, argmin_phi, max_sigma, argmax_sigma = next(blocks)
     for low, i, high, j in blocks:
         if low < min_phi:

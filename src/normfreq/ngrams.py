@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import words as words_mod
-from .arith import ArithEngine, CompositionSpec
+from .arith import INT64_MAX, ArithEngine, CompositionSpec
 from .errors import CapacityError, DegenerateInputError
 from .reports import ArrayMap
 from .words import MSF, DigitOrder, window_codes, word_texts
@@ -43,31 +43,28 @@ from .words import MSF, DigitOrder, window_codes, word_texts
 # windows per tally chunk: one per prefix block takes prefix-primes-k6 to 103 MB, not 90
 _CHUNK = 1 << 20
 
-# dense count tables are used while g^k stays at or below this: a
-# table then has no more entries than a chunk has windows
+# dense count tables are used while g^k stays at or below this: a chunk's
+# (3, g^k) table then has at most 3 entries per window of a whole chunk
+# (3 * 10^6 int64 entries, 24 MB, at g = 10 and k = 6)
 DENSE_LIMIT = _CHUNK
 
 # the most integers `classify_checkpoints` tests one at a time: about
 # 5 minutes on one core at k = 2 or 3 (0.2-0.35 s per 10^6)
 ENUMERATION_CAP = 10**9
 
-_INT64_MAX = (1 << 63) - 1
 
+def blocked_map(work: Callable[[int, int], object], total: int, threads: int) -> Iterator:
+    """work(lo, hi) for each fixed block [lo, hi) of `words._BLOCK`
+    integers in range(total), lazily and in block order.
 
-def blocked_map(
-    work: Callable[[int, int], object], total: int, block: int, threads: int
-) -> Iterator:
-    """work(lo, hi) for each fixed block [lo, hi) of range(total), lazily
-    and in block order.
-
-    The block edges depend on `total` and `block` only, so every thread
-    count yields the same results.  `threads` is checked here, at call
-    time, for every threaded loop."""
+    The block edges depend only on `total` and the block size, read at
+    each call, so every thread count yields the same results.  `threads`
+    is checked here, at call time, for every threaded loop."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     # the blocks come from ranges as they are needed (10^12 values are
     # 15M blocks), and a pool holds at most 2 * threads of them at once
-    los = range(0, total, block)
+    los = range(0, total, words_mod._BLOCK)
     his = chain(los[1:], (total,))
     if threads == 1 or len(los) <= 1:
         return map(work, los, his)
@@ -333,7 +330,7 @@ def checkpoint_counts(
         return counts, running + int(np.count_nonzero(mask[prev:]))
 
     counts, running = [], 0
-    for inside, total in blocked_map(work, cps[-1], words_mod._BLOCK, threads):
+    for inside, total in blocked_map(work, cps[-1], threads):
         counts.extend(running + c for c in inside)
         running += total
     return counts
@@ -359,8 +356,8 @@ def classify_checkpoints(
     words_mod.check_eps(eps)
     cps = validate_checkpoints(checkpoints)
     limit = cps[-1]
-    if limit > _INT64_MAX:
-        raise CapacityError(f"classify limit {limit} is past the int64 range ({_INT64_MAX})")
+    if limit > INT64_MAX:
+        raise CapacityError(f"classify limit {limit} is past the int64 range ({INT64_MAX})")
     if k == 1:
         return [c - words_mod.eps_1_normal_count(c, eps, g) for c in cps]
     if limit > ENUMERATION_CAP:

@@ -458,3 +458,17 @@ def prefix_blocks(
         newest = lengths[len(lengths) // 2 :]
         ahead = -(-(num_digits - start) * len(newest) // int(newest.sum()))
         lo = hi
+
+
+def block_text(block: PrefixBlock, g: int) -> str:
+    """A prefix block's digits as stream text, as `word_text` writes them:
+    one ASCII byte per digit for g <= 10, and above that each digit's text
+    and dot (`digit_text_table`), with no dot after the prefix's last
+    digit."""
+    if g <= 10:
+        return (block.digits + 48).tobytes().decode("ascii")
+    table, index = digit_text_table(block.digits)
+    text = table[index].tobytes().replace(b"\0", b"")
+    if block.final_length is not None:
+        text = text[:-1]
+    return text.decode("ascii")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normfreq import arith
+from normfreq import arith, words
 from normfreq.errors import CapacityError, NotCoprimeError
 from normfreq.ngrams import count_stream
 
@@ -681,6 +681,33 @@ def test_domain_values_match_domain_stream(engine, domain):
     assert got.dtype == np.int64
     assert got.tolist() == [engine.eval_composition(spec, i) for i in range(1, 301)]
     assert engine.stream_values(spec, 1, 1).tolist() == []
+
+
+@pytest.mark.parametrize("digits", [10**5, 10**6])
+@pytest.mark.parametrize(
+    "chain,domain",
+    [((), arith.PRIMES), ((arith.PHI, arith.SIGMA), arith.PRIMES), ((), arith.ODD_ORDERS),
+     ((), arith.PRIME_ORDERS), ((arith.PHI, arith.PHI), arith.NATURALS),
+     ((arith.LAMBDA, arith.LAMBDA, arith.PHI), arith.NATURALS)],
+    ids=lambda x: x.describe() if isinstance(x, arith.Domain) else ".".join(f.describe() for f in x),
+)
+def test_a_stream_builds_each_whole_array_twice(monkeypatch, chain, domain, digits):
+    # once for the first block's probe, once for the forecast of the cut
+    built = []
+    grown = arith.ArithEngine._grown
+
+    def counted(self, key, limit, what, entry_bytes, build, want=0, most=None):
+        def recorded(size):
+            built.append(key)
+            return build(size)
+
+        return grown(self, key, limit, what, entry_bytes, recorded, want, most)
+
+    monkeypatch.setattr(arith.ArithEngine, "_grown", counted)
+    spec = arith.CompositionSpec(chain, domain)
+    for _ in words.prefix_blocks(arith.ArithEngine(), spec, digits):
+        pass
+    assert built and {key: built.count(key) for key in built} == dict.fromkeys(built, 2)
 
 
 def test_chain_values_matches_eval(engine):

@@ -9,6 +9,7 @@ wired up.
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -27,7 +28,11 @@ from normfreq.arith import (
     PRIMES,
     SIGMA,
     ArithEngine,
+    BaseFn,
+    BaseTag,
     CompositionSpec,
+    Domain,
+    gstar,
     phi,
 )
 from normfreq.errors import UnknownFunctionError
@@ -70,6 +75,54 @@ def test_parse_chain_carries_domain():
 def test_parse_chain_rejects_bad_tokens(text):
     with pytest.raises(UnknownFunctionError):
         cli.parse_chain(text)
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=Domain.describe)
+def test_parse_chain_round_trips_every_name(domain):
+    fns = [gstar([2, 3]) if tag is BaseTag.GSTAR else BaseFn(tag) for tag in BaseTag]
+    for depth in range(4):
+        for chain in itertools.product(fns, repeat=depth):
+            spec = CompositionSpec(chain, domain)
+            text, _, _ = spec.describe().rpartition("@")
+            assert cli.parse_chain(text, domain) == spec
+
+
+@pytest.mark.parametrize("token", ["gstar", "bogus"])
+def test_unknown_chain_token_exit_code(capsys, token):
+    code, out, err = run(capsys, "count", "--f", f"phi.{token}", "--digits", "10")
+    assert (code, out, err) == (2, "", f"error: unknown function token {token!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (2^61 - 1)^2, 2^89 - 1 and 2^64: each trial division would take years
+        ["experiment", "divisor", "--f", "phi", "--limit", "100", "--d", str((2**61 - 1) ** 2)],
+        ["count", "--f", f"gstar:{2**89 - 1}", "--digits", "100"],
+        ["experiment", "non-normal", "--primes", f"2,{2**89 - 1}", "--k", "1"],
+        ["experiment", "divisor", "--f", "phi", "--limit", "100", "--d", str(2**64)],
+        ["stream", "--f", f"gstar:{2**63}", "--digits", "10"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_inputs_past_int64_are_refused_before_trial_division(argv):
+    # in a child process, so that the timeout bounds the wall-clock time
+    proc = subprocess.run(
+        [sys.executable, "-m", "normfreq.cli", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert re.fullmatch(
+        r"error: \d+ is past the int64 range \(9223372036854775807\), "
+        r"refused before trial division\n",
+        proc.stderr,
+    )
+
+
+def test_gstar_prime_check_reaches_int64_max(capsys):
+    # 2^63 - 1 = 7^2 73 127 337 92737 649657 is in range and trial-divided
+    code, _, err = run(capsys, "count", "--f", f"gstar:{2**63 - 1}", "--digits", "10")
+    assert code == 2 and "gstar set must contain primes" in err
 
 
 # --- stream ---

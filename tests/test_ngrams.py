@@ -255,21 +255,24 @@ def test_count_stream_base2_lsf(engine):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 5])
-def test_blocked_map_yields_blocks_in_order(threads):
+def test_blocked_map_yields_blocks_in_order(threads, monkeypatch):
+    monkeypatch.setattr(words, "_BLOCK", 5)
+
     def work(lo, hi):
         time.sleep((23 - lo) / 1000)  # on a pool, early blocks finish last
         return lo, hi
 
-    got = list(ngrams.blocked_map(work, 23, 5, threads))
+    got = list(ngrams.blocked_map(work, 23, threads))
     assert got == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
-    assert list(ngrams.blocked_map(work, 0, 5, threads)) == []
+    assert list(ngrams.blocked_map(work, 0, threads)) == []
 
 
-def test_blocked_map_takes_single_thread_blocks_lazily():
+def test_blocked_map_takes_single_thread_blocks_lazily(monkeypatch):
     # 10^15 one-entry blocks: a list of their edges would never fit
+    monkeypatch.setattr(words, "_BLOCK", 1)
     tracemalloc.start()
     try:
-        blocks = ngrams.blocked_map(lambda lo, hi: (lo, hi), 10**15, 1, 1)
+        blocks = ngrams.blocked_map(lambda lo, hi: (lo, hi), 10**15, 1)
         first = [next(blocks) for _ in range(3)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -278,12 +281,13 @@ def test_blocked_map_takes_single_thread_blocks_lazily():
     assert peak < 1 << 16
 
 
-def test_blocked_map_keeps_few_pooled_blocks_in_flight():
+def test_blocked_map_keeps_few_pooled_blocks_in_flight(monkeypatch):
     # the twin of the test above: a pool of 2 submits a few blocks ahead
     # of the caller; submitting all 10^5 at once held 156 MiB
+    monkeypatch.setattr(words, "_BLOCK", 1)
     tracemalloc.start()
     try:
-        blocks = ngrams.blocked_map(lambda lo, hi: (lo, hi), 10**5, 1, 2)
+        blocks = ngrams.blocked_map(lambda lo, hi: (lo, hi), 10**5, 2)
         first = [next(blocks) for _ in range(3)]
         peak = tracemalloc.get_traced_memory()[1]
         blocks.close()
@@ -296,7 +300,7 @@ def test_blocked_map_keeps_few_pooled_blocks_in_flight():
 @pytest.mark.parametrize("threads", [0, -3])
 def test_blocked_map_checks_threads_at_call_time(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        ngrams.blocked_map(lambda lo, hi: (lo, hi), 10, 5, threads)
+        ngrams.blocked_map(lambda lo, hi: (lo, hi), 10, threads)
 
 
 @pytest.mark.parametrize("dense_limit", [ngrams.DENSE_LIMIT, 1])

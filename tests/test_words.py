@@ -313,7 +313,7 @@ def bad_upto(top, eps, g):
     """The cumulative count of m <= x failing the (eps, 1) test, for every
     x in 0..top, from blocked `eps_k_bad_mask` calls."""
     masks = ngrams.blocked_map(
-        lambda lo, hi: words.eps_k_bad_mask(np.arange(lo + 1, hi + 1), eps, 1, g), top, 1 << 16, 1
+        lambda lo, hi: words.eps_k_bad_mask(np.arange(lo + 1, hi + 1), eps, 1, g), top, 1
     )
     return np.concatenate([[0], np.cumsum(np.concatenate(list(masks)))])
 
