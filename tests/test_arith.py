@@ -681,6 +681,9 @@ def test_domain_values_match_domain_stream(engine, domain):
     assert got.dtype == np.int64
     assert got.tolist() == [engine.eval_composition(spec, i) for i in range(1, 301)]
     assert engine.stream_values(spec, 1, 1).tolist() == []
+    # an empty block of a chain has no growth to divide by
+    chained = arith.CompositionSpec((arith.PHI, arith.PHI), domain)
+    assert engine.stream_values(chained, 1, 1).tolist() == []
 
 
 @pytest.mark.parametrize("digits", [10**5, 10**6])
