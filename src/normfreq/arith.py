@@ -11,10 +11,13 @@ fills a range in fixed blocks of `_BLOCK` entries.  Each block keeps
 p <= sqrt(limit) only: for each power q = p^e it updates the entries at
 the multiples of q, as the table row says, and divides their `rem` by p.
 What is left in `rem` above 1 is then one prime p > sqrt(limit) to the
-first power, and one vectorized step applies the row's f(p) there.  So
-the Python loop runs once per block and power of a prime p <= sqrt(limit),
-not once per prime power up to the limit, and the memory beyond the
-table itself is one block's `rem` and leftovers: a value table still
+first power, and one vectorized step applies the row's f(p) there.  An
+lcm row finds those primes first and starts from f of them, then takes
+the lcm with each f(p^e) from a small table over the residues mod
+f(p^e) (`_fill_lcm_block`).  So the Python loop runs once or twice per
+block and power of a prime p <= sqrt(limit), not once per prime power
+up to the limit, and the memory beyond the table itself is one block's
+working arrays and at most 1 MiB of residue tables: a value table still
 takes 8 bytes per entry of the budget, and the Omega table 1.  A range
 needs only the primes up to sqrt(hi), so a stream of f(lo), ..., f(hi - 1)
 over the naturals (`ArithEngine.stream_values`) keeps no whole table.
@@ -275,7 +278,8 @@ _TABLE_ROWS = {
 _OMEGA_ROW = _TableRow(lambda p, e: e, lambda p: 1, np.add)
 
 
-# entries per block of `_fill_range`: at 2^16 the phi table to 10^6 takes 59-63 ms, not 38-43
+# entries per block of `_fill_range`: the phi and lambda tables to 10^6 take 35
+# and 41 ms at 2^18, 48 and 61 ms at 2^16, and no less at 2^17 or 2^19
 _BLOCK = 1 << 18
 
 
@@ -292,47 +296,119 @@ def _block_table(row: _TableRow, primes: np.ndarray, limit: int, dtype=np.int64)
     return _fill_range(row, primes, 0, np.empty(limit + 1, dtype=dtype))
 
 
+def _prime_powers(primes: np.ndarray, lo: int, hi: int):
+    """(p, e, q, start) for each power q = p^e < hi of the given ascending
+    primes, where `start` is the index in the block [lo, hi) of the first
+    multiple of q past 0."""
+    for p in map(int, primes):
+        if p >= hi:
+            break
+        q, e = p, 1
+        while q < hi:
+            yield p, e, q, max(q, lo + -lo % q) - lo
+            q *= p
+            e += 1
+
+
+# an lcm row takes the lcm with c = f(p^e) up to this cap from a table over the
+# residues mod c, and past it by `np.lcm`: on 2^18 uint32 entries below 2^20 at
+# c = 996, 0.9 ms against 11.7 ms.  One table per c is kept for the process, so
+# they hold at most cap (cap + 1) / 2 uint16 entries, cap (cap + 1) bytes (1 MiB).
+_RESIDUE_CAP = 1 << 10
+_QUOTIENTS: dict[int, np.ndarray] = {}
+
+
+def _lcm_quotients(c: int) -> np.ndarray:
+    """c / gcd(r, c) for 0 <= r < c, as uint16 (c <= `_RESIDUE_CAP`), so
+    lcm(x, c) = x * table[x mod c].  Each divisor d of c, ascending, writes
+    c / d at the multiples of d, so the last write at r is of the largest
+    divisor of c that divides r, gcd(r, c)."""
+    table = _QUOTIENTS.get(c)
+    if table is None:
+        table = np.empty(c, dtype=np.uint16)
+        small = [d for d in range(1, math.isqrt(c) + 1) if c % d == 0]
+        for d in small + [c // d for d in reversed(small) if d * d != c]:
+            table[::d] = c // d
+        _QUOTIENTS[c] = table
+    return table
+
+
 def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> None:
     """Write f(n) for lo <= n < lo + len(out) into `out`, looping over the
     given ascending primes; each of those n may have at most one prime
     factor outside them, to the first power (any, for gstar's row)."""
     at, prime, combine, minus_n = row
     hi = lo + len(out)
+    rem = np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
+    if combine is np.lcm:
+        return _fill_lcm_block(row, primes, lo, rem, out)
     unit = 0 if combine is np.add else 1  # f(1), and f(p^0) of every p
     out[:] = unit
     if lo == 0:
         out[0] = 0
-    rem = np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
-    for p in map(int, primes):
-        if p >= hi:
-            break
-        # for each power q = p^e the multiples of q move from f(p^(e-1)) to
-        # f(p^e): a product row divides the old part out exactly, and an
-        # lcm row needs no division because its f(p^(e-1)) divides f(p^e)
-        q, e, prev = p, 1, unit
-        while q < hi:
-            start = max(q, lo + -lo % q) - lo  # the first multiple of q past 0
-            cur = at(p, e)
-            if cur != prev:
-                seg = out[start::q]
-                if combine is np.lcm:
-                    np.lcm(seg, cur, out=seg)
-                elif combine is np.add:
-                    seg += cur - prev
-                else:
-                    if prev != 1:
-                        seg //= prev
-                    seg *= cur
-            rem[start::q] //= p
-            prev = cur
-            q *= p
-            e += 1
-    big = np.flatnonzero(rem > 1)
-    out[big] = combine(out[big], prime(rem[big].astype(np.int64)))
+    prev = unit
+    for p, e, q, start in _prime_powers(primes, lo, hi):
+        # the multiples of q = p^e move from f(p^(e-1)) to f(p^e): a product
+        # row divides the old part out exactly
+        if e == 1:
+            prev = unit
+        cur = at(p, e)
+        if cur != prev:
+            seg = out[start::q]
+            if combine is np.add:
+                seg += cur - prev
+            else:
+                if prev != 1:
+                    seg //= prev
+                seg *= cur
+        rem[start::q] //= p
+        prev = cur
+    if combine is np.add:
+        out += rem > 1  # Omega's f(p) = 1
+    else:
+        big = np.flatnonzero(rem > 1)
+        out[big] = combine(out[big], prime(rem[big].astype(np.int64)))
     if minus_n:
         out -= np.arange(lo, hi, dtype=out.dtype)
         if lo <= 1 < hi:
             out[1 - lo] = 1
+
+
+def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, out: np.ndarray) -> None:
+    """`_fill_block` for an lcm row, over the block's n, in two passes.
+
+    The first multiplies up the part of each n over the primes; n over it
+    is the prime left outside them, or 1, and the block starts at f of
+    that prime (calling `row.prime` at those entries only) and at 1
+    elsewhere.  The second takes the lcm with c = f(p^e) at the
+    multiples of each power p^e in turn, with no division, since
+    f(p^(e-1)) divides f(p^e): as x * (c / gcd(x mod c, c)) from
+    `_lcm_quotients` for c <= `_RESIDUE_CAP`, else by `np.lcm`.  The block
+    is worked in n's dtype, which holds f(n) <= n.
+    """
+    hi = lo + len(out)
+    work = np.ones_like(n)
+    for p, _, q, start in _prime_powers(primes, lo, hi):
+        work[start::q] *= p
+    big = np.flatnonzero(work < n)  # the n with a prime outside them
+    left = n[big] // work[big]
+    work[:] = 1
+    work[big] = row.prime(left.astype(np.int64))
+    prev = 1
+    for p, e, q, start in _prime_powers(primes, lo, hi):
+        if e == 1:
+            prev = 1
+        c = row.at(p, e)
+        if c != prev:
+            seg = work[start::q]
+            if c <= _RESIDUE_CAP:
+                seg *= _lcm_quotients(c).take(seg % c)
+            else:
+                np.lcm(seg, c, out=seg)
+        prev = c
+    out[:] = work
+    if lo == 0:
+        out[0] = 0
 
 
 # the engine's cache keys besides the `BaseFn` of each value table; the
@@ -457,9 +533,13 @@ def _check_budget(what: str, limit: int, entry_bytes: int, memory_budget: int) -
         )
 
 
-def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
-    if n > INT64_MAX:  # (2^61 - 1)^2 would take years here
+def _refuse_past_int64(n: int) -> None:
+    if n > INT64_MAX:  # (2^61 - 1)^2 would take years to trial-divide
         raise CapacityError(f"{n} is past the int64 range ({INT64_MAX}), refused before trial division")
+
+
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    _refuse_past_int64(n)
     factors = []
     for p in (2, 3):
         if n % p == 0:
@@ -484,10 +564,36 @@ def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+# the first 12 primes: an n that is a strong probable prime to each of them is
+# prime below psi_12 = 318,665,857,834,031,151,167,461 > 2^78 (Sorenson and
+# Webster 2017), so for every n in int64
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs);
-    CapacityError past `INT64_MAX`."""
-    return n >= 2 and _trial_division(n) == ((n, 1),)
+    """Deterministic primality: the strong-probable-prime test of Miller
+    (1976) and Rabin (1980) to each base in `_PRIME_BASES`, exact up to
+    `INT64_MAX`; CapacityError past it."""
+    _refuse_past_int64(n)
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        # n passes base a if a^d = 1 or a^(2^r d) = -1 for some r < s
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

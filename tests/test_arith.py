@@ -486,6 +486,72 @@ def test_gstar_loops_over_its_own_primes_across_block_edges(monkeypatch, block):
             assert arith.ArithEngine().value_table(fn, hi - 1).tolist() == want, fn.describe()
 
 
+@pytest.fixture(scope="module")
+def wieferich_ranges(engine):
+    """For p = 1093, 3511: a range around p^2, the kernel's primes up to
+    sqrt of its end, the order row over those and the range's leftover
+    primes, and ord_n(2) of each n's odd part."""
+    out = []
+    for p in (1093, 3511):
+        lo, hi = p * p - 30, p * p + 30
+        small = engine.primes_upto(math.isqrt(hi - 1))
+        left = {q for n in range(lo, hi) for q, _ in oracle_factor(n) if q > small[-1]}
+        row = engine._order_row(np.array(sorted({*small.tolist(), *left})))
+        want = [engine.mult_order(2, n // (n & -n)) for n in range(lo, hi)]
+        out.append((lo, hi, small, row, want))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 18])
+@pytest.mark.parametrize("cap", [1, 4, arith._RESIDUE_CAP])
+def test_lcm_rows_match_the_oracles_at_any_residue_cap(monkeypatch, engine, wieferich_ranges, cap, block):
+    # cap 1 takes every lcm by np.lcm; cap 4 takes lambda(4) = lambda(3) = 2 and
+    # lambda(16) = lambda(5) = 4, one at the cap, from residue tables; at the
+    # default cap lambda(2^12) = 2^10 is exactly at it
+    monkeypatch.setattr(arith, "_RESIDUE_CAP", cap)
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    # the order row's f(p) must see leftover primes only: at limit 0 it has none
+    seen = []
+    order_row = arith.ArithEngine._order_row
+
+    def spied(self, primes):
+        row = order_row(self, primes)
+        return row._replace(prime=lambda p: seen.append(p.tolist()) or row.prime(p))
+
+    monkeypatch.setattr(arith.ArithEngine, "_order_row", spied)
+    for limit in (0, 1, 600):
+        eng = arith.ArithEngine()
+        want = [0] + [arith.lam(engine.factorize(n)) for n in range(1, limit + 1)]
+        assert eng.value_table(arith.LAMBDA, limit).tolist() == want
+        want = [0] + [engine.mult_order(2, n // (n & -n)) for n in range(1, limit + 1)]
+        assert eng._order_table(limit).tolist() == want
+        assert all(q > math.isqrt(limit) and arith.is_prime(q) for ps in seen for q in ps)
+        seen.clear()
+    # ranges past 0, one through 2^12 and one whose blocks hold leftover
+    # primes up to about 10^6
+    for lo, hi in ((4000, 4200), (999_900, 1_000_100)):
+        want = [arith.lam(engine.factorize(n)) for n in range(lo, hi)]
+        assert arith.ArithEngine().range_values(arith.LAMBDA, lo, hi).tolist() == want
+    # at the Wieferich squares ord_{p^2}(2) = ord_p(2)
+    for lo, hi, small, row, want in wieferich_ranges:
+        assert arith._fill_range(row, small, lo, np.empty(hi - lo, dtype=np.int64)).tolist() == want
+
+
+def test_residue_tables_stay_within_their_bound():
+    cap = arith._RESIDUE_CAP
+    assert all(
+        arith._lcm_quotients(c).tolist() == [c // math.gcd(r, c) for r in range(c)]
+        for c in range(1, 200)
+    )
+    # the lambda table to 10^6 asks for c = p - 1 up to 996 and lambda(p^e)
+    # past the cap, and keeps one uint16 table of c entries for each c <= cap
+    arith.ArithEngine().value_table(arith.LAMBDA, 10**6)
+    tables = arith._QUOTIENTS
+    assert max(tables) == 1024 <= cap
+    assert all(t.dtype == np.uint16 and len(t) == c for c, t in tables.items())
+    assert sum(t.nbytes for t in tables.values()) <= cap * (cap + 1)
+
+
 def test_phi_table_matches_pointwise(engine):
     tab = engine.value_table(arith.PHI, 1500)
     for n in range(1, 1501):
@@ -653,9 +719,41 @@ def test_prime_sieve_budget_is_checked_before_the_sieve():
 
 def test_is_prime_matches_factoring_oracle():
     assert [n for n in range(-3, 30) if arith.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    for n in range(30, 5000):
-        assert arith.is_prime(n) == (oracle_factor(n) == ((n, 1),))
+    for n in range(30, 200_000):
+        assert arith.is_prime(n) == (arith._trial_division(n) == ((n, 1),))
     assert arith.is_prime(2**31 - 1) and not arith.is_prime(2**31 + 1)
+    # 2^61 - 1, the largest prime below 2^63, and 2^63 - 1 = 7^2 73 127 337 92737 649657
+    assert arith.is_prime(2**61 - 1) and arith.is_prime(2**63 - 25)
+    assert not arith.is_prime(2**63 - 1)
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    # Chernick's (6k + 1)(12k + 1)(18k + 1) is a Carmichael number whenever
+    # its three factors are prime: each p - 1 divides n - 1 (Korselt)
+    found = []
+    for k in range(1, 400):
+        ps = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(arith._trial_division(p) == ((p, 1),) for p in ps):
+            n = math.prod(ps)
+            assert all((n - 1) % (p - 1) == 0 for p in ps)
+            found.append(n)
+    assert found[:3] == [1729, 294409, 56052361] and len(found) > 10
+    for n in [561, 1105, 2465, 2821, 6601, 8911, *found]:
+        assert not arith.is_prime(n), n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    # the least strong pseudoprimes to the first 1, 2, ..., 11 prime bases,
+    # with psi_7 = psi_8 and psi_9 = psi_10 = psi_11 (Jaeschke 1993; Jiang
+    # and Deng 2014)
+    [(23, 89), (829, 1657), (2251, 11251), (151, 751, 28351), (6763, 10627, 29947),
+     (1303, 16927, 157543), (10670053, 32010157), (149491, 747451, 34233211)],
+    ids=lambda factors: str(math.prod(factors)),
+)
+def test_is_prime_rejects_strong_pseudoprimes(factors):
+    assert all(arith._trial_division(p) == ((p, 1),) for p in factors)
+    assert not arith.is_prime(math.prod(factors))
 
 
 @pytest.mark.parametrize(

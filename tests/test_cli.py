@@ -120,9 +120,21 @@ def test_inputs_past_int64_are_refused_before_trial_division(argv):
 
 
 def test_gstar_prime_check_reaches_int64_max(capsys):
-    # 2^63 - 1 = 7^2 73 127 337 92737 649657 is in range and trial-divided
+    # 2^63 - 1 = 7^2 73 127 337 92737 649657 is in range, and not prime
     code, _, err = run(capsys, "count", "--f", f"gstar:{2**63 - 1}", "--digits", "10")
     assert code == 2 and "gstar set must contain primes" in err
+
+
+def test_a_prime_near_int64_max_is_checked_at_once():
+    # trial division up to sqrt(2^61 - 1) took about 71 s; the strong
+    # probable-prime test takes milliseconds
+    argv = ["experiment", "non-normal", "--primes", str(2**61 - 1), "--k", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "normfreq.cli", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["primes"] == [2**61 - 1]
 
 
 # --- stream ---
