@@ -6,17 +6,23 @@ through one block kernel, `_fill_block`, and a whole table over
 [0, limit] (`_block_table`) is that range from 0.
 
 The kernel is the segmented sieve of Bays and Hudson (BIT 1977).  It
-fills a range in fixed blocks of `_BLOCK` entries.  Each block keeps
-`rem`, its own n (uint32 below 2^32), and loops over the primes
-p <= sqrt(limit) only: for each power q = p^e it updates the entries at
-the multiples of q, as the table row says, and divides their `rem` by p.
-What is left in `rem` above 1 is then one prime p > sqrt(limit) to the
-first power, and one vectorized step applies the row's f(p) there.  An
-lcm row finds those primes first and starts from f of them, then takes
-the lcm with each f(p^e) from a small table over the residues mod
-f(p^e) (`_fill_lcm_block`).  So the Python loop runs once or twice per
-block and power of a prime p <= sqrt(limit), not once per prime power
-up to the limit, and the memory beyond the table itself is one block's
+fills a range in fixed blocks of `_BLOCK` entries.  Each block loops
+over the primes p <= sqrt(limit) only: for each power q = p^e it updates
+the entries at the multiples of q, as the table row says, and multiplies
+their `smooth`, the part of n over those primes, by p.  The powers
+dividing 5040 = 2^4 3^2 5 7 are applied to the block's first 5040
+entries only and copied over the rest, since that part of f(n) and
+`smooth` repeats with period 5040 (Pritchard's wheel, Acta Inf. 1982).
+A product row steps from f(p^(e-1)) to f(p^e) by one multiplication
+where their quotient is whole, and divides the old part out only where
+it is not (sigma and s).  n // `smooth` is then one prime
+p > sqrt(limit) to the first power, or 1, and contiguous steps over the
+whole block apply the row's f(p) there.  An lcm row finds those primes
+the same way and starts from f of them, then takes the lcm with each
+f(p^e) from a small table over the residues mod f(p^e)
+(`_fill_lcm_block`).  So the Python loop runs once or twice per block
+and power of a prime p <= sqrt(limit), not once per prime power up to
+the limit, and the memory beyond the table itself is one block's
 working arrays and at most 1 MiB of residue tables: a value table still
 takes 8 bytes per entry of the budget, and the Omega table 1.  A range
 needs only the primes up to sqrt(hi), so a stream of f(lo), ..., f(hi - 1)
@@ -32,6 +38,7 @@ charges 1 byte per n).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -271,15 +278,16 @@ _TABLE_ROWS = {
         lambda p, e: p ** (e - e % 2) if p % 4 == 3 else p**e,
         lambda p: np.where(p % 4 == 3, 1, p),
     ),
-    BaseTag.GSTAR: _TableRow(lambda p, e: p**e, lambda p: 1),
+    BaseTag.GSTAR: _TableRow(lambda p, e: p**e, np.ones_like),
 }
 
 # Omega(n) adds the exponents; its table is uint8
 _OMEGA_ROW = _TableRow(lambda p, e: e, lambda p: 1, np.add)
 
 
-# entries per block of `_fill_range`: the phi and lambda tables to 10^6 take 35
-# and 41 ms at 2^18, 48 and 61 ms at 2^16, and no less at 2^17 or 2^19
+# entries per block of `_fill_range`: the phi table to 10^6 takes 17.8 ms at
+# 2^18, against 18.9 ms at 2^17, 19.2 ms at 2^19 and 27.4 ms at 2^16 (medians of
+# 15 alternating in-process runs, 2-core host)
 _BLOCK = 1 << 18
 
 
@@ -310,6 +318,54 @@ def _prime_powers(primes: np.ndarray, lo: int, hi: int):
             e += 1
 
 
+# 2^4 3^2 5 7: the part of f(n) from the powers q dividing it repeats with this
+# period (the wheel of Pritchard, Acta Inf. 1982), so a block fills those on its
+# first `_WHEEL` entries and copies them over the rest
+_WHEEL = 5040
+
+
+def _wheel_passes(primes: np.ndarray, lo: int, hi: int):
+    """The block's head, min(hi - lo, `_WHEEL`), and its prime powers in two
+    passes, each a list of (p, e, q, start, stop) and the period that
+    `_tile` copies afterwards.
+
+    The first pass holds the powers q of `_prime_powers` that divide
+    `_WHEEL` (not all of them for gstar's primes), over the head only, from
+    the first multiple of q in it, n = 0 included, since the head is then
+    copied over every n congruent to it mod `_WHEEL`.  The second holds the
+    rest, over the whole block, whose period copies nothing."""
+    head = min(hi - lo, _WHEEL)
+    wheel, rest = [], []
+    for p, e, q, start in _prime_powers(primes, lo, hi):
+        if _WHEEL % q:
+            rest.append((p, e, q, start, hi - lo))
+        else:
+            wheel.append((p, e, q, start % q, head))
+    return head, ((wheel, head), (rest, hi - lo))
+
+
+def _tile(a: np.ndarray, period: int) -> None:
+    """Copy a[:period] over the rest of `a`, doubling the copied span."""
+    done = period
+    while done < len(a):
+        step = min(done, len(a) - done)
+        a[done : done + step] = a[:step]
+        done += step
+
+
+def _smooth_part(n: np.ndarray, head: int, passes) -> np.ndarray:
+    """The part of each of the block's n over the primes of
+    `_wheel_passes`, multiplied up in its two passes: n over it is the
+    prime left outside them, or 1."""
+    smooth = np.empty_like(n)
+    smooth[:head] = 1
+    for powers, period in passes:
+        for p, _, q, start, stop in powers:
+            smooth[start:stop:q] *= p
+        _tile(smooth, period)
+    return smooth
+
+
 # an lcm row takes the lcm with c = f(p^e) up to this cap from a table over the
 # residues mod c, and past it by `np.lcm`: on 2^18 uint32 entries below 2^20 at
 # c = 996, 0.9 ms against 11.7 ms.  One table per c is kept for the process, so
@@ -336,38 +392,50 @@ def _lcm_quotients(c: int) -> np.ndarray:
 def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> None:
     """Write f(n) for lo <= n < lo + len(out) into `out`, looping over the
     given ascending primes; each of those n may have at most one prime
-    factor outside them, to the first power (any, for gstar's row)."""
+    factor outside them, to the first power (any, for gstar's row).
+
+    The powers of `_wheel_passes` update `out` in its two passes.  Then
+    n > `_smooth_part` where n has that prime factor, and n over it is the
+    prime (or 1): Omega adds the comparison, and a product row multiplies
+    the whole block by the row's f of n // smooth, made 1 where that is 1
+    or 0, with no gather of those n."""
     at, prime, combine, minus_n = row
     hi = lo + len(out)
-    rem = np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
+    n = np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
     if combine is np.lcm:
-        return _fill_lcm_block(row, primes, lo, rem, out)
+        return _fill_lcm_block(row, primes, lo, n, out)
     unit = 0 if combine is np.add else 1  # f(1), and f(p^0) of every p
-    out[:] = unit
+    head, passes = _wheel_passes(primes, lo, hi)
+    out[:head] = unit
+    for powers, period in passes:
+        for p, e, q, start, stop in powers:
+            # the multiples of q = p^e move from f(p^(e-1)) to f(p^e): a
+            # product row multiplies by their quotient when it is whole, and
+            # else divides the old part out exactly
+            prev, cur = at(p, e - 1) if e > 1 else unit, at(p, e)
+            if cur != prev:
+                seg = out[start:stop:q]
+                if combine is np.add:
+                    seg += cur - prev
+                elif cur % prev == 0:
+                    seg *= cur // prev
+                else:
+                    seg //= prev
+                    seg *= cur
+        _tile(out, period)
+    smooth = _smooth_part(n, head, passes)
+    if combine is np.add:
+        out += n > smooth  # a prime left outside the primes: Omega's f(p) = 1
+    else:
+        n //= smooth  # that prime, or 1 (0 at n = 0)
+        del smooth  # freed before the int64 arrays below
+        left = prime(n.astype(np.int64))  # f(p), made 1 where n <= 1
+        left -= 1
+        left *= n > 1
+        left += 1
+        out *= left
     if lo == 0:
         out[0] = 0
-    prev = unit
-    for p, e, q, start in _prime_powers(primes, lo, hi):
-        # the multiples of q = p^e move from f(p^(e-1)) to f(p^e): a product
-        # row divides the old part out exactly
-        if e == 1:
-            prev = unit
-        cur = at(p, e)
-        if cur != prev:
-            seg = out[start::q]
-            if combine is np.add:
-                seg += cur - prev
-            else:
-                if prev != 1:
-                    seg //= prev
-                seg *= cur
-        rem[start::q] //= p
-        prev = cur
-    if combine is np.add:
-        out += rem > 1  # Omega's f(p) = 1
-    else:
-        big = np.flatnonzero(rem > 1)
-        out[big] = combine(out[big], prime(rem[big].astype(np.int64)))
     if minus_n:
         out -= np.arange(lo, hi, dtype=out.dtype)
         if lo <= 1 < hi:
@@ -377,19 +445,17 @@ def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) ->
 def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, out: np.ndarray) -> None:
     """`_fill_block` for an lcm row, over the block's n, in two passes.
 
-    The first multiplies up the part of each n over the primes; n over it
-    is the prime left outside them, or 1, and the block starts at f of
-    that prime (calling `row.prime` at those entries only) and at 1
-    elsewhere.  The second takes the lcm with c = f(p^e) at the
-    multiples of each power p^e in turn, with no division, since
-    f(p^(e-1)) divides f(p^e): as x * (c / gcd(x mod c, c)) from
-    `_lcm_quotients` for c <= `_RESIDUE_CAP`, else by `np.lcm`.  The block
-    is worked in n's dtype, which holds f(n) <= n.
+    The first is `_smooth_part`: n over it is the prime left outside the
+    primes, or 1, and the block starts at f of that prime (calling
+    `row.prime` at those entries only) and at 1 elsewhere.  The second
+    takes the lcm with c = f(p^e) at the multiples of each power p^e in
+    turn, with no division, since f(p^(e-1)) divides f(p^e): as
+    x * (c / gcd(x mod c, c)) from `_lcm_quotients` for c <= `_RESIDUE_CAP`,
+    else by `np.lcm`.  The block is worked in n's dtype, which holds
+    f(n) <= n.
     """
     hi = lo + len(out)
-    work = np.ones_like(n)
-    for p, _, q, start in _prime_powers(primes, lo, hi):
-        work[start::q] *= p
+    work = _smooth_part(n, *_wheel_passes(primes, lo, hi))
     big = np.flatnonzero(work < n)  # the n with a prime outside them
     left = n[big] // work[big]
     work[:] = 1
@@ -813,6 +879,8 @@ class ArithEngine:
 
     def range_values(self, fn: BaseFn, lo: int, hi: int) -> np.ndarray:
         """fn(n) for 0 <= lo <= n < hi (fn(0) = 0) as int64: no whole table."""
+        if lo < 0 or hi < lo:
+            raise ValueError(f"range_values needs 0 <= lo <= hi, got [{lo}, {hi})")
         out = np.empty(hi - lo, dtype=np.int64)
         return _fill_range(_TABLE_ROWS[fn.tag], self._kernel_primes(fn, hi - 1), lo, out)
 
@@ -866,6 +934,7 @@ class ArithEngine:
             t[live[hit]] = cand[hit]
             live = live[rest[live] > 1]
 
+        @functools.cache  # each block asks again
         def at(p: int, e: int) -> int:
             if p == 2:
                 return 1

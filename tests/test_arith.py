@@ -486,6 +486,75 @@ def test_gstar_loops_over_its_own_primes_across_block_edges(monkeypatch, block):
             assert arith.ArithEngine().value_table(fn, hi - 1).tolist() == want, fn.describe()
 
 
+# the kernel fills the powers dividing 5040 = 2^4 3^2 5 7 on a block's first
+# 5040 entries and copies them over the rest: ranges that start and end on
+# either side of those edges, n = 0 included, and gstar rows whose primes hold
+# some, none or one more of 2, 3, 5 and 7; two-squares keeps p^2 of 3 and 7
+WHEEL_FNS = BASE_FNS + [arith.gstar([3]), arith.gstar([5, 7]), arith.gstar([11]),
+                        arith.gstar([2, 1_000_003])]
+WHEEL_STARTS = [0, 1, 5039, 5040, 5041, 7 * 5040 - 3]
+WHEEL_LENGTHS = [1, 5039, 5040, 5041, 3 * 5040 + 7]
+
+
+def wheel_values(fn, lo, hi):
+    """fn over [lo, hi) from `range_values`, or for None the Omega row."""
+    if fn is not None:
+        return arith.ArithEngine().range_values(fn, lo, hi)
+    primes = arith.ArithEngine().primes_upto(math.isqrt(hi - 1))
+    return arith._fill_range(arith._OMEGA_ROW, primes, lo, np.empty(hi - lo, dtype=np.uint8))
+
+
+def wheel_oracle(facs):
+    """fn -> its `eval_base` over the factorizations (None for n = 0, where
+    f is 0), and None -> Omega."""
+    want = {fn: [arith.eval_base(fn, f) if f else 0 for f in facs] for fn in WHEEL_FNS}
+    want[None] = [arith.big_omega(f) if f else 0 for f in facs]
+    return {fn: np.array(v, dtype=np.int64) for fn, v in want.items()}
+
+
+@pytest.fixture(scope="module")
+def wheel_wants(engine):
+    top = max(WHEEL_STARTS) + max(WHEEL_LENGTHS)
+    return wheel_oracle([None] + [engine.factorize(n) for n in range(1, top)])
+
+
+@pytest.mark.parametrize("block", [64, 5040, 5041, 1 << 18])
+def test_tables_match_the_oracles_across_wheel_edges(monkeypatch, wheel_wants, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    for fn, want in wheel_wants.items():
+        for lo in WHEEL_STARTS:
+            for length in WHEEL_LENGTHS:
+                got = wheel_values(fn, lo, lo + length)
+                assert np.array_equal(got, want[lo : lo + length]), (fn, lo, length)
+    top = len(wheel_wants[None]) - 1
+    assert np.array_equal(arith.ArithEngine().big_omega_table(top), wheel_wants[None])
+
+
+@pytest.fixture(scope="module")
+def past_two_to_32(engine):
+    """A range of int64 n past 2^32, 7 entries longer than a block's head,
+    and the oracle over it (trial division, past the auto-extend cap)."""
+    lo = (1 << 32) + 1
+    return lo, wheel_oracle([engine.factorize(n) for n in range(lo, lo + 5047)])
+
+
+@pytest.mark.parametrize("block", [5040, 5041, 1 << 18])
+def test_tables_match_the_oracles_past_two_to_32(monkeypatch, past_two_to_32, block):
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    lo, wants = past_two_to_32
+    for fn, want in wants.items():
+        assert np.array_equal(wheel_values(fn, lo, lo + len(want)), want), fn
+
+
+def test_range_values_refuses_a_range_that_is_not_one():
+    eng = arith.ArithEngine()
+    for lo, hi in ((-3, 3), (5, 3)):
+        with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\)"):
+            eng.range_values(arith.PHI, lo, hi)
+    assert eng._cache.keys() == {"spf"}  # refused before any sieve
+    assert eng.range_values(arith.PHI, 5, 5).tolist() == []
+
+
 @pytest.fixture(scope="module")
 def wieferich_ranges(engine):
     """For p = 1093, 3511: a range around p^2, the kernel's primes up to
