@@ -446,8 +446,8 @@ def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, 
     """`_fill_block` for an lcm row, over the block's n, in two passes.
 
     The first is `_smooth_part`: n over it is the prime left outside the
-    primes, or 1, and the block starts at f of that prime (calling
-    `row.prime` at those entries only) and at 1 elsewhere.  The second
+    primes, or 1, and the block starts at f of that prime (gathered, so
+    that `row.prime` is called at those entries only) and at 1 elsewhere.  The second
     takes the lcm with c = f(p^e) at the multiples of each power p^e in
     turn, with no division, since f(p^(e-1)) divides f(p^e): as
     x * (c / gcd(x mod c, c)) from `_lcm_quotients` for c <= `_RESIDUE_CAP`,
@@ -456,10 +456,11 @@ def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, 
     """
     hi = lo + len(out)
     work = _smooth_part(n, *_wheel_passes(primes, lo, hi))
-    big = np.flatnonzero(work < n)  # the n with a prime outside them
-    left = n[big] // work[big]
+    np.floor_divide(n, work, out=work)  # the prime left outside them, or 1
+    big = np.flatnonzero(work > 1)
+    left = work[big].astype(np.int64)
     work[:] = 1
-    work[big] = row.prime(left.astype(np.int64))
+    work[big] = row.prime(left)
     prev = 1
     for p, e, q, start in _prime_powers(primes, lo, hi):
         if e == 1:
