@@ -447,12 +447,12 @@ def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, 
 
     The first is `_smooth_part`: n over it is the prime left outside the
     primes, or 1, and the block starts at f of that prime (gathered, so
-    that `row.prime` is called at those entries only) and at 1 elsewhere.  The second
-    takes the lcm with c = f(p^e) at the multiples of each power p^e in
-    turn, with no division, since f(p^(e-1)) divides f(p^e): as
-    x * (c / gcd(x mod c, c)) from `_lcm_quotients` for c <= `_RESIDUE_CAP`,
-    else by `np.lcm`.  The block is worked in n's dtype, which holds
-    f(n) <= n.
+    that `row.prime` is called at those entries only) and at 1
+    elsewhere.  The second takes the lcm with c = f(p^e) at the multiples
+    of each power p^e in turn, with no division, since f(p^(e-1)) divides
+    f(p^e): as x * (c / gcd(x mod c, c)) from `_lcm_quotients` for
+    c <= `_RESIDUE_CAP`, else by `np.lcm`.  The block is worked in n's
+    dtype, which holds f(n) <= n.
     """
     hi = lo + len(out)
     work = _smooth_part(n, *_wheel_passes(primes, lo, hi))
