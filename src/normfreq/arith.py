@@ -24,10 +24,15 @@ f(p^e) from a small table over the residues mod f(p^e)
 and power of a prime p <= sqrt(limit), not once per prime power up to
 the limit, and the memory beyond the table itself is one block's
 working arrays and at most 1 MiB of residue tables: a value table still
-takes 8 bytes per entry of the budget, and the Omega table 1.  A range
-needs only the primes up to sqrt(hi), so a stream of f(lo), ..., f(hi - 1)
-over the naturals (`ArithEngine.stream_values`) keeps no whole table.
-Every other stream block dispatches on its domain in one place,
+takes 8 bytes per entry of the budget, and the Omega table 1.  Those
+arrays are n, its smooth part and f of the leftover prime, each in n's
+dtype (uint32 below 2^32), and gstar's row, 1 at every leftover prime,
+makes none of them.  A range needs only the primes up to sqrt(hi), so a
+stream of f(lo), ..., f(hi - 1) over the naturals
+(`ArithEngine.stream_values`) keeps no whole table: it reads its blocks
+as views of one span of `_BLOCK` values, refilled from the block that
+leaves it, so the kernel runs once per span and not once per stream
+block.  Every other stream block dispatches on its domain in one place,
 `ArithEngine._domain_block`, which gives the block's inputs and how far
 they grow by the last index the stream expects; that growth sizes the
 chain's tables.  `prime_sieve` runs `prime_mask` per segment of `_BLOCK`
@@ -253,13 +258,15 @@ def eval_base(fn: BaseFn, fac: Factorization) -> int:
 
 class _TableRow(NamedTuple):
     """A function as the table kernel sees it: f(p^e) for a prime power
-    with e >= 1, f(p) over an int64 array of primes, and the ufunc that
-    combines the prime-power parts of n (product, lcm or sum).  With
+    with e >= 1, f(p) over an array of primes (None where f is 1 at every
+    prime the kernel does not loop over: gstar's row), and the ufunc that
+    combines the prime-power parts of n (product, lcm or sum).  f(p) gets
+    the array in n's dtype, uint32 below 2^32, and must fit it.  With
     `minus_n` the kernel then subtracts n, and sets f(1) = 1: the row of
     s = sigma - n."""
 
     at: Callable[[int, int], int]
-    prime: Callable[[np.ndarray], np.ndarray]
+    prime: Optional[Callable[[np.ndarray], np.ndarray]]
     combine: np.ufunc = np.multiply
     minus_n: bool = False
 
@@ -276,16 +283,17 @@ _TABLE_ROWS = {
     BaseTag.RADICAL: _TableRow(lambda p, e: p, lambda p: p),
     BaseTag.TWO_SQUARES: _TableRow(
         lambda p, e: p ** (e - e % 2) if p % 4 == 3 else p**e,
-        lambda p: np.where(p % 4 == 3, 1, p),
+        lambda p: np.where(p & 3 == 3, 1, p),
     ),
-    BaseTag.GSTAR: _TableRow(lambda p, e: p**e, np.ones_like),
+    BaseTag.GSTAR: _TableRow(lambda p, e: p**e, None),
 }
 
 # Omega(n) adds the exponents; its table is uint8
 _OMEGA_ROW = _TableRow(lambda p, e: e, lambda p: 1, np.add)
 
 
-# entries per block of `_fill_range`: the phi table to 10^6 takes 17.8 ms at
+# entries per block of `_fill_range`, and per span of a naturals stream
+# (`ArithEngine.stream_values`): the phi table to 10^6 takes 17.8 ms at
 # 2^18, against 18.9 ms at 2^17, 19.2 ms at 2^19 and 27.4 ms at 2^16 (medians of
 # 15 alternating in-process runs, 2-core host)
 _BLOCK = 1 << 18
@@ -353,6 +361,11 @@ def _tile(a: np.ndarray, period: int) -> None:
         done += step
 
 
+def _naturals(lo: int, hi: int) -> np.ndarray:
+    """lo <= n < hi as uint32, or as int64 past 2^32."""
+    return np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
+
+
 def _smooth_part(n: np.ndarray, head: int, passes) -> np.ndarray:
     """The part of each of the block's n over the primes of
     `_wheel_passes`, multiplied up in its two passes: n over it is the
@@ -398,12 +411,13 @@ def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) ->
     n > `_smooth_part` where n has that prime factor, and n over it is the
     prime (or 1): Omega adds the comparison, and a product row multiplies
     the whole block by the row's f of n // smooth, made 1 where that is 1
-    or 0, with no gather of those n."""
+    or 0, with no gather of those n.  Both steps work in n's dtype, which
+    holds the prime, and keep n, which s then subtracts; gstar's row,
+    which is 1 at that prime, takes neither."""
     at, prime, combine, minus_n = row
     hi = lo + len(out)
-    n = np.arange(lo, hi, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
     if combine is np.lcm:
-        return _fill_lcm_block(row, primes, lo, n, out)
+        return _fill_lcm_block(row, primes, lo, out)
     unit = 0 if combine is np.add else 1  # f(1), and f(p^0) of every p
     head, passes = _wheel_passes(primes, lo, hi)
     out[:head] = unit
@@ -423,26 +437,28 @@ def _fill_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) ->
                     seg //= prev
                     seg *= cur
         _tile(out, period)
-    smooth = _smooth_part(n, head, passes)
-    if combine is np.add:
-        out += n > smooth  # a prime left outside the primes: Omega's f(p) = 1
-    else:
-        n //= smooth  # that prime, or 1 (0 at n = 0)
-        del smooth  # freed before the int64 arrays below
-        left = prime(n.astype(np.int64))  # f(p), made 1 where n <= 1
-        left -= 1
-        left *= n > 1
-        left += 1
-        out *= left
+    if prime is not None:
+        n = _naturals(lo, hi)
+        left = _smooth_part(n, head, passes)
+        if combine is np.add:
+            out += n > left  # a prime left outside the primes: Omega's f(p) = 1
+        else:
+            np.floor_divide(n, left, out=left)  # that prime, or 1 (0 at n = 0)
+            big = left > 1
+            left = prime(left)  # rad's f(p) is `left` itself, no longer needed
+            left -= 1  # made 1 where n <= 1 (wrapping in uint32 at n = 0)
+            left *= big
+            left += 1
+            out *= left
     if lo == 0:
         out[0] = 0
-    if minus_n:
-        out -= np.arange(lo, hi, dtype=out.dtype)
+    if minus_n:  # s's row has an f(p), so `n` was made above
+        out -= n
         if lo <= 1 < hi:
             out[1 - lo] = 1
 
 
-def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, out: np.ndarray) -> None:
+def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, out: np.ndarray) -> None:
     """`_fill_block` for an lcm row, over the block's n, in two passes.
 
     The first is `_smooth_part`: n over it is the prime left outside the
@@ -455,6 +471,7 @@ def _fill_lcm_block(row: _TableRow, primes: np.ndarray, lo: int, n: np.ndarray, 
     dtype, which holds f(n) <= n.
     """
     hi = lo + len(out)
+    n = _naturals(lo, hi)
     work = _smooth_part(n, *_wheel_passes(primes, lo, hi))
     np.floor_divide(n, work, out=work)  # the prime left outside them, or 1
     big = np.flatnonzero(work > 1)
@@ -684,6 +701,8 @@ class ArithEngine:
         # answers requests below 2
         self._cache: dict = {_SPF: (1, np.zeros(2, dtype=np.uint32))}
         self._spf_upto(spf_limit)
+        # (fn, start, values): the last `range_values` span a stream filled
+        self._span: Optional[tuple[BaseFn, int, np.ndarray]] = None
 
     def _grown(
         self, key, limit: int, what: str, entry_bytes: int, build,
@@ -847,18 +866,29 @@ class ArithEngine:
     def stream_values(self, spec: CompositionSpec, lo: int, hi: int, expect: int = 0) -> np.ndarray:
         """The values of `spec` at the indices 1 <= lo <= index < hi, as int64.
 
-        A single function over the naturals needs no whole array: it is
-        `range_values`.  Every other spec, the identity included, runs
-        `chain_values` over its `_domain_block` on whole cached arrays.
-        `expect` >= hi - 1, the last index the caller expects to ask for,
-        sizes those, so a stream read block by block builds each about
-        once: the domain's sieve or table for the indices up to `expect`,
-        and each chain table for its need here scaled as the domain's
-        inputs grow from index hi - 1 to `expect`.
+        `expect` >= hi - 1 is the last index the caller expects to ask
+        for.  A single function over the naturals needs no whole array:
+        its values are a read-only view of one span of `range_values`,
+        kept by the engine.  A block outside the span refills it from lo
+        to the larger of hi and lo + `_BLOCK`, but not past `expect`, so a
+        stream of smaller blocks calls the kernel once per `_BLOCK`
+        values.  Every other spec, the identity
+        included, runs `chain_values` over its `_domain_block` on whole
+        cached arrays, which `expect` sizes, so a stream read block by
+        block builds each about once: the domain's sieve or table for the
+        indices up to `expect`, and each chain table for its need here
+        scaled as the domain's inputs grow from index hi - 1 to `expect`.
         """
+        expect = max(expect, hi - 1)
         if spec.domain is NATURALS and spec.depth == 1:
-            return self.range_values(spec.chain[0], lo, hi)
-        args, scale = self._domain_block(spec.domain, lo, hi, max(expect, hi - 1))
+            fn = spec.chain[0]
+            span = self._span
+            if span is None or span[0] != fn or not span[1] <= lo <= hi <= span[1] + len(span[2]):
+                values = self.range_values(fn, lo, max(hi, min(lo + _BLOCK, expect + 1)))
+                values.flags.writeable = False
+                span = self._span = (fn, lo, values)
+            return span[2][lo - span[1] : hi - span[1]]
+        args, scale = self._domain_block(spec.domain, lo, hi, expect)
         return self.chain_values(spec.chain, args, scale)
 
     def eval_composition(self, spec: CompositionSpec, index: int) -> int:

@@ -546,6 +546,25 @@ def test_tables_match_the_oracles_past_two_to_32(monkeypatch, past_two_to_32, bl
         assert np.array_equal(wheel_values(fn, lo, lo + len(want)), want), fn
 
 
+@pytest.fixture(scope="module")
+def below_two_to_32(engine):
+    """The last 5047 n below 2^32, which hold its largest prime 4294967291,
+    and the oracle over them."""
+    lo = (1 << 32) - 5047
+    return lo, wheel_oracle([engine.factorize(n) for n in range(lo, 1 << 32)])
+
+
+@pytest.mark.parametrize("block", [5040, 1 << 18])
+def test_tables_match_the_oracles_below_two_to_32(monkeypatch, below_two_to_32, block):
+    # the kernel's last uint32 block: its leftover primes, and sigma's and
+    # s's p + 1 at 4294967291, stay in uint32
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    lo, wants = below_two_to_32
+    assert wants[arith.SIGMA][-5] == 4294967292
+    for fn, want in wants.items():
+        assert np.array_equal(wheel_values(fn, lo, 1 << 32), want), fn
+
+
 def test_range_values_refuses_a_range_that_is_not_one():
     eng = arith.ArithEngine()
     for lo, hi in ((-3, 3), (5, 3)):
@@ -878,6 +897,94 @@ def test_a_stream_builds_each_whole_array_twice(monkeypatch, chain, domain, digi
     for _ in words.prefix_blocks(arith.ArithEngine(), spec, digits):
         pass
     assert built and {key: built.count(key) for key in built} == dict.fromkeys(built, 2)
+
+
+def recorded_fills(monkeypatch):
+    """The ranges [lo, hi) that `arith._fill_range` fills from now on."""
+    fills = []
+    fill_range = arith._fill_range
+
+    def recorded(row, primes, lo, out):
+        fills.append((lo, lo + len(out)))
+        return fill_range(row, primes, lo, out)
+
+    monkeypatch.setattr(arith, "_fill_range", recorded)
+    return fills
+
+
+def test_naturals_stream_values_are_views_of_one_span(monkeypatch):
+    # a block outside the span refills it from the block's start, for
+    # `_BLOCK` values but not past `expect`; a block inside it is a view
+    monkeypatch.setattr(arith, "_BLOCK", 50)
+    fills = recorded_fills(monkeypatch)
+    eng = arith.ArithEngine()
+    spec = arith.CompositionSpec((arith.PHI,))
+    want = [0] + [oracle_phi(n) for n in range(1, 200)]
+    reads = [(1, 10, 20), (5, 15, 20), (15, 25, 100), (60, 64, 0), (64, 130, 0), (1, 2, 0)]
+    spans = [(1, 21), None, (15, 65), None, (64, 130), (1, 2)]
+    for (lo, hi, expect), span in zip(reads, spans):
+        before = len(fills)
+        got = eng.stream_values(spec, lo, hi, expect)
+        assert got.tolist() == want[lo:hi]
+        assert fills[before:] == ([span] if span else [])
+        assert np.shares_memory(got, eng._span[2]) and not got.flags.writeable
+    # a span is kept for one function only
+    assert eng.stream_values(arith.CompositionSpec((arith.SIGMA,)), 1, 2).tolist() == [1]
+    assert fills[-1] == (1, 2)
+
+
+@pytest.mark.parametrize("fn", [arith.PHI, arith.SIGMA, arith.gstar([2])], ids=lambda fn: fn.describe())
+@pytest.mark.parametrize("digits", [1000, 20_000, 123_456])
+def test_a_naturals_stream_fills_kernel_spans_in_order(monkeypatch, fn, digits):
+    # stream blocks of 100 values read kernel spans of 400: each span starts
+    # at the block that left the one before, so the spans tile the stream
+    # and the last one ends within a span of the final index
+    monkeypatch.setattr(words, "_BLOCK", 100)
+    monkeypatch.setattr(arith, "_BLOCK", 400)
+    fills = recorded_fills(monkeypatch)
+    report = count_stream(arith.ArithEngine(), arith.CompositionSpec((fn,)), digits)
+    assert fills[0][0] == 1
+    assert all(lo < next_lo <= hi for (lo, hi), (next_lo, _) in zip(fills, fills[1:])), fills
+    assert sum(hi - lo for lo, hi in fills) <= report["n"] + arith._BLOCK
+
+
+def test_the_benchmark_phi_count_fills_at_most_four_spans(monkeypatch):
+    # 3e6 digits are 535,998 values: the first block's probe, then spans of
+    # 2^18 values up to the forecast (one kernel call per 2^16 block before)
+    fills = recorded_fills(monkeypatch)
+    report = count_stream(arith.ArithEngine(), arith.CompositionSpec((arith.PHI,)), 3 * 10**6)
+    assert report["n"] == 535_998
+    assert 1 < len(fills) <= 4, fills
+
+
+def block_lists(block):
+    return block.first, block.start, block.values.tolist(), block.lengths.tolist(), block.digits.tolist()
+
+
+@pytest.mark.parametrize(
+    "first,second,ahead",
+    [((arith.PHI,), (arith.SIGMA,), 0), ((arith.PHI,), (arith.PHI,), 3)],
+    ids=["phi-sigma", "phi-phi-ahead3"],
+)
+def test_interleaved_naturals_streams_on_one_engine_match_fresh_ones(monkeypatch, first, second, ahead):
+    # the two streams take turns at the engine's one span, the second
+    # starting `ahead` blocks behind; every block is as a fresh engine has it,
+    # also after the span has been refilled for the other stream
+    monkeypatch.setattr(words, "_BLOCK", 100)
+    monkeypatch.setattr(arith, "_BLOCK", 400)
+    specs = [arith.CompositionSpec(first), arith.CompositionSpec(second)]
+    digits = [30_000, 25_000]
+    want = [list(map(block_lists, words.prefix_blocks(arith.ArithEngine(), spec, num)))
+            for spec, num in zip(specs, digits)]
+    engine = arith.ArithEngine()
+    streams = [words.prefix_blocks(engine, spec, num) for spec, num in zip(specs, digits)]
+    got = [[block_lists(next(streams[0])) for _ in range(ahead)], []]
+    while len(got[0]) < len(want[0]) or len(got[1]) < len(want[1]):
+        for which in (0, 1):
+            block = next(streams[which], None)
+            if block is not None:
+                got[which].append(block_lists(block))
+    assert got == want
 
 
 def test_chain_values_matches_eval(engine):
