@@ -73,7 +73,7 @@ def main() -> int:
         reports.write_report(payload, args.out)
     else:
         for chunk in reports.json_chunks(payload):
-            sys.stdout.write(chunk.decode("ascii"))
+            sys.stdout.write(str(chunk, "ascii"))
     return 0
 
 

@@ -872,7 +872,8 @@ class ArithEngine:
         kept by the engine.  A block outside the span refills it from lo
         to the larger of hi and lo + `_BLOCK`, but not past `expect`, so a
         stream of smaller blocks calls the kernel once per `_BLOCK`
-        values.  Every other spec, the identity
+        values; a block that starts inside the span keeps the overlap and
+        fills only from the span's end.  Every other spec, the identity
         included, runs `chain_values` over its `_domain_block` on whole
         cached arrays, which `expect` sizes, so a stream read block by
         block builds each about once: the domain's sieve or table for the
@@ -883,11 +884,17 @@ class ArithEngine:
         if spec.domain is NATURALS and spec.depth == 1:
             fn = spec.chain[0]
             span = self._span
-            if span is None or span[0] != fn or not span[1] <= lo <= hi <= span[1] + len(span[2]):
-                values = self.range_values(fn, lo, max(hi, min(lo + _BLOCK, expect + 1)))
-                values.flags.writeable = False
-                span = self._span = (fn, lo, values)
-            return span[2][lo - span[1] : hi - span[1]]
+            start, held = (lo, np.empty(0, np.int64)) if span is None or span[0] != fn else span[1:]
+            end = start + len(held)
+            if not start <= lo <= hi <= end:
+                top = max(hi, min(lo + _BLOCK, expect + 1))
+                if start <= lo < end:  # the overlap is kept
+                    held = np.concatenate((held[lo - start :], self.range_values(fn, end, top)))
+                else:
+                    held = self.range_values(fn, lo, top)
+                held.flags.writeable = False
+                start, self._span = lo, (fn, lo, held)
+            return held[lo - start : hi - start]
         args, scale = self._domain_block(spec.domain, lo, hi, expect)
         return self.chain_values(spec.chain, args, scale)
 

@@ -230,7 +230,7 @@ def _report(got) -> None:
 
 def _print_json(report) -> None:
     for chunk in reports.json_chunks(report):
-        sys.stdout.write(chunk.decode("ascii"))
+        sys.stdout.write(str(chunk, "ascii"))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from . import words as words_mod
 from .arith import INT64_MAX, ArithEngine, CompositionSpec
 from .errors import CapacityError, DegenerateInputError
-from .reports import ArrayMap
+from .reports import ArrayMap, RatioMap
 from .words import MSF, DigitOrder, window_codes, word_texts
 
 # windows per tally chunk: one per prefix block takes prefix-primes-k6 to 103 MB, not 90
@@ -103,10 +103,12 @@ class _KGramPayload(dict):
     tail_counts = property(itemgetter("tail_counts"))
 
 
-def frequencies(counts: ArrayMap, windows: int) -> ArrayMap:
-    """count / windows for each word.  Counts and windows stay below
-    2^53, so float64 division rounds exactly as Python's int / int."""
-    return counts.with_values(counts.value_array / windows)
+def frequencies(counts: ArrayMap, windows: int) -> RatioMap:
+    """count / windows for each word, as float64.  Counts and windows stay
+    below 2^53, so the division rounds exactly as Python's int / int.  The
+    map keeps the counts, and the writer formats one text per distinct
+    count, from the counts' own text table."""
+    return RatioMap(counts, windows)
 
 
 def _window_chunks(blocks, num_digits: int, k: int):
@@ -214,14 +216,19 @@ def count_stream(
         return merged, out
 
     def merge(chunks):
-        """Sum the chunk tallies in chunk order into one sorted code array
-        and three aligned tallies."""
+        """Sum the chunk tallies in chunk order into one sorted code array,
+        three aligned tallies (a C-ordered (3, len(codes)) table) and
+        their total."""
         if dense:
             tables = next(chunks, np.zeros((3, size), dtype=np.int64))
             for chunk in chunks:  # folded as it arrives
                 tables += chunk
-            codes = np.flatnonzero(tables.any(axis=0))
-            return codes, tables[:, codes]
+            codes = np.flatnonzero(tables.sum(axis=0))
+            tables = tables.take(codes, axis=1)
+            # summed again over the kept codes: gathering them from the
+            # whole-table sum left its freed 8 MB under the take, and the
+            # 10^7-digit k = 6 count peaked at 144 MB of RSS, not 136
+            return codes, tables, tables.sum(axis=0)
         codes, tables = np.empty(0, dtype=np.int64), np.zeros((3, 0), dtype=np.int64)
         pieces, held = [], 0
         for chunk in chunks:
@@ -232,7 +239,8 @@ def count_stream(
             if held > 4 * max(len(codes), _CHUNK):
                 codes, tables = fold(codes, tables, pieces)
                 pieces, held = [], 0
-        return fold(codes, tables, pieces)
+        codes, tables = fold(codes, tables, pieces)
+        return codes, tables, tables.sum(axis=0)
 
     last = None
     bad_count = None if eps is None else 0
@@ -248,7 +256,7 @@ def count_stream(
                 bad_count += int(np.count_nonzero(bad))
             yield last
 
-    codes, tables = merge(
+    codes, tables, total = merge(
         tally_chunk(*chunk) for chunk in _window_chunks(blocks(), num_digits, k)
     )
     final_index = last.first + len(last.values) - 1
@@ -256,11 +264,11 @@ def count_stream(
     labels = word_texts(codes, g, k)
     if g > 10:  # dot-joined labels do not sort as their codes do
         by_label = np.argsort(labels, kind="stable")
-        labels, tables = labels[by_label], tables[:, by_label]
+        labels, tables, total = labels[by_label], tables.take(by_label, axis=1), total[by_label]
     complete, boundary, tail = tables
-    total = tables.sum(axis=0)
-    # every code in `codes` occurs; each tally keeps the label order
-    counts = ArrayMap(labels, total)
+    # every code in `codes` occurs, and its label is plain digits (dotted
+    # at g > 10), unique and now in order; each tally keeps the label order
+    counts = ArrayMap._of_sorted(labels, total)
 
     max_dev = 0.0
     if windows > 0:

@@ -5,12 +5,16 @@ key, whose values are JSON scalars, lists, dicts and, for the k-gram
 tallies, `ArrayMap`s.  This module owns the byte layout:
 JSON is written with sorted keys, two-space indent, ASCII escapes and a
 trailing newline, so equal payloads produce equal files.  One writer,
-`json_chunks`, produces it as consecutive byte chunks: `json.dumps`
-writes everything except the top-level flat maps, whose lines come from
-one array row builder a block of rows at a time, the same one that
-writes the k-gram CSV rows.  `canonical_json` joins the chunks into the
-text, and `write_report` streams them into a file, which it replaces
-only once the report is complete.  CSV is a lossy projection of
+`json_chunks`, produces it as consecutive bytes-like chunks:
+`json.dumps` writes everything except the top-level flat maps, whose
+lines come from one array row builder a block of rows at a time, the
+same one that writes the k-gram CSV rows.  A map's value texts are a
+small table of distinct texts and each entry's index into it, which the
+builder gathers block by block (a `RatioMap`, the k-gram `freqs`, takes
+its table from its integer counts), so no text array spans a map.
+`canonical_json` joins the chunks into the text, and `write_report`
+streams them into a file, which it replaces only once the report is
+complete.  CSV is a lossy projection of
 the JSON (headers per kind below); round-tripping through a JSON file
 and projecting gives the same bytes as projecting the live object.
 """
@@ -61,15 +65,25 @@ class ArrayMap(Mapping):
         self.key_text = keys
         self.value_array = values
 
+    @staticmethod
+    def _of_sorted(keys: np.ndarray, values: np.ndarray) -> ArrayMap:
+        """The map from `keys` to the aligned `values`, unchecked: the
+        caller has made the keys valid, unique and increasing."""
+        out = ArrayMap.__new__(ArrayMap)
+        out.key_text, out.value_array = keys, _checked_values(values, keys)
+        return out
+
     def with_values(self, values: np.ndarray, keep: np.ndarray | None = None) -> ArrayMap:
         """The map from these keys to the aligned `values`, limited to the
         entries where the boolean `keep` is set.  The keys are not checked
         again: any ordered selection of valid keys is valid."""
         values = _checked_values(values, self.key_text)
-        out = ArrayMap.__new__(ArrayMap)
-        out.key_text = self.key_text if keep is None else self.key_text[keep]
-        out.value_array = values if keep is None else values[keep]
-        return out
+        if keep is None:
+            return ArrayMap._of_sorted(self.key_text, values)
+        # a take of the kept positions, not a boolean index: 1.5 ms, not
+        # 6.3, for half of 496,826 6-byte keys and their int64 values
+        at = np.flatnonzero(keep)
+        return ArrayMap._of_sorted(self.key_text.take(at), values.take(at))
 
     def __getitem__(self, key: str) -> int | float:
         if isinstance(key, str) and key.isascii():
@@ -99,6 +113,33 @@ class ArrayMap(Mapping):
     def __repr__(self) -> str:
         return f"ArrayMap({dict(zip(self, self.value_array.tolist()))!r})"
 
+    def _texts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values' texts as json writes them: a table of `S` texts and
+        each entry's index into it (see `_value_text`)."""
+        return _value_text(self.value_array)
+
+
+class RatioMap(ArrayMap):
+    """The map from the keys of an int64 `ArrayMap` of counts to count /
+    total in float64, which keeps the counts and the total.
+
+    It is the `ArrayMap` of those floats to every reader.  The writer
+    takes each value's text from the counts: one text per count in the
+    counts' table, each the repr of the same float64 division, so a
+    plain dict of the same floats writes the same bytes.  `with_values`
+    gives a plain `ArrayMap`.
+    """
+
+    __slots__ = ("counts", "total")
+
+    def __init__(self, counts: ArrayMap, total: int):
+        self.key_text = counts.key_text
+        self.value_array = counts.value_array / total
+        self.counts, self.total = counts.value_array, total
+
+    def _texts(self) -> tuple[np.ndarray, np.ndarray]:
+        return _value_text(self.counts, self.total)
+
 
 def _checked_values(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
@@ -115,15 +156,18 @@ def _payload(report: Any) -> dict:
     return report
 
 
-def json_chunks(report: dict) -> Iterator[bytes]:
-    """The canonical JSON bytes of a report payload, as consecutive chunks.
+def json_chunks(report: dict) -> Iterator[bytes | np.ndarray]:
+    """The canonical JSON bytes of a report payload, as consecutive
+    bytes-like chunks (`bytes`, or uint8 arrays for the map rows).
 
     The bytes are those of `json.dumps(payload, sort_keys=True, indent=2,
     ensure_ascii=True)` plus a newline, with each `ArrayMap` written as
     the dict it equals.  json writes everything except the top-level
     flat maps (str to int64 or to finite nonzero float, array-backed or
     plain), whose lines come from the array row builder a block of rows
-    at a time, so no chunk holds a whole map.
+    at a time, so no chunk holds a whole map.  Each map's value texts are
+    a table and an index into it (`_value_text`); a `RatioMap`, such as a
+    k-gram report's `freqs`, takes its table from its integer counts.
     """
     payload = _payload(report)
     if not all(isinstance(key, str) for key in payload):
@@ -134,10 +178,10 @@ def json_chunks(report: dict) -> Iterator[bytes]:
         value = payload[key]
         yield f"{sep}\n  {_quote(key)}: ".encode("ascii")
         sep = ","
-        flat = _flat_arrays(value) if isinstance(value, (dict, ArrayMap)) and value else None
+        flat = _flat_map(value) if isinstance(value, (dict, ArrayMap)) and value else None
         if flat is not None:
             yield b"{"
-            yield from _item_lines(*flat, b"\n    ")
+            yield from _item_lines(flat.key_text, flat._texts(), b"\n    ")
             yield b"\n  }"
         else:
             # ASCII JSON holds no raw newline, so every one starts a line
@@ -161,12 +205,11 @@ def _dumps(value: Any) -> str:
     return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, default=_as_dict)
 
 
-def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
-    """Key bytes and int64 or float64 values, in key order, of an `ArrayMap`
-    or of a plain str -> int (within int64) or str -> finite float dict
-    whose keys an `ArrayMap` accepts; None for any other map.  A float
-    map holding 0.0 or -0.0 is also None: the two are one distinct value
-    with two texts."""
+def _flat_map(obj: dict | ArrayMap) -> ArrayMap | None:
+    """An `ArrayMap` itself, or the one equal to a plain str -> int
+    (within int64) or str -> finite float dict whose keys an `ArrayMap`
+    accepts; None for any other map.  A float map holding 0.0 or -0.0 is
+    also None: the two are one distinct value with two texts."""
     if not isinstance(obj, ArrayMap):
         if set(map(type, obj)) != {str}:
             return None
@@ -183,64 +226,82 @@ def _flat_arrays(obj: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray] | None:
             )
         except (ValueError, OverflowError):  # a key or a count ArrayMap cannot hold
             return None
-    keys, values = obj.key_text, obj.value_array
+    values = obj.value_array
     if values.dtype == np.float64 and not (values.all() and np.isfinite(values).all()):
         return None
-    return keys, values
+    return obj
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(values, return_inverse=True)`; int64 values whose range
-    is narrower than their count are told apart by one bincount over that
-    range instead of a sort."""
+def _value_text(values: np.ndarray, total: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each int64 or finite float64 value, as json writes it,
+    as a table of `S` texts and each value's index into the table.  With
+    `total`, the values are int64 counts and the texts are those of each
+    count / total in float64.
+
+    Int values whose range is below their count index a table of their
+    whole range by their offset from the lowest, with no sort; any others
+    index their distinct values, found by `np.unique`.  Each text in the
+    table is formatted once."""
+    distinct = None
     if values.dtype == np.int64 and len(values):
-        low = int(values.min())
-        if int(values.max()) - low < len(values):
-            offsets = values - low  # exact: no offset reaches the count
-            seen = np.bincount(offsets) > 0
-            return np.flatnonzero(seen) + low, (np.cumsum(seen) - 1)[offsets]
-    return np.unique(values, return_inverse=True)
+        low, high = int(values.min()), int(values.max())
+        if high - low < len(values):
+            # exact: no offset reaches the count
+            distinct, index = np.arange(low, high + 1, dtype=np.int64), values - low
+    if distinct is None:
+        distinct, index = np.unique(values, return_inverse=True)
+    if total is not None:
+        distinct = distinct / total
+    elif distinct.dtype == np.int64:
+        # the widest text is at an end of the sorted values
+        width = max(len(str(distinct[0])), len(str(distinct[-1]))) if len(distinct) else 1
+        return distinct.astype(f"S{width}"), index
+    return np.array([float.__repr__(value) for value in distinct.tolist()], dtype="S"), index
 
 
-def _value_text(values: np.ndarray) -> np.ndarray:
-    """The `S` text of each int64 or finite float64 value, as json writes
-    it; each distinct value is formatted once."""
-    distinct, inverse = _distinct(values)
-    text = int.__repr__ if values.dtype == np.int64 else float.__repr__
-    return np.array([text(value) for value in distinct.tolist()], dtype="S")[inverse]
-
-
-# rows per chunk of `_rows`: 2^10 writes a 35 MB report in 89 ms, not 72; 2^18 adds 30 MB
+# rows per chunk of `_rows`: the 35 MB prefix-primes-k6 report takes 61 ms at
+# 2^10, 53 at 2^12-2^14, 58 at 2^16 and 70 at 2^18, which adds 32 MB of peak
 _ROW_BLOCK = 1 << 14
 
 
-def _rows(parts: list, count: int) -> Iterator[bytes]:
-    """`count` rows, each the concatenation of `parts`: `S` arrays of
-    `count` entries and byte constants, as the bytes of consecutive
-    blocks of rows.  A block is a record array with one NUL-padded field
-    per part, the constants filled once; the text holds no NUL byte, so
-    dropping every NUL leaves it."""
-    fields = [
-        (str(i), f"S{part.itemsize if isinstance(part, np.ndarray) else len(part)}")
-        for i, part in enumerate(parts)
-    ]
+def _rows(parts: list, count: int) -> Iterator[np.ndarray]:
+    """`count` rows, each the concatenation of `parts`, as uint8 arrays of
+    the bytes of consecutive blocks of rows.  A part is a byte constant,
+    an `S` array of `count` entries, or a (table, index) pair of an `S`
+    table and `count` indices into it.  A block is a record array with
+    one NUL-padded field per part: the constants are filled once, and
+    each block takes its slice of every array and gathers its texts from
+    every table.  The text holds no NUL byte, so dropping every NUL
+    leaves it."""
+
+    def width(part) -> int:
+        if isinstance(part, tuple):
+            return part[0].itemsize
+        return part.itemsize if isinstance(part, np.ndarray) else len(part)
+
+    fields = [(str(i), f"S{width(part)}") for i, part in enumerate(parts)]
     block = np.empty(min(count, _ROW_BLOCK), dtype=fields)
     for (name, _), part in zip(fields, parts):
-        if not isinstance(part, np.ndarray):
+        if isinstance(part, bytes):
             block[name] = part
     for lo in range(0, count, _ROW_BLOCK):
         rows = block[: min(count - lo, _ROW_BLOCK)]
         for (name, _), part in zip(fields, parts):
-            if isinstance(part, np.ndarray):
+            if isinstance(part, tuple):
+                table, index = part
+                rows[name] = table[index[lo : lo + len(rows)]]
+            elif isinstance(part, np.ndarray):
                 rows[name] = part[lo : lo + len(rows)]
         raw = rows.view(np.uint8)
-        yield raw[raw != 0].tobytes()
+        yield raw[raw != 0]
 
 
-def _item_lines(keys: np.ndarray, values: np.ndarray, indent: bytes) -> Iterator[bytes]:
+def _item_lines(
+    keys: np.ndarray, texts: tuple[np.ndarray, np.ndarray], indent: bytes
+) -> Iterator[np.ndarray]:
     """`indent "key": value` for each of the (one or more) entries,
-    joined by ","."""
-    rows = _rows([b",", indent + b'"', keys, b'": ', _value_text(values)], len(keys))
+    joined by ",", with the values' texts as a (table, index) pair."""
+    rows = _rows([b",", indent + b'"', keys, b'": ', texts], len(keys))
     yield next(rows)[1:]  # no comma before the first entry
     yield from rows
 
@@ -303,17 +364,18 @@ def census_csv(payload: dict) -> str:
 
 
 def _tally_arrays(tally: dict | ArrayMap) -> tuple[np.ndarray, np.ndarray]:
-    flat = _flat_arrays(tally)
+    flat = _flat_map(tally)
     if flat is None:
         raise ValueError("a k-gram tally must map plain ASCII words to int64 counts")
-    return flat
+    return flat.key_text, flat.value_array
 
 
 def kgram_csv(payload: dict) -> str:
     """One row per word of `counts`, from the aligned arrays: complete,
     boundary and tail are 0 where the word is absent, and freq is
     count / windows in float64, which rounds as Python's int / int
-    while both stay below 2^53."""
+    while both stay below 2^53; its texts come from the counts' table,
+    as a `RatioMap`'s do."""
     header = "word,count,complete,boundary,tail,freq\n"
     if not payload["counts"]:
         return header
@@ -325,7 +387,7 @@ def kgram_csv(payload: dict) -> str:
             keys, values = _tally_arrays(payload[name])
             aligned[np.searchsorted(words, keys)] = values
         parts += [b",", _value_text(aligned)]
-    parts += [b",", _value_text(counts / payload["windows"]), b"\n"]
+    parts += [b",", _value_text(counts, payload["windows"]), b"\n"]
     return header + b"".join(_rows(parts, len(words))).decode("ascii")
 
 

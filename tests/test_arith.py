@@ -914,14 +914,15 @@ def recorded_fills(monkeypatch):
 
 def test_naturals_stream_values_are_views_of_one_span(monkeypatch):
     # a block outside the span refills it from the block's start, for
-    # `_BLOCK` values but not past `expect`; a block inside it is a view
+    # `_BLOCK` values but not past `expect`, filling only past the span's
+    # end where the block starts inside it; a block inside it is a view
     monkeypatch.setattr(arith, "_BLOCK", 50)
     fills = recorded_fills(monkeypatch)
     eng = arith.ArithEngine()
     spec = arith.CompositionSpec((arith.PHI,))
     want = [0] + [oracle_phi(n) for n in range(1, 200)]
     reads = [(1, 10, 20), (5, 15, 20), (15, 25, 100), (60, 64, 0), (64, 130, 0), (1, 2, 0)]
-    spans = [(1, 21), None, (15, 65), None, (64, 130), (1, 2)]
+    spans = [(1, 21), None, (21, 65), None, (65, 130), (1, 2)]
     for (lo, hi, expect), span in zip(reads, spans):
         before = len(fills)
         got = eng.stream_values(spec, lo, hi, expect)
@@ -934,18 +935,22 @@ def test_naturals_stream_values_are_views_of_one_span(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [arith.PHI, arith.SIGMA, arith.gstar([2])], ids=lambda fn: fn.describe())
-@pytest.mark.parametrize("digits", [1000, 20_000, 123_456])
-def test_a_naturals_stream_fills_kernel_spans_in_order(monkeypatch, fn, digits):
-    # stream blocks of 100 values read kernel spans of 400: each span starts
-    # at the block that left the one before, so the spans tile the stream
-    # and the last one ends within a span of the final index
-    monkeypatch.setattr(words, "_BLOCK", 100)
-    monkeypatch.setattr(arith, "_BLOCK", 400)
+@pytest.mark.parametrize(
+    "block,span,digits",
+    [(100, 400, 1000), (100, 400, 20_000), (100, 400, 77_777), (100, 400, 123_456), (7, 30, 3000)],
+)
+def test_a_naturals_stream_fills_kernel_spans_in_order(monkeypatch, fn, block, span, digits):
+    # stream blocks read kernel spans: each span starts where the one before
+    # ended, also where a block starts inside a span and runs past its end
+    # (the forecast grew after a span was cut at it, or the block size does
+    # not divide the span), so no value is filled twice
+    monkeypatch.setattr(words, "_BLOCK", block)
+    monkeypatch.setattr(arith, "_BLOCK", span)
     fills = recorded_fills(monkeypatch)
     report = count_stream(arith.ArithEngine(), arith.CompositionSpec((fn,)), digits)
     assert fills[0][0] == 1
-    assert all(lo < next_lo <= hi for (lo, hi), (next_lo, _) in zip(fills, fills[1:])), fills
-    assert sum(hi - lo for lo, hi in fills) <= report["n"] + arith._BLOCK
+    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(fills, fills[1:])), fills
+    assert report["n"] < fills[-1][1] <= report["n"] + arith._BLOCK
 
 
 def test_the_benchmark_phi_count_fills_at_most_four_spans(monkeypatch):

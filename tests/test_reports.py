@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from normfreq import reports, words
+from normfreq import arith, ngrams, reports, words
 
 
 def as_dict(value):
@@ -205,14 +205,69 @@ def spy(monkeypatch, name):
 
 
 def test_value_text_range_guard(monkeypatch):
-    # int values whose range is below their count are told apart by a
-    # bincount over the range, any others by a sort, with no table over
+    # int values whose range is below their count index a text table of
+    # the whole range by their offset from the lowest, with no sort; any
+    # others are sorted and index their distinct texts, with no table over
     # their range (2^62 entries for "wide")
-    bincounts, uniques = spy(monkeypatch, "bincount"), spy(monkeypatch, "unique")
-    same_as_oracle({"narrow": {"a": -5, "b": -3, "c": -5, "d": -4}})
-    assert len(bincounts) == 1 and not uniques
+    uniques = spy(monkeypatch, "unique")
+    narrow = {"a": -5, "b": -3, "c": -5, "d": -4}
+    same_as_oracle({"narrow": narrow})
+    assert not uniques
+    table, index = reports._value_text(np.array(list(narrow.values())))
+    assert table.tolist() == [b"-5", b"-4", b"-3"] and index.tolist() == [0, 2, 0, 1]
+    assert not uniques
     for values in ({"a": -5, "b": 0, "c": 3}, {"a": 1, "b": 2**62}):
-        bincounts.clear()
-        uniques.clear()
         same_as_oracle({"wide": values})
-        assert not bincounts and len(uniques) == 1
+        assert len(uniques) == 1
+        table, index = reports._value_text(np.array(list(values.values())))
+        assert table.tolist() == [b"%d" % v for v in values.values()]
+        uniques.clear()
+
+
+def ranged_values(rng, count, spread, low):
+    """`count` int values from `low` whose range is count + spread: both
+    ends occur, the rest lie between them."""
+    top = low + count + spread
+    inner = rng.integers(low, top, size=count - 2, endpoint=True).tolist()
+    return [low, *inner, top]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_writer_value_tables_match_json_dumps(monkeypatch, block):
+    # every value-text route of the row builder: int ranges just below, at
+    # and just above the count (a range table, then a sort), negative
+    # values, a single entry, ranges past any table and repeated floats,
+    # each as an ArrayMap and as a plain dict
+    monkeypatch.setattr(reports, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(block)
+    maps = {"single": {"w": -7}, "zero": {"w": 0}}
+    for count in (2, 5, 13):
+        for spread in (-1, 0, 1):
+            for low in (-3 * count, 0, 10**12):
+                values = ranged_values(rng, count, spread, low)
+                maps[f"r{count}{spread:+d}@{low}"] = {f"w{i:02d}": v for i, v in enumerate(values)}
+    maps["wide"] = {"a": -(2**63), "b": 2**63 - 1, "c": 0, "d": -1}
+    maps["floats"] = {f"f{i:02d}": [0.5, 1e-5, -2.25, 1 / 3, 1e16][i % 5] for i in range(17)}
+    payload = {name: m for name, m in maps.items()}
+    payload |= {
+        f"{name}-array": array_map(m, np.float64 if name == "floats" else np.int64)
+        for name, m in maps.items()
+    }
+    same_as_oracle(payload)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("g,k", [(10, 2), (16, 2)])
+def test_freqs_texts_from_counts_match_a_float_dict(monkeypatch, block, g, k):
+    # a k-gram report's freqs take their texts from the counts (g = 16
+    # sorts its labels apart from their codes); the same floats in a plain
+    # dict write the same bytes, in the JSON and in the CSV freq column
+    monkeypatch.setattr(reports, "_ROW_BLOCK", block)
+    spec = arith.CompositionSpec((arith.PHI,))
+    rep = ngrams.count_stream(arith.ArithEngine(), spec, 3000, g=g, k=k)
+    assert isinstance(rep["freqs"], reports.RatioMap) and len(rep["freqs"]) > 3 * block
+    plain = {**rep, "freqs": {word: c / rep["windows"] for word, c in rep["counts"].items()}}
+    assert rep["freqs"] == plain["freqs"] and rep["freqs"].value_array.dtype == np.float64
+    assert reports.canonical_json(rep) == reports.canonical_json(plain) == oracle(plain)
+    freq_column = [line.rsplit(",", 1)[1] for line in reports.to_csv(rep).splitlines()[1:]]
+    assert freq_column == [repr(f) for f in plain["freqs"].values()]
